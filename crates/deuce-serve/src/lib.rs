@@ -4,26 +4,27 @@
 //! crate answers "what does this *service* sustain?". A
 //! [`ServiceBuilder`] stands up one isolated key domain per tenant —
 //! its own [`deuce_sim::SimConfig`] (key seed, scheme, store backend)
-//! behind its own [`deuce_sim::StepSession`] — and a pool of per-bank
-//! worker shards, each a thread draining a bounded queue of batched
-//! read/write submissions.
+//! behind its own [`deuce_sim::StepSession`] — and a pool of worker
+//! shards, each a thread draining a bounded queue of batched read/write
+//! submissions. Tenant `i` (its registration index) belongs to shard
+//! `i % shards`: every request of the tenant travels that shard's queue,
+//! and only that shard's worker ever steps the tenant's session.
 //!
 //! The layer makes three promises:
 //!
 //! - **Isolation.** Tenants never share a key, a line store, or a
-//!   counter cache. A request is routed by `hash(tenant, addr)` to a
-//!   shard, but the shard only ever touches the owning tenant's
-//!   session, under that tenant's lock.
-//! - **Backpressure, not blocking.** [`ServeHandle::submit`] reserves
-//!   queue slots on every shard a batch touches before enqueueing
-//!   anything. If any shard is full the whole batch is rejected with
+//!   counter cache. A shard steps only the sessions it owns, so a full
+//!   or failed shard affects only its own tenants.
+//! - **Backpressure, not blocking.** [`ServeHandle::submit`] checks the
+//!   tenant's shard for room and enqueues the batch under one lock. If
+//!   the queue is full the whole batch is rejected with
 //!   [`SubmitError::QueueFull`] — carrying a `retry_after` hint — and
 //!   *no request from the batch is ever applied*. Accepted batches are
 //!   applied exactly once.
-//! - **Determinism.** Each accepted request gets a per-tenant sequence
-//!   number in submission order; shards may apply out of order but a
-//!   per-tenant reorder buffer commits strictly in sequence. A tenant's
-//!   final memory image ([`TenantReport::fingerprint`]) and summary
+//! - **Determinism.** A tenant's requests share one FIFO, so its shard
+//!   applies them in submission order by construction; the `n`-th is
+//!   stepped as [`request_event`]`(n, ..)`. A tenant's final memory
+//!   image ([`TenantReport::fingerprint`]) and summary
 //!   ([`TenantReport::result`]) are bit-identical to a single-threaded
 //!   replay of its request stream through
 //!   [`request_event`] + [`deuce_sim::Simulator::run_source`],
@@ -37,7 +38,10 @@
 //! flight ring is snapshotted at the first uncorrectable write for a
 //! post-mortem. Store I/O errors (paged backends) latch inside the
 //! session and surface as `Err` in [`TenantReport::result`] at
-//! shutdown.
+//! shutdown. A shard whose worker panics strands only its own tenants:
+//! they are reported with an `Err` result, the shard is listed in
+//! [`ServeReport::panicked_shards`], and every other tenant finishes
+//! normally.
 //!
 //! # Examples
 //!

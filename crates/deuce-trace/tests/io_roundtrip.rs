@@ -13,8 +13,14 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
 
-fn dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("deuce-io-roundtrip-{}", std::process::id()));
+/// A fresh directory for one test. Tests run in parallel threads of one
+/// process and each removes its directory when done, so they must not
+/// share one.
+fn dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "deuce-io-roundtrip-{}-{test}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -25,7 +31,7 @@ fn workload() -> TraceConfig {
 
 #[test]
 fn binary_file_round_trips_by_both_writers() {
-    let dir = dir();
+    let dir = dir("binary_file_round_trips_by_both_writers");
     let trace = workload().generate();
 
     // Materialised writer.
@@ -46,7 +52,7 @@ fn binary_file_round_trips_by_both_writers() {
 
 #[test]
 fn jsonl_file_round_trips_through_open_source() {
-    let dir = dir();
+    let dir = dir("jsonl_file_round_trips_through_open_source");
     let trace = workload().generate();
     let path = dir.join("t.jsonl");
     write_source_jsonl(BufWriter::new(File::create(&path).unwrap()), &mut workload().stream())
@@ -60,7 +66,7 @@ fn jsonl_file_round_trips_through_open_source() {
 
 #[test]
 fn truncated_binary_file_errors_instead_of_shortening() {
-    let dir = dir();
+    let dir = dir("truncated_binary_file_errors_instead_of_shortening");
     let path = dir.join("truncated.trace");
     write_source_to_file(&path, &mut workload().stream()).unwrap();
     let bytes = std::fs::read(&path).unwrap();
@@ -74,7 +80,7 @@ fn truncated_binary_file_errors_instead_of_shortening() {
 
 #[test]
 fn truncated_jsonl_file_errors_instead_of_shortening() {
-    let dir = dir();
+    let dir = dir("truncated_jsonl_file_errors_instead_of_shortening");
     let path = dir.join("truncated.jsonl");
     write_source_jsonl(BufWriter::new(File::create(&path).unwrap()), &mut workload().stream())
         .unwrap();
@@ -88,7 +94,7 @@ fn truncated_jsonl_file_errors_instead_of_shortening() {
 
 #[test]
 fn bad_headers_are_rejected() {
-    let dir = dir();
+    let dir = dir("bad_headers_are_rejected");
 
     let not_a_trace = dir.join("bogus.trace");
     std::fs::write(&not_a_trace, b"MAGICMAG\x01\x00\x00\x00").unwrap();
@@ -107,7 +113,7 @@ fn bad_headers_are_rejected() {
 
 #[test]
 fn event_count_mismatch_is_detected() {
-    let dir = dir();
+    let dir = dir("event_count_mismatch_is_detected");
     let path = dir.join("overcount.trace");
     write_source_to_file(&path, &mut workload().stream()).unwrap();
     // Inflate the header's event count: the stream now ends early.

@@ -56,8 +56,8 @@ fn replay_fingerprint(seed: u64, index: usize, requests: &[Request]) -> u64 {
 fn main() {
     let mut args = std::env::args().skip(1);
     let shards: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-    let tenants: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(4);
-    let writes: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(20_000);
+    let tenants: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(64);
+    let writes: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(1_250);
     let queue_depth: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(1024);
     let batch: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(32);
     let seed: u64 = args.next().and_then(|v| v.parse().ok()).unwrap_or(42);

@@ -145,13 +145,14 @@ grep -q "$(printf '\tdone')" "$SMOKE_DIR/watch.out"
 diff -u results/telemetry/golden_flight_dump.jsonl "$SMOKE_DIR/flight.jsonl.flight.jsonl"
 
 echo "==> serve smoke test (sharded service == single-threaded replay, byte-identical)"
-# Two tenants through four worker shards; stdout carries only the
-# deterministic per-tenant blocks, so it must diff clean against the
-# single-threaded --replay of the same flags.
-"$DEUCE" serve --tenants 2 --shards 4 --requests 800 --queue-depth 128 \
+# Six tenants through four worker shards: tenant i lives on shard
+# i % 4, so shards 0 and 1 each own two tenants. Stdout carries only
+# the deterministic per-tenant blocks, so it must diff clean against
+# the single-threaded --replay of the same flags.
+"$DEUCE" serve --tenants 6 --shards 4 --requests 800 --queue-depth 128 \
     --telemetry "$SMOKE_DIR/serve.jsonl" --progress "$SMOKE_DIR/serve-progress.jsonl" \
     > "$SMOKE_DIR/serve.out" 2> /dev/null
-"$DEUCE" serve --tenants 2 --requests 800 --replay > "$SMOKE_DIR/serve.replay"
+"$DEUCE" serve --tenants 6 --requests 800 --replay > "$SMOKE_DIR/serve.replay"
 diff -u "$SMOKE_DIR/serve.replay" "$SMOKE_DIR/serve.out"
 # The serve layer's spans ride the standard telemetry pipeline: the
 # report's span table names the serve stages.
@@ -169,10 +170,10 @@ grep -q "$(printf '\tdone')" "$SMOKE_DIR/serve-watch.out"
 # thrash-inducing 2-page resident budget. (Fresh directories per run —
 # reusing a warm page file legitimately changes the paging counters.)
 mkdir -p "$SMOKE_DIR/serve-pages-a" "$SMOKE_DIR/serve-pages-b"
-"$DEUCE" serve --tenants 2 --shards 4 --requests 800 \
+"$DEUCE" serve --tenants 6 --shards 4 --requests 800 \
     --store-dir "$SMOKE_DIR/serve-pages-a" --resident-pages 2 \
     > "$SMOKE_DIR/serve-paged.out" 2> /dev/null
-"$DEUCE" serve --tenants 2 --requests 800 \
+"$DEUCE" serve --tenants 6 --requests 800 \
     --store-dir "$SMOKE_DIR/serve-pages-b" --resident-pages 2 --replay \
     > "$SMOKE_DIR/serve-paged.replay"
 diff -u "$SMOKE_DIR/serve-paged.replay" "$SMOKE_DIR/serve-paged.out"
