@@ -1,6 +1,8 @@
 //! Per-bit-position write counting for endurance and wear studies, plus
 //! online stuck-at fault injection.
 
+use std::collections::BTreeMap;
+
 use crate::ecp::FailureModel;
 use crate::line_image::LineImage;
 
@@ -96,6 +98,11 @@ struct FaultState {
 /// This feeds Fig. 12 (per-bit-position write skew) and Fig. 14
 /// (lifetime).
 ///
+/// Counts are exact `u64` values at every accessor. They are stored as
+/// 16 bits per cell, with the high part of any cell that has passed
+/// `u16::MAX` kept in a side map, so a written line costs 2 bytes per
+/// cell rather than 8.
+///
 /// # Examples
 ///
 /// ```
@@ -111,7 +118,12 @@ struct FaultState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CellArray {
-    counts: Vec<u64>,
+    /// The low 16 bits of every cell's write count.
+    counts: Vec<u16>,
+    /// `count >> 16` of every cell that has passed `u16::MAX`, by cell.
+    spill: BTreeMap<usize, u64>,
+    /// One past the highest line written: every cell beyond it is zero.
+    touched: usize,
     lines: usize,
     bits_per_line: u32,
     writes: u64,
@@ -131,6 +143,8 @@ impl CellArray {
         assert!(bits_per_line > 0, "cell array needs at least one bit per line");
         Self {
             counts: vec![0; lines * bits_per_line as usize],
+            spill: BTreeMap::new(),
+            touched: 0,
             lines,
             bits_per_line,
             writes: 0,
@@ -222,6 +236,7 @@ impl CellArray {
             "image size does not match cell array"
         );
         let base = line * self.bits_per_line as usize;
+        self.touched = self.touched.max(line + 1);
         let mut deaths = Vec::new();
         // Word-level XOR: untouched 64-bit words are skipped entirely;
         // only set bits of changed words are walked.
@@ -231,11 +246,16 @@ impl CellArray {
                 word &= word - 1;
                 let physical = (bit + rotation) % self.bits_per_line;
                 let cell = base + physical as usize;
-                self.counts[cell] += 1;
+                let low = self.counts[cell].wrapping_add(1);
+                self.counts[cell] = low;
+                if low == 0 {
+                    *self.spill.entry(cell).or_insert(0) += 1;
+                }
                 if let Some(faults) = &mut self.faults {
                     // Counts only ever increase, so the threshold is
                     // crossed exactly once per cell.
-                    if self.counts[cell] == faults.config.threshold(cell as u64) {
+                    let count = self.spill.get(&cell).map_or(0, |high| high << 16) | u64::from(low);
+                    if count == faults.config.threshold(cell as u64) {
                         faults.dead[line].push(DeadCell {
                             physical_bit: physical,
                             stuck_value: old.bit(bit),
@@ -309,19 +329,32 @@ impl CellArray {
     #[must_use]
     pub fn count(&self, line: usize, bit: u32) -> u64 {
         assert!(line < self.lines && bit < self.bits_per_line);
-        self.counts[line * self.bits_per_line as usize + bit as usize]
+        self.total(line * self.bits_per_line as usize + bit as usize)
+    }
+
+    /// The exact write count of linear cell `cell`.
+    fn total(&self, cell: usize) -> u64 {
+        self.spill.get(&cell).map_or(0, |high| high << 16) | u64::from(self.counts[cell])
+    }
+
+    /// The counters of every line written so far; the rest are zero.
+    fn written(&self) -> &[u16] {
+        &self.counts[..self.touched * self.bits_per_line as usize]
     }
 
     /// Per-bit-position totals summed across all lines (the Fig. 12
     /// series).
     #[must_use]
     pub fn position_totals(&self) -> Vec<u64> {
-        let mut totals = vec![0u64; self.bits_per_line as usize];
-        for line in 0..self.lines {
-            let base = line * self.bits_per_line as usize;
-            for (pos, total) in totals.iter_mut().enumerate() {
-                *total += self.counts[base + pos];
+        let bits = self.bits_per_line as usize;
+        let mut totals = vec![0u64; bits];
+        for line in self.written().chunks_exact(bits) {
+            for (total, &low) in totals.iter_mut().zip(line) {
+                *total += u64::from(low);
             }
+        }
+        for (&cell, &high) in &self.spill {
+            totals[cell % bits] += high << 16;
         }
         totals
     }
@@ -329,8 +362,16 @@ impl CellArray {
     /// Summary statistics used by the lifetime model.
     #[must_use]
     pub fn wear_summary(&self) -> WearSummary {
-        let max = self.counts.iter().copied().max().unwrap_or(0);
-        let total: u64 = self.counts.iter().sum();
+        // A spilled cell has passed u16::MAX, so it outranks every cell
+        // that has not.
+        let max = match self.spill.keys().map(|&cell| self.total(cell)).max() {
+            Some(max) => max,
+            None => self.written().iter().copied().max().map_or(0, u64::from),
+        };
+        let low: u64 = self.written().iter().map(|&low| u64::from(low)).sum();
+        let high: u64 = self.spill.values().map(|&high| high << 16).sum();
+        let total = low + high;
+        // Unwritten lines count towards the average as zeros.
         let avg = total as f64 / self.counts.len() as f64;
         WearSummary {
             max_cell_writes: max,
@@ -451,9 +492,12 @@ mod tests {
         assert!((s.lifetime_metric() - 1.0).abs() < f64::EPSILON);
     }
 
-    /// Differential check: the word-level XOR path must count exactly
-    /// the cells the bit-at-a-time `changed_bits` loop would, under
-    /// every rotation.
+    /// Differential check against plain `u64` counters: the word-level
+    /// XOR path must count exactly the cells the bit-at-a-time
+    /// `changed_bits` loop would, under every rotation. With `hammer`
+    /// set, one cell of line 1 also toggles that many times, passing
+    /// 65,536 three times, so its count lives partly in the spill map.
+    /// Line 2 is never written.
     #[test]
     fn word_level_path_matches_bit_loop() {
         let mut lcg = 0x0dd_b1a5_ed00_d5eeu64;
@@ -463,9 +507,18 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             lcg
         };
-        for rotation in [0u32, 1, 13, 543] {
-            let mut cells = CellArray::new(1, 544);
-            let mut reference = vec![0u64; 544];
+        let zero = LineImage::zeroed(32);
+        let one = image_with_bits(&[5]);
+        for (rotation, hammer) in [
+            (0u32, 0u64),
+            (1, 0),
+            (13, 0),
+            (543, 0),
+            (0, 200_000),
+            (543, 200_000),
+        ] {
+            let mut cells = CellArray::new(3, 544);
+            let mut reference = vec![0u64; 3 * 544];
             let mut old = LineImage::zeroed(32);
             for _ in 0..10 {
                 let mut new = LineImage::zeroed(32);
@@ -477,11 +530,42 @@ mod tests {
                     reference[((bit + rotation) % 544) as usize] += 1;
                 }
                 cells.record_write(0, &old, &new, rotation);
+                cells.record_write(1, &old, &new, rotation);
                 old = new;
             }
-            for (bit, &want) in reference.iter().enumerate() {
-                assert_eq!(cells.count(0, bit as u32), want, "rotation {rotation} bit {bit}");
+            reference.copy_within(0..544, 544);
+            for i in 0..hammer {
+                let (from, to) = if i % 2 == 0 {
+                    (&zero, &one)
+                } else {
+                    (&one, &zero)
+                };
+                cells.record_write(1, from, to, rotation);
             }
+            reference[544 + ((5 + rotation) % 544) as usize] += hammer;
+
+            let case = format!("rotation {rotation}, hammer {hammer}");
+            for (cell, &want) in reference.iter().enumerate() {
+                let (line, bit) = (cell / 544, (cell % 544) as u32);
+                assert_eq!(
+                    cells.count(line, bit),
+                    want,
+                    "{case}: line {line} bit {bit}"
+                );
+            }
+            let totals: Vec<u64> = (0..544)
+                .map(|pos| (0..3).map(|line| reference[line * 544 + pos]).sum())
+                .collect();
+            assert_eq!(cells.position_totals(), totals, "{case}");
+            let total: u64 = reference.iter().sum();
+            let want = WearSummary {
+                max_cell_writes: reference.iter().copied().max().unwrap(),
+                total_bit_writes: total,
+                avg_cell_writes: total as f64 / reference.len() as f64,
+                line_writes: 20 + hammer,
+                cells: reference.len() as u64,
+            };
+            assert_eq!(cells.wear_summary(), want, "{case}");
         }
     }
 
@@ -516,28 +600,51 @@ mod tests {
         assert_eq!(cells.dead_cell_count(), 0);
     }
 
+    /// Bit 0 toggles every write (odd writes 0 -> 1, even writes
+    /// 1 -> 0), so the write numbered `threshold` fails and the cell
+    /// sticks at the value before it. The thresholds beyond `u16::MAX`
+    /// land on and around the 16-bit counters' wrap points.
     #[test]
     fn cell_dies_at_threshold_and_sticks_at_old_value() {
-        let mut cells = CellArray::with_faults(1, 544, fixed_threshold(3.0));
         let zero = LineImage::zeroed(32);
         let one = image_with_bits(&[0]);
-        // Bit 0 toggles every write: writes 1 and 2 survive...
-        assert!(cells.record_write(0, &zero, &one, 0).is_empty());
-        assert!(cells.record_write(0, &one, &zero, 0).is_empty());
-        // ...write 3 (0 -> 1) reaches the threshold and fails.
-        assert_eq!(cells.record_write(0, &zero, &one, 0), vec![0]);
-        let dead = cells.dead_cells(0);
-        assert_eq!(dead.len(), 1);
-        assert_eq!(dead[0].physical_bit, 0);
-        assert!(!dead[0].stuck_value, "stuck at the pre-write value 0");
-        // The intended image has bit 0 set; the device returns it clear.
-        let seen = cells.faulted_image(0, &one, 0);
-        assert!(!seen.bit(0));
-        assert_eq!(zero.flips_to(&seen).total(), 0);
-        // Further writes keep counting but never re-report the death.
-        assert!(cells.record_write(0, &one, &zero, 0).is_empty());
-        assert_eq!(cells.count(0, 0), 4);
-        assert_eq!(cells.dead_cell_count(), 1);
+        for threshold in [3u64, 65_535, 65_536, 65_537, 131_075] {
+            let mut cells = CellArray::with_faults(1, 544, fixed_threshold(threshold as f64));
+            let mut died_at = Vec::new();
+            for write in 1..=threshold + 2 {
+                let (from, to) = if write % 2 == 1 {
+                    (&zero, &one)
+                } else {
+                    (&one, &zero)
+                };
+                let deaths = cells.record_write(0, from, to, 0);
+                if !deaths.is_empty() {
+                    assert_eq!(deaths, vec![0], "threshold {threshold}");
+                    died_at.push(write);
+                }
+            }
+            // Writes before the threshold survive, the one reaching it
+            // fails, and further writes keep counting but never
+            // re-report the death.
+            assert_eq!(died_at, vec![threshold], "threshold {threshold}");
+            assert_eq!(cells.count(0, 0), threshold + 2);
+            assert_eq!(cells.dead_cell_count(), 1);
+            let dead = cells.dead_cells(0);
+            assert_eq!(dead[0].physical_bit, 0);
+            // An odd write found the cell at 0, an even one at 1.
+            let stuck = threshold % 2 == 0;
+            assert_eq!(dead[0].stuck_value, stuck, "threshold {threshold}");
+            // Whatever the intended image holds, the device returns the
+            // stuck value.
+            for intended in [&zero, &one] {
+                let seen = cells.faulted_image(0, intended, 0);
+                assert_eq!(seen.bit(0), stuck, "threshold {threshold}");
+                assert_eq!(
+                    intended.flips_to(&seen).total(),
+                    u32::from(intended.bit(0) != stuck)
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,13 @@ use crate::value_model::WordRole;
 /// 16-bit words per line (the value model's update granularity).
 const WORDS: usize = LINE_BYTES / 2;
 
+/// 16-byte blocks per line (Block-Level Encryption's granularity); a
+/// set of blocks fits in the low bits of a `u8` mask.
+const BLOCKS: usize = 4;
+
+/// 16-bit words per 16-byte block.
+const WORDS_PER_BLOCK: usize = WORDS / BLOCKS;
+
 /// Builder-style configuration for trace generation.
 ///
 /// # Examples
@@ -195,7 +202,6 @@ impl WriteSource for GeneratorSource {
 #[derive(Debug, Clone)]
 struct LineState {
     data: LineBytes,
-    roles: [WordRole; WORDS],
     hot: Vec<u8>,
     writes: u64,
 }
@@ -206,8 +212,11 @@ struct LineState {
 struct CoreGenerator {
     core: u8,
     rng: DeuceRng,
+    /// Every line shares the core's role layout; only the hot set
+    /// jitters per line.
+    roles: [WordRole; WORDS],
     lines: Vec<LineState>,
-    zipf_cdf: Vec<f64>,
+    zipf: ZipfPick,
     instr: u64,
     instr_per_write: f64,
     reads_per_write: f64,
@@ -230,15 +239,13 @@ impl CoreGenerator {
         // concentrates writes on fixed bit positions (Fig. 12's 6–27×
         // skew) and limits DEUCE's un-leveled lifetime gain (Fig. 14).
         let template_hot = sample_hot_words(&mut rng, profile.hot_words.min(WORDS));
-        let template_roles: [WordRole; WORDS] =
-            core::array::from_fn(|_| profile.roles.pick(rng.gen()));
+        let roles: [WordRole; WORDS] = core::array::from_fn(|_| profile.roles.pick(rng.gen()));
         const LAYOUT_JITTER: f64 = 0.2;
 
         let line_states = (0..lines)
             .map(|_| {
                 let mut data = [0u8; LINE_BYTES];
                 rng.fill(&mut data);
-                let roles = template_roles;
                 let mut hot = template_hot.clone();
                 for w in &mut hot {
                     if rng.gen_bool(LAYOUT_JITTER) {
@@ -253,29 +260,18 @@ impl CoreGenerator {
                 hot.dedup();
                 LineState {
                     data,
-                    roles,
                     hot,
                     writes: 0,
                 }
             })
             .collect();
 
-        // Zipf CDF over line ranks.
-        let mut weights: Vec<f64> = (0..lines)
-            .map(|r| 1.0 / ((r + 1) as f64).powf(profile.line_zipf))
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        for w in &mut weights {
-            acc += *w / total;
-            *w = acc;
-        }
-
         Self {
             core,
             rng,
+            roles,
             lines: line_states,
-            zipf_cdf: weights,
+            zipf: ZipfPick::new(lines, profile.line_zipf),
             instr: 0,
             instr_per_write: 1000.0 / profile.wbpki,
             reads_per_write: profile.mpki / profile.wbpki,
@@ -285,8 +281,7 @@ impl CoreGenerator {
     }
 
     fn pick_line(&mut self) -> usize {
-        let u: f64 = self.rng.gen();
-        self.zipf_cdf.partition_point(|&c| c < u).min(self.lines.len() - 1)
+        self.zipf.pick(self.rng.gen())
     }
 
     fn addr(&self, line: usize) -> LineAddr {
@@ -327,16 +322,11 @@ impl CoreGenerator {
                 }
                 // Drifted-in words keep the spatial clustering: prefer
                 // words from blocks the footprint already occupies.
-                let blocks: Vec<u8> = {
-                    let mut b: Vec<u8> = line.hot.iter().map(|w| w / 8).collect();
-                    b.sort_unstable();
-                    b.dedup();
-                    b
-                };
+                let blocks = block_mask(&line.hot);
                 while line.hot.len() < profile.hot_words.min(WORDS) {
-                    let candidate = if !blocks.is_empty() && self.rng.gen_bool(0.7) {
-                        blocks[self.rng.gen_range(0..blocks.len())] * 8
-                            + self.rng.gen_range(0..8u8)
+                    let candidate = if blocks != 0 && self.rng.gen_bool(0.7) {
+                        let nth = self.rng.gen_range(0..blocks.count_ones() as usize);
+                        nth_block(blocks, nth) * WORDS_PER_BLOCK as u8 + self.rng.gen_range(0..8u8)
                     } else {
                         self.rng.gen_range(0..WORDS) as u8
                     };
@@ -349,28 +339,31 @@ impl CoreGenerator {
 
         // Decide which hot blocks this write touches: writebacks update
         // one field group at a time, so each hot block participates with
-        // `block_activity` probability (at least one participates).
-        let mut hot_blocks: Vec<u8> = line.hot.iter().map(|w| w / 8).collect();
-        hot_blocks.sort_unstable();
-        hot_blocks.dedup();
-        let mut active = [false; 4];
-        for &b in &hot_blocks {
-            active[usize::from(b)] = self.rng.gen_bool(profile.block_activity);
+        // `block_activity` probability (at least one participates). Hot
+        // blocks draw in ascending order: the generated bytes depend on
+        // the RNG draw sequence.
+        let hot_blocks = block_mask(&line.hot);
+        let mut active = 0u8;
+        for b in 0..BLOCKS {
+            if hot_blocks & 1 << b != 0 && self.rng.gen_bool(profile.block_activity) {
+                active |= 1 << b;
+            }
         }
-        if !active.iter().any(|&a| a) {
-            active[usize::from(hot_blocks[self.rng.gen_range(0..hot_blocks.len())])] = true;
+        if active == 0 {
+            let nth = self.rng.gen_range(0..hot_blocks.count_ones() as usize);
+            active = 1 << nth_block(hot_blocks, nth);
         }
 
         // Touch hot words in the active blocks.
         let mut touched_any = false;
         for i in 0..line.hot.len() {
             let word = usize::from(line.hot[i]);
-            if !active[word / 8] {
+            if active & 1 << (word / WORDS_PER_BLOCK) == 0 {
                 continue;
             }
             if self.rng.gen_bool(profile.touch_probability) {
                 let old = u16::from_le_bytes([line.data[word * 2], line.data[word * 2 + 1]]);
-                let new = line.roles[word].next_value(old, &mut self.rng);
+                let new = self.roles[word].next_value(old, &mut self.rng);
                 line.data[word * 2..word * 2 + 2].copy_from_slice(&new.to_le_bytes());
                 touched_any = true;
             }
@@ -380,7 +373,7 @@ impl CoreGenerator {
             // cache; force at least one word change.
             let word = usize::from(line.hot[self.rng.gen_range(0..line.hot.len())]);
             let old = u16::from_le_bytes([line.data[word * 2], line.data[word * 2 + 1]]);
-            let new = line.roles[word].next_value(old, &mut self.rng);
+            let new = self.roles[word].next_value(old, &mut self.rng);
             line.data[word * 2..word * 2 + 2].copy_from_slice(&new.to_le_bytes());
         }
 
@@ -389,14 +382,81 @@ impl CoreGenerator {
     }
 }
 
+/// Zipf-distributed line ranks: the CDF over ranks plus a cut-point
+/// table that narrows each pick to a short stretch of it.
+///
+/// `pick(u)` is the first rank whose CDF value is at least `u` — a
+/// binary search of the whole CDF. With `K` a power of two, `u · K` is
+/// exact, so bucket `k = ⌊u · K⌋` satisfies `k / K ≤ u < (k + 1) / K`,
+/// and the answer lies between `guide[k]` and `guide[k + 1]`, the first
+/// ranks reaching `k / K` and `(k + 1) / K`. Searching only that stretch
+/// gives the same index by construction.
+#[derive(Debug)]
+struct ZipfPick {
+    cdf: Vec<f64>,
+    /// `guide[k]` is the first rank whose CDF value is at least `k / K`,
+    /// for `k` in `0..=K`; `cdf.len()` if there is none.
+    guide: Vec<u32>,
+}
+
+impl ZipfPick {
+    /// The picker for `lines` ranks weighted `1 / (rank + 1)^exponent`.
+    fn new(lines: usize, exponent: f64) -> Self {
+        let mut cdf: Vec<f64> = (0..lines)
+            .map(|r| 1.0 / ((r + 1) as f64).powf(exponent))
+            .collect();
+        let total: f64 = cdf.iter().sum();
+        let mut acc = 0.0;
+        for w in &mut cdf {
+            acc += *w / total;
+            *w = acc;
+        }
+        let buckets = lines.next_power_of_two();
+        let mut rank = 0;
+        let guide = (0..=buckets)
+            .map(|k| {
+                let edge = k as f64 / buckets as f64;
+                while rank < lines && cdf[rank] < edge {
+                    rank += 1;
+                }
+                u32::try_from(rank).expect("line ranks fit in 32 bits")
+            })
+            .collect();
+        Self { cdf, guide }
+    }
+
+    /// The first rank whose CDF value is at least `u`, for `u` in
+    /// `[0, 1)`; the last rank if rounding left the CDF short of `u`.
+    fn pick(&self, u: f64) -> usize {
+        let buckets = self.guide.len() - 1;
+        let k = ((u * buckets as f64) as usize).min(buckets - 1);
+        let lo = self.guide[k] as usize;
+        let hi = self.guide[k + 1] as usize;
+        (lo + self.cdf[lo..hi].partition_point(|&c| c < u)).min(self.cdf.len() - 1)
+    }
+}
+
+/// The set of 16-byte blocks that hold the words in `words`, as a mask.
+fn block_mask(words: &[u8]) -> u8 {
+    words
+        .iter()
+        .fold(0, |mask, &w| mask | 1 << (usize::from(w) / WORDS_PER_BLOCK))
+}
+
+/// The `nth` block (counting from 0, in ascending order) set in `mask`.
+fn nth_block(mask: u8, nth: usize) -> u8 {
+    (0..BLOCKS as u8)
+        .filter(|&b| mask & 1 << b != 0)
+        .nth(nth)
+        .expect("nth is below the mask's block count")
+}
+
 /// Samples a spatially-clustered hot-word footprint: real writebacks
 /// exhibit block-level locality (structs and array slices), so hot words
 /// concentrate in a few 16-byte blocks rather than scattering across the
 /// line. This is what gives Block-Level Encryption its ~33% average
 /// (Fig. 18) instead of degenerating to 50%.
 fn sample_hot_words(rng: &mut DeuceRng, count: usize) -> Vec<u8> {
-    const WORDS_PER_BLOCK: usize = 8;
-    const BLOCKS: usize = 4;
     let blocks_needed = count.div_ceil(5).clamp(1, BLOCKS);
     let hot_blocks = sample_distinct(rng, blocks_needed, BLOCKS);
     // Candidate words: all words of the hot blocks.
@@ -523,6 +583,49 @@ mod tests {
             let s = sample_distinct(&mut rng, 10, 32);
             let set: std::collections::HashSet<_> = s.iter().collect();
             assert_eq!(set.len(), 10);
+        }
+    }
+
+    /// The whole-CDF binary search the cut-point table must reproduce.
+    fn full_search(zipf: &ZipfPick, u: f64) -> usize {
+        zipf.cdf.partition_point(|&c| c < u).min(zipf.cdf.len() - 1)
+    }
+
+    /// The cut-point pick against the whole-CDF search at u = 0, the
+    /// largest f64 below 1, every bucket edge and every CDF value and
+    /// their neighbours, and random draws; for one line, powers of two
+    /// and line counts that are not.
+    #[test]
+    fn cut_point_pick_matches_full_search() {
+        let largest_below_one = 1.0 - f64::EPSILON / 2.0;
+        assert!(largest_below_one < 1.0 && largest_below_one.next_up() == 1.0);
+        let mut rng = DeuceRng::seed_from_u64(11);
+        // Exponent 0 is uniform: with a power-of-two line count every
+        // CDF value lands exactly on a bucket edge.
+        for lines in [1, 2, 7, 256, 1_000, 65_536] {
+            for exponent in [0.0, 0.4, 0.6, 0.9, 3.0] {
+                let zipf = ZipfPick::new(lines, exponent);
+                let buckets = zipf.guide.len() - 1;
+                assert!(buckets.is_power_of_two() && buckets >= lines);
+                let mut probes = vec![0.0, largest_below_one];
+                for k in 0..buckets {
+                    let edge = k as f64 / buckets as f64;
+                    probes.extend([edge, edge.next_up(), edge.next_down().max(0.0)]);
+                }
+                probes.extend(
+                    zipf.cdf
+                        .iter()
+                        .flat_map(|&c| [c, c.next_up(), c.next_down()]),
+                );
+                probes.extend((0..1_000).map(|_| rng.gen::<f64>()));
+                for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                    assert_eq!(
+                        zipf.pick(u),
+                        full_search(&zipf, u),
+                        "lines {lines}, exponent {exponent}, u {u:e}"
+                    );
+                }
+            }
         }
     }
 }

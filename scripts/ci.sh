@@ -179,6 +179,24 @@ mkdir -p "$SMOKE_DIR/serve-pages-a" "$SMOKE_DIR/serve-pages-b"
 diff -u "$SMOKE_DIR/serve-paged.replay" "$SMOKE_DIR/serve-paged.out"
 grep -q 'store_page_evictions' "$SMOKE_DIR/serve-paged.out"
 
+echo "==> wear figures vs results/ (fig12, fig14, HWL substrates), byte-identical"
+# The three wear studies drive the trace generator and the cell-array
+# counters end to end; the recorded TSVs are the exact output of the
+# EXPERIMENTS.md invocations.
+for fig in fig12_bit_position_skew fig14_lifetime ablation_hwl_substrate; do
+    "target/release/$fig" --writes 30000 --lines 64 > "$SMOKE_DIR/$fig.tsv"
+    diff -u "results/$fig.tsv" "$SMOKE_DIR/$fig.tsv"
+done
+
+echo "==> benchmark outputs at full size vs perfbench/expected.json"
+# `--seconds 0` runs the minimum of three repetitions per workload.
+# run.py checks every simulated output (wear totals and memory
+# fingerprints included) against the seed-1 record and exits 1 on any
+# difference.
+for workload in mcf-full sparse-paged serve-zipf; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 | tail -n 1
+done
+
 echo "==> recorded benchmark trajectory"
 bash scripts/bench_trajectory.sh
 
