@@ -188,6 +188,15 @@ for fig in fig12_bit_position_skew fig14_lifetime ablation_hwl_substrate; do
     diff -u "results/$fig.tsv" "$SMOKE_DIR/$fig.tsv"
 done
 
+echo "==> flip-rate figures vs results/ (fig05, fig08-10, fig15, fig18), byte-identical"
+# Between them these six studies run every DEUCE-family scheme,
+# including forced counter rollovers at epochs 8-32 (fig09).
+for fig in fig05_encryption_overhead fig08_word_size fig09_epoch_interval \
+    fig10_scheme_comparison fig15_write_slots fig18_ble; do
+    "target/release/$fig" --writes 20000 --lines 256 > "$SMOKE_DIR/$fig.tsv"
+    diff -u "results/$fig.tsv" "$SMOKE_DIR/$fig.tsv"
+done
+
 echo "==> benchmark outputs at full size vs perfbench/expected.json"
 # `--seconds 0` runs the minimum of three repetitions per workload.
 # run.py checks every simulated output (wear totals and memory
