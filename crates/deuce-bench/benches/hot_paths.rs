@@ -50,16 +50,14 @@ fn bench_pad_generation(c: &mut Harness) {
 
 /// Every crypto fast path against its reference twin, per dispatch
 /// tier: single-block AES, the 4- and 8-wide batched entry points, and
-/// line-pad generation on each tier the host offers, plus the pad
-/// cache in its best case, the paired dual-pad read path, and the
-/// word-wide pad XOR. The pairs quantify exactly what the fast paths
+/// line-pad generation on each tier the host offers, plus the paired
+/// dual-pad read path and the word-wide pad XOR. The pairs quantify exactly what the fast paths
 /// buy while the differential tests pin them bit-identical.
 fn bench_pad_throughput(c: &mut Harness) {
     let block = [0x42u8; 16];
     let blocks4 = [block, [0x43; 16], [0x44; 16], [0x45; 16]];
     let blocks8: [[u8; 16]; 8] = std::array::from_fn(|i| [0x42 + i as u8; 16]);
     let key = SecretKey::from_seed(1);
-    let cached = OtpEngine::new(&key).with_pad_cache(256);
     let mut group = c.benchmark_group("pad_throughput");
     group.throughput(Throughput::Bytes(16));
     group.bench_function("aes_block_reference", |b| {
@@ -106,17 +104,8 @@ fn bench_pad_throughput(c: &mut Harness) {
         });
         group.throughput(Throughput::Bytes(64));
     }
-    group.bench_function("line_pad_cached_hot", |b| {
-        // Steady-state hit path: a working set far smaller than the
-        // cache, revisited with unchanged counters.
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            cached.line_pad(black_box(LineAddr::new(i % 16)), black_box(7))
-        });
-    });
     group.bench_function("xor_line_words", |b| {
-        let pad = cached.line_pad(LineAddr::new(0x2000), 9);
+        let pad = OtpEngine::new(&key).line_pad(LineAddr::new(0x2000), 9);
         let mut data = [0x5Au8; 64];
         b.iter(|| {
             pad.xor_in_place(black_box(&mut data));

@@ -17,14 +17,14 @@ USAGE:
   deuce run     (--trace <file> | --benchmark <name>) --scheme <scheme>
                 [--epoch N] [--word-bytes N] [--writes N] [--lines N]
                 [--cores N] [--seed N] [--telemetry <file>] [fault flags]
-                [--pad-cache N] [--stream] [--checkpoint <file>]
+                [--stream] [--checkpoint <file>]
                 [--checkpoint-every N] [--from-checkpoint <file>]
                 [--trace-out <file>] [--flight-recorder N]
                 [--store-file <path> [--resident-pages N]]
   deuce compare (--trace <file> | --benchmark <name>) [generation flags]
-                [--telemetry <file>] [fault flags] [--pad-cache N]
+                [--telemetry <file>] [fault flags]
   deuce sweep   (--trace <file> | --benchmark <name>) [generation flags]
-                [--telemetry <file>] [fault flags] [--pad-cache N]
+                [--telemetry <file>] [fault flags]
                 [--manifest <file> [--shard i/n] [--resume]]
                 [--store-file <path> [--resident-pages N]]
   deuce merge   <manifest-file>...
@@ -103,15 +103,6 @@ FAULTS:
   studies); [--ecp-entries N] sets the per-line ECP budget (default 6);
   [--spare-lines N] sizes the retirement pool (default 8). These three
   flags require --faults.
-
-PAD CACHE:
-  --pad-cache N puts a direct-mapped cache of N generated line pads in
-  front of the AES engine. Pads are a pure function of (address,
-  counter), so caching changes only AES work — every simulated metric
-  is bit-identical — and the run summary (and telemetry, when enabled)
-  gains pad_cache_hits / pad_cache_misses / pad_cache_prefills rows
-  (prefills are next-epoch pads warmed speculatively at each epoch
-  rollover).
 
 AES DISPATCH:
   Pad generation resolves one cipher tier at engine construction:
@@ -293,8 +284,6 @@ pub struct RunArgs {
     pub sample_every: u64,
     /// Online fault injection.
     pub faults: FaultArgs,
-    /// Line-pad cache entries (`--pad-cache`); `None` = no cache.
-    pub pad_cache: Option<usize>,
     /// Drive the run from a streaming source instead of materialising
     /// the trace (`--stream`, `run` only).
     pub stream: bool,
@@ -335,7 +324,6 @@ impl Default for RunArgs {
             telemetry: None,
             sample_every: 64,
             faults: FaultArgs::default(),
-            pad_cache: None,
             stream: false,
             checkpoint: None,
             checkpoint_every: 1_000_000,
@@ -562,7 +550,6 @@ impl Command {
         let mut sample_every: u64 = 64;
         let mut faults = FaultArgs::default();
         let mut fault_tuning: Option<&'static str> = None;
-        let mut pad_cache: Option<usize> = None;
         let mut stream = false;
         let mut checkpoint: Option<String> = None;
         let mut checkpoint_every: u64 = 1_000_000;
@@ -617,15 +604,6 @@ impl Command {
                 "--spare-lines" => {
                     faults.spare_lines = parse_number(&value("--spare-lines")?, "--spare-lines")?;
                     fault_tuning = Some("--spare-lines");
-                }
-                "--pad-cache" => {
-                    let entries: usize = parse_number(&value("--pad-cache")?, "--pad-cache")?;
-                    if entries == 0 {
-                        return Err(CliError::Usage(
-                            "--pad-cache must be at least 1 entry".into(),
-                        ));
-                    }
-                    pad_cache = Some(entries);
                 }
                 "--sample-every" => {
                     sample_every = parse_number(&value("--sample-every")?, "--sample-every")?;
@@ -769,7 +747,6 @@ impl Command {
                     telemetry,
                     sample_every,
                     faults,
-                    pad_cache,
                     stream,
                     checkpoint,
                     checkpoint_every,
@@ -829,7 +806,6 @@ impl Command {
                     telemetry,
                     sample_every,
                     faults,
-                    pad_cache,
                     stream: false,
                     checkpoint: None,
                     checkpoint_every,
@@ -1128,24 +1104,17 @@ mod tests {
     }
 
     #[test]
-    fn pad_cache_flag_parses() {
-        let cmd = parse(&[
-            "run", "--benchmark", "mcf", "--scheme", "deuce", "--pad-cache", "128",
-        ])
-        .unwrap();
-        match cmd {
-            Command::Run(r) => assert_eq!(r.pad_cache, Some(128)),
-            other => panic!("unexpected {other:?}"),
+    fn removed_pad_cache_flag_is_a_usage_error() {
+        for argv in [
+            &["run", "--benchmark", "mcf", "--scheme", "deuce", "--pad-cache", "128"][..],
+            &["compare", "--benchmark", "mcf", "--pad-cache", "128"],
+            &["sweep", "--benchmark", "mcf", "--pad-cache", "128"],
+        ] {
+            match parse(argv) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("--pad-cache"), "{msg}"),
+                other => panic!("{argv:?} must be rejected, got {other:?}"),
+            }
         }
-        // Off by default; zero entries is a usage error.
-        match parse(&["compare", "--benchmark", "mcf"]).unwrap() {
-            Command::Compare(r) => assert!(r.pad_cache.is_none()),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(matches!(
-            parse(&["run", "--benchmark", "mcf", "--scheme", "deuce", "--pad-cache", "0"]),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]

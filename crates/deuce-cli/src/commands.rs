@@ -16,8 +16,8 @@ use deuce_sim::telemetry::{
 };
 use deuce_sim::{
     grid_fingerprint, merge_manifests, read_manifest, CellRecord, FaultConfig, FileStoreConfig,
-    ManifestHeader, ManifestWriter, PadCacheConfig, ParallelSweep, RunCheckpoint, ShardSpec,
-    SimConfig, SimResult, Simulator, StoreBackend, WearConfig,
+    ManifestHeader, ManifestWriter, ParallelSweep, RunCheckpoint, ShardSpec, SimConfig, SimResult,
+    Simulator, StoreBackend, WearConfig,
 };
 use deuce_trace::{
     open_source, write_source_jsonl, write_source_to_file, Op, Trace, TraceConfig, TraceEvent,
@@ -31,7 +31,7 @@ use deuce_serve::{
 use crate::args::{
     CliError, GenArgs, MergeArgs, ReportArgs, RunArgs, ServeArgs, StatsArgs, TraceFormat,
 };
-use crate::format::{FaultSummary, PadCacheSummary, RunSummary, StoreSummary, METRIC_HEADER};
+use crate::format::{FaultSummary, RunSummary, StoreSummary, METRIC_HEADER};
 
 fn trace_config(gen: &GenArgs) -> TraceConfig {
     TraceConfig::new(gen.benchmark)
@@ -188,9 +188,6 @@ fn sim_config(args: &RunArgs, fault_lines: usize, scheme: SchemeConfig) -> SimCo
                     .ecp_entries(args.faults.ecp_entries)
                     .spare_lines(args.faults.spare_lines),
             );
-    }
-    if let Some(entries) = args.pad_cache {
-        config = config.with_pad_cache(PadCacheConfig::with_entries(entries));
     }
     if args.trace_out.is_some() {
         // Span tracing wants the AES engine's own pad-generation clock.
@@ -389,9 +386,6 @@ fn run_streamed<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     if let Some(report) = &result.faults {
         FaultSummary::from(report).write_to(out)?;
     }
-    if let Some(stats) = result.pad_cache {
-        PadCacheSummary::from(stats).write_to(out)?;
-    }
     if let Some(stats) = result.store {
         StoreSummary::from(stats).write_to(out)?;
     }
@@ -435,9 +429,6 @@ pub fn run<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     writeln!(out, "aes_backend\t{}", result.aes_backend)?;
     if let Some(report) = &result.faults {
         FaultSummary::from(report).write_to(out)?;
-    }
-    if let Some(stats) = result.pad_cache {
-        PadCacheSummary::from(stats).write_to(out)?;
     }
     if let Some(stats) = result.store {
         StoreSummary::from(stats).write_to(out)?;
@@ -530,7 +521,7 @@ fn sweep_scheme(word_size: WordSize, epoch: u64) -> SchemeConfig {
 fn sweep_manifest_header(args: &RunArgs, cells: u64) -> ManifestHeader {
     let gen = &args.gen;
     let canonical = format!(
-        "{:?}\t{}\t{}\t{}\t{}\t{}\t{:?}\t{:?}",
+        "{:?}\t{}\t{}\t{}\t{}\t{}\t{:?}",
         args.trace_path,
         gen.benchmark,
         gen.writes,
@@ -538,7 +529,6 @@ fn sweep_manifest_header(args: &RunArgs, cells: u64) -> ManifestHeader {
         gen.cores,
         gen.seed,
         args.faults,
-        args.pad_cache,
     );
     let grid = match &args.trace_path {
         Some(path) => format!("deuce sweep over {path}"),
@@ -1079,7 +1069,7 @@ fn serve_replay<W: Write>(args: &ServeArgs, out: &mut W) -> Result<(), CliError>
     for index in 0..args.tenants {
         let requests = serve_requests(args, index)?;
         let simulator = Simulator::new(serve_tenant_config(args, index, true));
-        let mut session = simulator.owned_session(1)?;
+        let mut session = simulator.session(1)?;
         for (seq, request) in requests.iter().enumerate() {
             session.step(&request_event(seq as u64, request));
         }
@@ -1342,7 +1332,6 @@ mod tests {
             telemetry: None,
             sample_every: 64,
             faults: FaultArgs::default(),
-            pad_cache: None,
             ..RunArgs::default()
         };
         let mut out = Vec::new();
@@ -1373,7 +1362,6 @@ mod tests {
             telemetry: None,
             sample_every: 64,
             faults: FaultArgs::default(),
-            pad_cache: None,
             ..RunArgs::default()
         };
         let mut out = Vec::new();
@@ -1392,7 +1380,6 @@ mod tests {
             telemetry: None,
             sample_every: 64,
             faults: FaultArgs::default(),
-            pad_cache: None,
             ..RunArgs::default()
         };
         let mut out = Vec::new();
@@ -1429,7 +1416,6 @@ mod tests {
             telemetry: None,
             sample_every: 64,
             faults: FaultArgs::default(),
-            pad_cache: None,
             ..RunArgs::default()
         };
         let mut out = Vec::new();
@@ -1461,7 +1447,6 @@ mod tests {
             telemetry: Some(jsonl_str.clone()),
             sample_every: 32,
             faults: FaultArgs::default(),
-            pad_cache: None,
             ..RunArgs::default()
         };
         let mut run_out = Vec::new();
@@ -1518,7 +1503,6 @@ mod tests {
             telemetry: Some(jsonl_str.clone()),
             sample_every: 64,
             faults,
-            pad_cache: None,
             ..RunArgs::default()
         };
         let mut out = Vec::new();
@@ -1563,58 +1547,12 @@ mod tests {
             telemetry: None,
             sample_every: 64,
             faults: FaultArgs::default(),
-            pad_cache: None,
             ..RunArgs::default()
         };
         let mut out = Vec::new();
         run(&args, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(!text.contains("fault_"), "faults off must not print fault rows:\n{text}");
-    }
-
-    #[test]
-    fn pad_cached_run_reports_hits_and_stays_bit_identical() {
-        let dir = std::env::temp_dir().join("deuce-cli-pad-cache-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let jsonl = dir.join("cached.jsonl");
-        let jsonl_str = jsonl.to_str().unwrap().to_string();
-
-        let plain_args = RunArgs {
-            trace_path: None,
-            gen: small_gen(),
-            scheme: Some(SchemeConfig::new(SchemeKind::Deuce)),
-            telemetry: None,
-            sample_every: 64,
-            faults: FaultArgs::default(),
-            pad_cache: None,
-            ..RunArgs::default()
-        };
-        let mut plain_out = Vec::new();
-        run(&plain_args, &mut plain_out).unwrap();
-        let plain_text = String::from_utf8(plain_out).unwrap();
-        assert!(!plain_text.contains("pad_cache_"), "cache off must not print rows");
-
-        let mut cached_args = plain_args.clone();
-        cached_args.pad_cache = Some(256);
-        cached_args.telemetry = Some(jsonl_str);
-        let mut cached_out = Vec::new();
-        run(&cached_args, &mut cached_out).unwrap();
-        let cached_text = String::from_utf8(cached_out).unwrap();
-        assert!(cached_text.contains("pad_cache_hits\t"), "{cached_text}");
-        assert!(cached_text.contains("pad_cache_misses\t"));
-        // Every simulated metric row agrees with the uncached run.
-        for key in ["writes\t", "flips_per_write\t", "flip_rate\t", "exec_time_us\t"] {
-            let row = |t: &str| {
-                t.lines().find(|l| l.starts_with(key)).map(str::to_string).expect(key)
-            };
-            assert_eq!(row(&plain_text), row(&cached_text), "{key}");
-        }
-        // Telemetry export carries the gated counters.
-        let exported = std::fs::read_to_string(dir.join("cached.jsonl")).unwrap();
-        assert!(exported.contains("\"name\":\"pad_cache_hits\""), "{exported}");
-        assert!(exported.contains("\"name\":\"pad_cache_misses\""));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

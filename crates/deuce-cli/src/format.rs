@@ -7,7 +7,6 @@
 
 use std::io::{self, Write};
 
-use deuce_crypto::PadCacheStats;
 use deuce_sim::{FaultReport, SimResult, StorePageStats};
 
 /// Tab-separated header matching [`RunSummary::metric_cells`], shared
@@ -150,42 +149,6 @@ impl FaultSummary {
     }
 }
 
-/// The AES-work headline of a pad-cached run, printed as `pad_cache_*`
-/// rows after the [`RunSummary`] block (only when `--pad-cache` is on,
-/// so cache-free output is unchanged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PadCacheSummary {
-    /// Line-pad lookups answered from the cache.
-    pub hits: u64,
-    /// Line-pad lookups that fell through to AES.
-    pub misses: u64,
-    /// Next-epoch pads generated speculatively ahead of demand.
-    pub prefills: u64,
-}
-
-impl From<PadCacheStats> for PadCacheSummary {
-    fn from(stats: PadCacheStats) -> Self {
-        Self { hits: stats.hits, misses: stats.misses, prefills: stats.prefills }
-    }
-}
-
-impl PadCacheSummary {
-    /// Writes the `pad_cache_*` rows of the `deuce run` summary block.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        writeln!(out, "pad_cache_hits\t{}", self.hits)?;
-        writeln!(out, "pad_cache_misses\t{}", self.misses)?;
-        writeln!(out, "pad_cache_prefills\t{}", self.prefills)?;
-        let total = self.hits + self.misses;
-        let ratio = if total == 0 { 0.0 } else { self.hits as f64 / total as f64 };
-        writeln!(out, "pad_cache_hit_ratio\t{:.3}", ratio)?;
-        Ok(())
-    }
-}
-
 /// The residency headline of a page-file-backed run, printed as
 /// `store_*` rows after the [`RunSummary`] block (only when
 /// `--store-file` is on, so in-RAM output is unchanged).
@@ -295,25 +258,6 @@ mod tests {
         assert!(text.contains("fault_first_retirement_write\t400"));
         assert!(text.contains("fault_first_uncorrectable_write\t-"));
         assert!(text.contains("fault_spare_lines_left\t7"));
-    }
-
-    #[test]
-    fn pad_cache_summary_renders_every_row() {
-        let mut out = Vec::new();
-        PadCacheSummary::from(PadCacheStats { hits: 30, misses: 10, prefills: 4 })
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("pad_cache_hits\t30"));
-        assert!(text.contains("pad_cache_misses\t10"));
-        assert!(text.contains("pad_cache_prefills\t4"));
-        // Prefills are speculative work, not demand lookups: they stay
-        // out of the hit ratio.
-        assert!(text.contains("pad_cache_hit_ratio\t0.750"));
-        // An empty cache divides safely.
-        let mut out = Vec::new();
-        PadCacheSummary::from(PadCacheStats::default()).write_to(&mut out).unwrap();
-        assert!(String::from_utf8(out).unwrap().contains("pad_cache_hit_ratio\t0.000"));
     }
 
     #[test]

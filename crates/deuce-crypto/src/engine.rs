@@ -10,11 +10,7 @@
 //! (hardware AES, T-tables, or the byte-oriented reference oracle) is
 //! resolved by `deuce-aes`'s runtime dispatch — see
 //! [`OtpEngine::aes_backend`]; all tiers emit bit-identical pads and
-//! are differentially tested to. An optional direct-mapped pad cache
-//! ([`OtpEngine::with_pad_cache`]) short-circuits repeated `(address,
-//! counter)` line-pad requests, and the scheme layer can warm it
-//! speculatively ahead of epoch rollovers via
-//! [`OtpEngine::prefill_line_pad`].
+//! are differentially tested to.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -22,7 +18,6 @@ use std::time::Instant;
 use deuce_aes::{Aes128, AesBackend};
 
 use crate::pad::{BlockPad, Pad};
-use crate::pad_cache::{PadCache, PadCacheStats};
 use crate::{SecretKey, LINE_BYTES};
 
 /// A line address in the PCM address space.
@@ -87,25 +82,21 @@ enum PadDomain {
 #[derive(Debug)]
 pub struct OtpEngine {
     cipher: Aes128,
-    /// Direct-mapped line-pad cache, present only when opted in via
-    /// [`Self::with_pad_cache`]. A `Mutex` (never contended: each
-    /// simulator owns its engine) keeps the engine `Sync` for shared
-    /// `static` use.
-    cache: Option<Mutex<PadCache>>,
-    /// Wall-clock accounting of from-scratch pad generation, present
-    /// only when opted in via [`Self::with_pad_timing`]. Cache hits are
-    /// not timed — the stats measure AES work, the span tracer's
-    /// `pad_generation` leaf.
+    /// Wall-clock accounting of line-pad generation, present only when
+    /// opted in via [`Self::with_pad_timing`] — the span tracer's
+    /// `pad_generation` leaf. A `Mutex` (never contended: each
+    /// simulation session owns its engine) keeps the engine `Sync` for
+    /// shared `static` use.
     timing: Option<Mutex<PadTimingStats>>,
 }
 
-/// Wall-clock totals for from-scratch pad generation.
+/// Wall-clock totals for line-pad generation.
 ///
 /// Nondeterministic (wall time); never feeds simulated results, only
 /// span traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PadTimingStats {
-    /// From-scratch generations (cache hits excluded).
+    /// Line pads generated.
     pub calls: u64,
     /// Total wall-clock nanoseconds spent generating.
     pub wall_ns: u64,
@@ -115,10 +106,6 @@ impl Clone for OtpEngine {
     fn clone(&self) -> Self {
         Self {
             cipher: self.cipher.clone(),
-            cache: self
-                .cache
-                .as_ref()
-                .map(|c| Mutex::new(c.lock().expect("pad cache lock poisoned").clone())),
             timing: self
                 .timing
                 .as_ref()
@@ -135,7 +122,6 @@ impl OtpEngine {
     pub fn new(key: &SecretKey) -> Self {
         Self {
             cipher: Aes128::new(key.as_bytes()),
-            cache: None,
             timing: None,
         }
     }
@@ -170,31 +156,9 @@ impl OtpEngine {
         self.cipher.backend()
     }
 
-    /// Attaches a direct-mapped line-pad cache with at least `entries`
-    /// slots (rounded up to a power of two).
-    ///
-    /// Cached pads are keyed `(address, counter)` — a pure function of
-    /// the key stream — so entries never go stale and need no
-    /// invalidation; conflicting pairs simply replace each other.
-    /// Caching changes only *when* AES runs, never pad bytes.
-    #[must_use]
-    pub fn with_pad_cache(mut self, entries: usize) -> Self {
-        self.cache = Some(Mutex::new(PadCache::new(entries)));
-        self
-    }
-
-    /// Lifetime hit/miss totals of the pad cache, or `None` when no
-    /// cache is attached.
-    #[must_use]
-    pub fn pad_cache_stats(&self) -> Option<PadCacheStats> {
-        self.cache
-            .as_ref()
-            .map(|c| c.lock().expect("pad cache lock poisoned").stats())
-    }
-
-    /// Starts wall-clock timing of from-scratch line-pad generation,
-    /// for span tracing. Adds one `Instant::now` pair per cache-missed
-    /// [`Self::line_pad`] call; pad bytes are unaffected.
+    /// Starts wall-clock timing of line-pad generation, for span
+    /// tracing. Adds one `Instant::now` pair per [`Self::line_pad`] or
+    /// [`Self::line_pad_pair`] call; pad bytes are unaffected.
     #[must_use]
     pub fn with_pad_timing(mut self) -> Self {
         self.timing = Some(Mutex::new(PadTimingStats::default()));
@@ -223,9 +187,8 @@ impl OtpEngine {
         input
     }
 
-    /// Generates a line pad from scratch (no cache involvement): four
-    /// counter blocks through one batched cipher call, on whatever tier
-    /// the cipher dispatched to.
+    /// Generates a line pad: four counter blocks through one batched
+    /// cipher call, on whatever tier the cipher dispatched to.
     fn generate_line_pad(&self, addr: LineAddr, counter: u64) -> Pad {
         let input = Self::pad_input(addr, counter, PadDomain::Line);
         let mut blocks = [input; 4];
@@ -240,8 +203,8 @@ impl OtpEngine {
         Pad::from_bytes(bytes)
     }
 
-    /// Generates two line pads of the same address from scratch in one
-    /// 8-block batched cipher call — the dual-pad read's AES work,
+    /// Generates two line pads of the same address in one 8-block
+    /// batched cipher call — the dual-pad read's AES work,
     /// issued wide enough to keep the hardware pipeline full.
     fn generate_line_pad_pair(&self, addr: LineAddr, ctr_a: u64, ctr_b: u64) -> (Pad, Pad) {
         let input_a = Self::pad_input(addr, ctr_a, PadDomain::Line);
@@ -260,111 +223,44 @@ impl OtpEngine {
         (Pad::from_bytes(bytes_a), Pad::from_bytes(bytes_b))
     }
 
-    /// [`Self::generate_line_pad`], timed when timing is enabled.
-    fn timed_generate_line_pad(&self, addr: LineAddr, counter: u64) -> Pad {
+    /// Runs `generate`, which produces `pads` line pads, and adds its
+    /// wall time to the totals when timing is enabled. A pair counts as
+    /// two pads sharing one wall-clock span, so the totals stay
+    /// comparable with the serial path.
+    #[inline]
+    fn timed<T>(&self, pads: u64, generate: impl FnOnce() -> T) -> T {
         let Some(timing) = &self.timing else {
-            return self.generate_line_pad(addr, counter);
+            return generate();
         };
         let started = Instant::now();
-        let pad = self.generate_line_pad(addr, counter);
+        let out = generate();
         let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let mut stats = timing.lock().expect("pad timing lock poisoned");
-        stats.calls += 1;
+        stats.calls += pads;
         stats.wall_ns = stats.wall_ns.saturating_add(elapsed);
-        pad
-    }
-
-    /// [`Self::generate_line_pad_pair`], timed when timing is enabled.
-    /// A pair counts as two generation calls sharing one wall-clock
-    /// span — the stats stay comparable with the serial path.
-    fn timed_generate_line_pad_pair(&self, addr: LineAddr, ctr_a: u64, ctr_b: u64) -> (Pad, Pad) {
-        let Some(timing) = &self.timing else {
-            return self.generate_line_pad_pair(addr, ctr_a, ctr_b);
-        };
-        let started = Instant::now();
-        let pads = self.generate_line_pad_pair(addr, ctr_a, ctr_b);
-        let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let mut stats = timing.lock().expect("pad timing lock poisoned");
-        stats.calls += 2;
-        stats.wall_ns = stats.wall_ns.saturating_add(elapsed);
-        pads
+        out
     }
 
     /// Generates the 512-bit pad for a whole line at a given counter value.
     #[must_use]
     pub fn line_pad(&self, addr: LineAddr, counter: u64) -> Pad {
-        let Some(cache) = &self.cache else {
-            return self.timed_generate_line_pad(addr, counter);
-        };
-        let mut guard = cache.lock().expect("pad cache lock poisoned");
-        if let Some(pad) = guard.lookup(addr.value(), counter) {
-            return pad;
-        }
-        let pad = self.timed_generate_line_pad(addr, counter);
-        guard.insert(addr.value(), counter, &pad);
-        pad
+        self.timed(1, || self.generate_line_pad(addr, counter))
     }
 
     /// Generates the pads of one line at two counter values — a
     /// dual-pad DEUCE read's leading and trailing pads — in a single
-    /// 8-block batched cipher call when both must be computed.
+    /// 8-block batched cipher call.
     ///
     /// Bytes are exactly `(self.line_pad(addr, ctr_a),
-    /// self.line_pad(addr, ctr_b))`. Cache accounting: one lookup per
-    /// *distinct* counter (equal counters — a line at its epoch start —
-    /// collapse to a single [`Self::line_pad`] call), and a lookup that
-    /// misses while the other hits falls back to a 4-block generation
-    /// for just the missing pad.
+    /// self.line_pad(addr, ctr_b))`; equal counters (a line at its epoch
+    /// start) collapse to a single [`Self::line_pad`] call.
     #[must_use]
     pub fn line_pad_pair(&self, addr: LineAddr, ctr_a: u64, ctr_b: u64) -> (Pad, Pad) {
         if ctr_a == ctr_b {
             let pad = self.line_pad(addr, ctr_a);
             return (pad, pad);
         }
-        let Some(cache) = &self.cache else {
-            return self.timed_generate_line_pad_pair(addr, ctr_a, ctr_b);
-        };
-        let mut guard = cache.lock().expect("pad cache lock poisoned");
-        let found_a = guard.lookup(addr.value(), ctr_a);
-        let found_b = guard.lookup(addr.value(), ctr_b);
-        match (found_a, found_b) {
-            (Some(a), Some(b)) => (a, b),
-            (Some(a), None) => {
-                let b = self.timed_generate_line_pad(addr, ctr_b);
-                guard.insert(addr.value(), ctr_b, &b);
-                (a, b)
-            }
-            (None, Some(b)) => {
-                let a = self.timed_generate_line_pad(addr, ctr_a);
-                guard.insert(addr.value(), ctr_a, &a);
-                (a, b)
-            }
-            (None, None) => {
-                let (a, b) = self.timed_generate_line_pad_pair(addr, ctr_a, ctr_b);
-                guard.insert(addr.value(), ctr_a, &a);
-                guard.insert(addr.value(), ctr_b, &b);
-                (a, b)
-            }
-        }
-    }
-
-    /// Speculatively generates and caches the line pad for `(addr,
-    /// counter)` — the scheme layer calls this one write ahead of an
-    /// epoch rollover so the full-line re-encryption finds its pad
-    /// warm. A no-op without an attached cache, and when the pad is
-    /// already resident.
-    ///
-    /// Prefilling can only change *when* AES runs, never pad bytes, so
-    /// simulated results are unaffected; the speculative generation is
-    /// counted in [`PadCacheStats::prefills`], not as a miss.
-    pub fn prefill_line_pad(&self, addr: LineAddr, counter: u64) {
-        let Some(cache) = &self.cache else { return };
-        let mut guard = cache.lock().expect("pad cache lock poisoned");
-        if guard.contains(addr.value(), counter) {
-            return;
-        }
-        let pad = self.timed_generate_line_pad(addr, counter);
-        guard.insert_prefilled(addr.value(), counter, &pad);
+        self.timed(2, || self.generate_line_pad_pair(addr, ctr_a, ctr_b))
     }
 
     /// Generates the 128-bit pad for one 16-byte AES block of a line
@@ -464,33 +360,18 @@ mod tests {
     }
 
     #[test]
-    fn cached_engine_returns_identical_pads() {
+    fn pad_timing_counts_every_generation() {
+        let timed = engine().with_pad_timing();
         let plain = engine();
-        let cached = engine().with_pad_cache(64);
-        for addr in [0u64, 0x40, 0xdead, u64::MAX] {
-            for ctr in [0u64, 1, 7, (1 << 48) - 1] {
-                let expected = plain.line_pad(LineAddr::new(addr), ctr);
-                // Twice: once to fill the cache, once to hit it.
-                assert_eq!(cached.line_pad(LineAddr::new(addr), ctr), expected);
-                assert_eq!(cached.line_pad(LineAddr::new(addr), ctr), expected);
-            }
-        }
-        let stats = cached.pad_cache_stats().expect("cache attached");
-        assert_eq!(stats.hits, 16, "second round of lookups must all hit");
-        assert_eq!(stats.misses, 16);
-        assert_eq!(plain.pad_cache_stats(), None);
-    }
-
-    #[test]
-    fn pad_timing_counts_only_generations() {
-        let timed = engine().with_pad_cache(8).with_pad_timing();
-        let plain = engine();
-        let pad = timed.line_pad(LineAddr::new(9), 2); // miss: timed
-        let again = timed.line_pad(LineAddr::new(9), 2); // hit: untimed
-        assert_eq!(pad, again);
-        assert_eq!(pad, plain.line_pad(LineAddr::new(9), 2), "timing never changes bytes");
-        let stats = timed.pad_timing_stats().expect("timing attached");
-        assert_eq!(stats.calls, 1, "cache hit must not count");
+        let addr = LineAddr::new(9);
+        let pad = timed.line_pad(addr, 2);
+        assert_eq!(pad, plain.line_pad(addr, 2), "timing never changes bytes");
+        let _ = timed.line_pad(addr, 2);
+        assert_eq!(timed.pad_timing_stats().expect("timing attached").calls, 2);
+        // A distinct-counter pair is two pads; an equal-counter pair is one.
+        let _ = timed.line_pad_pair(addr, 3, 4);
+        let _ = timed.line_pad_pair(addr, 5, 5);
+        assert_eq!(timed.pad_timing_stats().expect("timing attached").calls, 5);
         assert_eq!(plain.pad_timing_stats(), None);
     }
 
@@ -503,62 +384,6 @@ mod tests {
             assert_eq!(pad_a, e.line_pad(addr, a), "ctr {a}");
             assert_eq!(pad_b, e.line_pad(addr, b), "ctr {b}");
         }
-    }
-
-    #[test]
-    fn line_pad_pair_cache_accounting() {
-        let cached = engine().with_pad_cache(64);
-        let addr = LineAddr::new(0x40);
-        // Cold: both lookups miss, one 8-block generation fills both.
-        let (a, b) = cached.line_pad_pair(addr, 3, 7);
-        let stats = cached.pad_cache_stats().expect("cache attached");
-        assert_eq!((stats.hits, stats.misses), (0, 2));
-        // Warm: both hit.
-        assert_eq!(cached.line_pad_pair(addr, 3, 7), (a, b));
-        let stats = cached.pad_cache_stats().expect("cache attached");
-        assert_eq!((stats.hits, stats.misses), (2, 2));
-        // Mixed: one hit, one miss generated on the 4-block fallback.
-        let (a2, c) = cached.line_pad_pair(addr, 3, 9);
-        assert_eq!(a2, a);
-        assert_eq!(c, engine().line_pad(addr, 9));
-        let stats = cached.pad_cache_stats().expect("cache attached");
-        assert_eq!((stats.hits, stats.misses), (3, 3));
-        // Equal counters collapse to one lookup.
-        let _ = cached.line_pad_pair(addr, 11, 11);
-        let stats = cached.pad_cache_stats().expect("cache attached");
-        assert_eq!((stats.hits, stats.misses), (3, 4));
-    }
-
-    #[test]
-    fn prefill_is_a_noop_without_a_cache() {
-        let e = engine();
-        e.prefill_line_pad(LineAddr::new(1), 1);
-        assert_eq!(e.pad_cache_stats(), None);
-    }
-
-    #[test]
-    fn prefilled_pad_is_identical_and_hits() {
-        let plain = engine();
-        let cached = engine().with_pad_cache(64);
-        let addr = LineAddr::new(0xbeef);
-        cached.prefill_line_pad(addr, 32);
-        cached.prefill_line_pad(addr, 32); // already resident: no-op
-        let stats = cached.pad_cache_stats().expect("cache attached");
-        assert_eq!((stats.hits, stats.misses, stats.prefills), (0, 0, 1));
-        assert_eq!(cached.line_pad(addr, 32), plain.line_pad(addr, 32));
-        let stats = cached.pad_cache_stats().expect("cache attached");
-        assert_eq!((stats.hits, stats.misses, stats.prefills), (1, 0, 1));
-    }
-
-    #[test]
-    fn prefill_timing_counts_a_generation() {
-        let timed = engine().with_pad_cache(8).with_pad_timing();
-        timed.prefill_line_pad(LineAddr::new(2), 64);
-        let stats = timed.pad_timing_stats().expect("timing attached");
-        assert_eq!(stats.calls, 1, "a prefill is real AES work");
-        let _ = timed.line_pad(LineAddr::new(2), 64); // hit: untimed
-        let stats = timed.pad_timing_stats().expect("timing attached");
-        assert_eq!(stats.calls, 1);
     }
 
     #[test]
@@ -580,15 +405,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn clone_carries_cache_contents() {
-        let cached = engine().with_pad_cache(8);
-        let pad = cached.line_pad(LineAddr::new(5), 5); // miss, fills slot
-        let cloned = cached.clone();
-        assert_eq!(cloned.line_pad(LineAddr::new(5), 5), pad);
-        let stats = cloned.pad_cache_stats().expect("cache attached");
-        assert_eq!((stats.hits, stats.misses), (1, 1), "clone starts from parent's slots");
     }
 }

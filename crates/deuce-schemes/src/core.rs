@@ -9,9 +9,7 @@
 
 use std::sync::OnceLock;
 
-use deuce_crypto::{
-    xor_into, EpochInterval, LineAddr, LineBytes, OtpEngine, Pad, SecretKey, VirtualCounterPair,
-};
+use deuce_crypto::{xor_into, LineAddr, LineBytes, OtpEngine, Pad, SecretKey};
 use deuce_nvm::MetaBits;
 
 use crate::config::WordSize;
@@ -66,7 +64,7 @@ impl CtrState {
 
 /// The all-ones mask of a `width_bits`-wide counter.
 #[must_use]
-pub(crate) fn width_mask(width_bits: u32) -> u64 {
+fn width_mask(width_bits: u32) -> u64 {
     if width_bits == 64 {
         u64::MAX
     } else {
@@ -142,29 +140,6 @@ pub(crate) fn dual_pad_read(
     out
 }
 
-/// Speculative next-epoch pad precompute (the epoch-rollover prefill
-/// hook). Called at the end of every epoch-based write: when the line's
-/// *next* bump lands on an epoch start — i.e. the next write will
-/// re-encrypt the whole line with the pad at `(addr, ctr + 1)` — the
-/// pad is generated now and parked in the engine's pad cache, so the
-/// rollover's full-line re-encryption finds it warm.
-///
-/// A no-op when the engine has no pad cache (prefilling into nothing
-/// would be pure waste), and always a no-op on *results*: caching only
-/// moves AES work earlier, never changes pad bytes.
-pub(crate) fn prefill_next_epoch_pad(
-    engine: &OtpEngine,
-    addr: LineAddr,
-    ctr: u64,
-    counter_bits: u32,
-    epoch: EpochInterval,
-) {
-    let next = (ctr + 1) & width_mask(counter_bits);
-    if VirtualCounterPair::derive(next, epoch).is_epoch_start() {
-        engine.prefill_line_pad(addr, next);
-    }
-}
-
 /// A process-wide engine for schemes that never consult one (plaintext
 /// DCW/FNW), letting their engine-less legacy APIs delegate to the
 /// shared [`crate::LineScheme`] machinery.
@@ -212,30 +187,6 @@ mod tests {
         // A later write that reverts word 0 must not clear its bit.
         mark_modified_words(&mut modified, WordSize::Bytes2, &data, &shadow);
         assert_eq!(modified.count_ones(), 1);
-    }
-
-    #[test]
-    fn next_epoch_prefill_fires_only_at_the_boundary() {
-        let engine = OtpEngine::new(&SecretKey::from_seed(1)).with_pad_cache(16);
-        let epoch = EpochInterval::new(4).unwrap();
-        for ctr in 0..8u64 {
-            prefill_next_epoch_pad(&engine, LineAddr::new(5), ctr, 28, epoch);
-        }
-        // Only ctr 3 and 7 sit one bump short of an epoch start (4, 8).
-        let stats = engine.pad_cache_stats().expect("cache attached");
-        assert_eq!((stats.prefills, stats.hits, stats.misses), (2, 0, 0));
-    }
-
-    #[test]
-    fn next_epoch_prefill_respects_counter_wrap() {
-        let engine = OtpEngine::new(&SecretKey::from_seed(2)).with_pad_cache(16);
-        let epoch = EpochInterval::new(4).unwrap();
-        // A 3-bit counter at 7 wraps to 0, which is an epoch start.
-        prefill_next_epoch_pad(&engine, LineAddr::new(9), 7, 3, epoch);
-        assert_eq!(engine.pad_cache_stats().expect("cache attached").prefills, 1);
-        // The wrapped pad is the counter-0 pad, now warm.
-        let _ = engine.line_pad(LineAddr::new(9), 0);
-        assert_eq!(engine.pad_cache_stats().expect("cache attached").hits, 1);
     }
 
     #[test]

@@ -21,8 +21,7 @@ use deuce_nvm::{LineImage, MetaBits};
 
 use crate::config::WordSize;
 use crate::core::{
-    assert_counter_width, dual_pad_read, mark_modified_words, prefill_next_epoch_pad,
-    reencrypt_marked_words, CtrState,
+    assert_counter_width, dual_pad_read, mark_modified_words, reencrypt_marked_words, CtrState,
 };
 use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
 use crate::WriteOutcome;
@@ -112,10 +111,6 @@ impl LineScheme for DeuceScheme {
         }
         line.state.modified = modified.raw();
         *line.shadow = *data;
-        // Overlap pad generation with scheduling: if the next write to
-        // this line will roll the epoch, park its full-line pad in the
-        // cache now.
-        prefill_next_epoch_pad(engine, addr, line.state.ctr.value(), self.counter_bits, self.epoch);
         WriteOutcome::from_images(
             old_image,
             LineImage::new(*line.stored, modified),

@@ -12,7 +12,7 @@ use deuce_crypto::{EpochInterval, LineAddr, LineBytes, OtpEngine, Pad, VirtualCo
 use deuce_nvm::{LineImage, MetaBits};
 
 use crate::config::WordSize;
-use crate::core::{assert_counter_width, prefill_next_epoch_pad, CtrState};
+use crate::core::{assert_counter_width, CtrState};
 use crate::fnw::{fnw_decode, fnw_encode};
 use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
 use crate::WriteOutcome;
@@ -181,8 +181,6 @@ impl LineScheme for DynDeuceScheme {
             }
         }
         *line.shadow = *data;
-        // Warm the next epoch's full-line pad while this write drains.
-        prefill_next_epoch_pad(engine, addr, line.state.ctr.value(), self.counter_bits, self.epoch);
         WriteOutcome::from_images(
             old_image,
             LineImage::new(*line.stored, Self::meta_bits(line.state)),

@@ -8,7 +8,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use deuce_crypto::OtpEngine;
 use deuce_schemes::AnyScheme;
 use deuce_sim::{SessionStep, SimConfig, Simulator, StepSession};
 use deuce_telemetry::{FlightEvent, FlightRecorder, Histogram, Recorder};
@@ -112,7 +111,7 @@ impl std::error::Error for ServeError {}
 
 /// A tenant's stepping state, owned by its shard.
 struct TenantCore {
-    session: StepSession<AnyScheme, OtpEngine>,
+    session: StepSession<AnyScheme>,
     /// Requests stepped to completion.
     applied: u64,
     /// Ring of recent applied requests, when flight recording is on.
@@ -350,7 +349,7 @@ impl ServiceBuilder {
             if names.contains(&name) {
                 return Err(ServeError::DuplicateTenant(name));
             }
-            let session = Simulator::new(config).owned_session(1).map_err(|e| {
+            let session = Simulator::new(config).session(1).map_err(|e| {
                 ServeError::Store { tenant: name.clone(), error: e.to_string() }
             })?;
             owned[index % self.shards].tenants.push(TenantCore {

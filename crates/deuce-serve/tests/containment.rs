@@ -28,7 +28,7 @@ fn stream(tenant: u64, n: u64) -> Vec<Request> {
 
 /// Single-threaded ground truth: summary and memory fingerprint.
 fn replay(config: SimConfig, requests: &[Request]) -> (SimResult, u64) {
-    let mut session = Simulator::new(config).owned_session(1).expect("arena backend");
+    let mut session = Simulator::new(config).session(1).expect("arena backend");
     for (seq, request) in requests.iter().enumerate() {
         session.step(&request_event(seq as u64, request));
     }

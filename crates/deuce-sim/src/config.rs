@@ -161,34 +161,6 @@ impl FaultConfig {
     }
 }
 
-/// Pad-cache configuration: a direct-mapped cache of generated line
-/// pads in front of the AES engine (see
-/// [`deuce_crypto::OtpEngine::with_pad_cache`]). Pads are a pure
-/// function of `(address, counter)`, so the cache changes only how
-/// often AES runs — never any simulated output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PadCacheConfig {
-    /// Cache slots (rounded up to a power of two).
-    pub entries: usize,
-}
-
-impl PadCacheConfig {
-    /// A modest controller-sized default (256 slots × 64 B pads = 16 KiB).
-    pub const DEFAULT: Self = Self { entries: 256 };
-
-    /// A cache with the given slot count.
-    #[must_use]
-    pub fn with_entries(entries: usize) -> Self {
-        Self { entries }
-    }
-}
-
-impl Default for PadCacheConfig {
-    fn default() -> Self {
-        Self::DEFAULT
-    }
-}
-
 /// Out-of-core line-store configuration: a page file plus a resident
 /// page cache of `resident_pages` pages (each
 /// [`deuce_schemes::SLOTS_PER_PAGE`] line slots). The simulated result
@@ -258,11 +230,7 @@ pub struct SimConfig {
     /// implicit assumption) means counters are always on chip and cost
     /// no memory traffic.
     pub counter_cache: Option<CounterCacheConfig>,
-    /// Line-pad cache in front of the AES engine; `None` (the default)
-    /// regenerates every pad. Purely a crypto-throughput optimisation —
-    /// simulated flips, timing, and energy are unaffected.
-    pub pad_cache: Option<PadCacheConfig>,
-    /// Wall-clock timing of from-scratch pad generation, feeding the
+    /// Wall-clock timing of pad generation, feeding the
     /// span tracer's `pad_generation` leaf. Off by default; never
     /// affects simulated results.
     pub pad_timing: bool,
@@ -296,7 +264,6 @@ impl SimConfig {
             faults: None,
             power_channels: None,
             counter_cache: None,
-            pad_cache: None,
             pad_timing: false,
             store: StoreBackend::Arena,
         }
@@ -306,13 +273,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_counter_cache(mut self, config: CounterCacheConfig) -> Self {
         self.counter_cache = Some(config);
-        self
-    }
-
-    /// Enables the line-pad cache in front of the AES engine.
-    #[must_use]
-    pub fn with_pad_cache(mut self, config: PadCacheConfig) -> Self {
-        self.pad_cache = Some(config);
         self
     }
 
@@ -375,7 +335,6 @@ mod tests {
         assert!((c.cpu.instr_per_ns - 16.0).abs() < 1e-12);
         assert!(c.wear.is_none());
         assert!(c.faults.is_none());
-        assert!(c.pad_cache.is_none());
         assert!(!c.pad_timing);
         assert!(!c.metric.count_counter_bits);
         assert_eq!(c.store, StoreBackend::Arena);
@@ -392,14 +351,6 @@ mod tests {
             }
             StoreBackend::Arena => panic!("expected file backend"),
         }
-    }
-
-    #[test]
-    fn pad_cache_config_defaults() {
-        assert_eq!(PadCacheConfig::default().entries, 256);
-        assert_eq!(PadCacheConfig::with_entries(32).entries, 32);
-        let c = SimConfig::new(SchemeKind::Deuce).with_pad_cache(PadCacheConfig::DEFAULT);
-        assert_eq!(c.pad_cache, Some(PadCacheConfig::DEFAULT));
     }
 
     #[test]

@@ -45,8 +45,8 @@ mod timing;
 
 pub use checkpoint::RunCheckpoint;
 pub use config::{
-    CpuParams, FaultConfig, FileStoreConfig, MetricConfig, PadCacheConfig, SimConfig, StoreBackend,
-    VerticalWl, WearConfig,
+    CpuParams, FaultConfig, FileStoreConfig, MetricConfig, SimConfig, StoreBackend, VerticalWl,
+    WearConfig,
 };
 pub use counter_cache::{CounterCache, CounterCacheConfig, CounterTraffic};
 pub use latency::{pad_latency_report, PadEngineOption, PadLatencyReport};

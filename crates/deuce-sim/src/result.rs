@@ -1,6 +1,6 @@
 //! Aggregated simulation results and derived metrics.
 
-use deuce_crypto::{AesBackend, PadCacheStats};
+use deuce_crypto::AesBackend;
 use deuce_nvm::{CellArray, EnergyParams, WearSummary};
 use deuce_schemes::StorePageStats;
 use deuce_wear::{relative_lifetime, LifetimePolicy};
@@ -82,11 +82,6 @@ pub struct SimResult {
     pub line_store_bytes: u64,
     /// Fault-injection observations, when faults were enabled.
     pub faults: Option<FaultReport>,
-    /// Line-pad-cache hit/miss totals for this run, when the pad cache
-    /// was enabled. Purely an AES-work metric: pads are a pure function
-    /// of `(address, counter)`, so caching never changes any other
-    /// field of the result.
-    pub pad_cache: Option<PadCacheStats>,
     /// Store-paging statistics for this run, when the out-of-core page
     /// file backend was used (`None` for the in-RAM arena). Purely a
     /// residency metric: paging never changes any other field of the
@@ -123,7 +118,6 @@ impl Default for SimResult {
             counter_cache_hit_ratio: 0.0,
             line_store_bytes: 0,
             faults: None,
-            pad_cache: None,
             store: None,
             // The portable tier; sessions overwrite this with the
             // engine's actual dispatch choice.

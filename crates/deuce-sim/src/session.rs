@@ -8,11 +8,10 @@
 //! streamed one by construction — the property the `deuce-serve`
 //! front end's per-tenant determinism contract rests on.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::time::Instant;
 
-use deuce_crypto::{LineAddr, OtpEngine, PadCacheStats, PadTimingStats};
+use deuce_crypto::{LineAddr, OtpEngine};
 use deuce_memctl::{
     EcpConfig, EcpRepair, FaultEvents, MemoryPipeline, RepairAction, SchemeStage, StepOutcome,
     WearStage, WriteEffect,
@@ -152,13 +151,10 @@ where
 /// One in-flight simulation: the staged pipeline plus the running
 /// [`SimResult`], fed one event at a time.
 ///
-/// Construct via [`Simulator::session`](crate::Simulator::session)
-/// (borrowing the simulator's engine) or
-/// [`Simulator::owned_session`](crate::Simulator::owned_session)
-/// (cloning it, for sessions that must own their state — e.g. one per
-/// tenant in `deuce-serve`). The engine parameter `E` is anything that
-/// borrows an [`OtpEngine`]; the backend parameter `B` defaults to the
-/// runtime-selected [`SessionBackend`].
+/// Construct via [`Simulator::session`](crate::Simulator::session).
+/// The session owns its engine, so it can outlive the simulator — e.g.
+/// one per tenant in `deuce-serve`. The backend parameter `B` defaults
+/// to the runtime-selected [`SessionBackend`].
 ///
 /// # Examples
 ///
@@ -179,23 +175,19 @@ where
 /// assert_eq!(result.writes, 1);
 /// ```
 #[derive(Debug)]
-pub struct StepSession<S, E = OtpEngine, B = SessionBackend<S>>
+pub struct StepSession<S, B = SessionBackend<S>>
 where
     S: LineScheme,
-    E: Borrow<OtpEngine>,
     B: PageBackend<S>,
 {
-    pipeline: MemoryPipeline<CounterCache, StoreStage<S, E, B>, WearState, MemoryTimingModel>,
+    pipeline: MemoryPipeline<CounterCache, StoreStage<S, B>, WearState, MemoryTimingModel>,
     result: SimResult,
     events_consumed: u64,
-    pad_cache_start: Option<PadCacheStats>,
-    pad_timing_start: Option<PadTimingStats>,
 }
 
-impl<S, E, B> StepSession<S, E, B>
+impl<S, B> StepSession<S, B>
 where
     S: LineScheme,
-    E: Borrow<OtpEngine>,
     B: PageBackend<S>,
 {
     /// Assembles the staged pipeline exactly as the streaming drive
@@ -204,7 +196,7 @@ where
     pub(crate) fn build(
         config: &SimConfig,
         scheme: S,
-        engine: E,
+        engine: OtpEngine,
         backend: B,
         cores: usize,
         time_repairs: bool,
@@ -267,11 +259,7 @@ where
             }
         });
 
-        // The engine (and its cache) may outlive the session, so per-run
-        // hit/miss totals are the delta over this session.
-        let pad_cache_start = engine.borrow().pad_cache_stats();
-        let pad_timing_start = engine.borrow().pad_timing_stats();
-        let aes_backend = engine.borrow().aes_backend();
+        let aes_backend = engine.aes_backend();
 
         let store = StoreStage {
             store: LineStore::with_backend(scheme, backend),
@@ -293,13 +281,7 @@ where
             ..SimResult::default()
         };
 
-        Self {
-            pipeline,
-            result,
-            events_consumed: 0,
-            pad_cache_start,
-            pad_timing_start,
-        }
+        Self { pipeline, result, events_consumed: 0 }
     }
 
     /// Feeds one event through the pipeline. Events must arrive in the
@@ -515,24 +497,6 @@ where
             self.result.counter_cache_writebacks = cache.writebacks();
             self.result.counter_cache_hit_ratio = cache.hit_ratio();
         }
-        if let Some(start) = self.pad_cache_start {
-            let end = self
-                .pipeline
-                .schemes
-                .engine
-                .borrow()
-                .pad_cache_stats()
-                .expect("cache attached for the whole run");
-            let stats = PadCacheStats {
-                hits: end.hits - start.hits,
-                misses: end.misses - start.misses,
-                prefills: end.prefills - start.prefills,
-            };
-            self.result.pad_cache = Some(stats);
-            if R::ENABLED {
-                rec.pad_cache_totals(stats.hits, stats.misses, stats.prefills);
-            }
-        }
         if R::ENABLED {
             rec.aes_backend(self.result.aes_backend.name());
             rec.gauge(Gauge::ExecTimeNs, self.result.exec_time_ns);
@@ -542,32 +506,14 @@ where
             rec.gauge(Gauge::LineStoreBytes, self.result.line_store_bytes as f64);
         }
         if wants_spans {
-            // Pad generation times itself inside the engine (the cache
-            // check would hide it from a caller-side clock); the engine
-            // may outlive the run, so take the delta, and hang it under
-            // the scheme stage where the AES work is charged.
-            if let Some(start) = self.pad_timing_start {
-                let end = self
-                    .pipeline
-                    .schemes
-                    .engine
-                    .borrow()
-                    .pad_timing_stats()
-                    .expect("pad timing attached for the whole run");
-                rec.span_attach(
-                    Some("stage:scheme"),
-                    "pad_generation",
-                    end.wall_ns - start.wall_ns,
-                    end.calls - start.calls,
-                );
+            // Pad generation times itself inside the engine; the session
+            // owns that engine, so its totals are this run's. Hang them
+            // under the scheme stage where the AES work is charged.
+            if let Some(pads) = self.pipeline.schemes.engine.pad_timing_stats() {
+                rec.span_attach(Some("stage:scheme"), "pad_generation", pads.wall_ns, pads.calls);
             }
         }
         Ok(self.result)
-    }
-
-    /// Whether a pad cache is attached to this session's engine.
-    pub(crate) fn pad_cache_attached(&self) -> bool {
-        self.pad_cache_start.is_some()
     }
 }
 
@@ -610,19 +556,15 @@ fn fold_faults(result: &mut SimResult, faults: &FaultEvents) {
 /// configured backend (in-RAM arena or out-of-core page file). The
 /// first write to an address is the initial placement (encrypted as it
 /// enters memory, per §3.1) and is not counted.
-///
-/// The engine is anything borrowing an [`OtpEngine`]: the streaming
-/// drive loop borrows the simulator's (so its pad cache persists across
-/// runs), while owned sessions carry a clone.
 #[derive(Debug)]
-pub(crate) struct StoreStage<S: LineScheme, E: Borrow<OtpEngine>, B: PageBackend<S>> {
+pub(crate) struct StoreStage<S: LineScheme, B: PageBackend<S>> {
     pub(crate) store: LineStore<S, B>,
-    pub(crate) engine: E,
+    pub(crate) engine: OtpEngine,
 }
 
-impl<S: LineScheme, E: Borrow<OtpEngine>, B: PageBackend<S>> SchemeStage for StoreStage<S, E, B> {
+impl<S: LineScheme, B: PageBackend<S>> SchemeStage for StoreStage<S, B> {
     fn write(&mut self, line: LineAddr, data: &[u8; 64]) -> Option<WriteOutcome> {
-        self.store.write_first_touch(self.engine.borrow(), line, data)
+        self.store.write_first_touch(&self.engine, line, data)
     }
 
     fn resident_bytes(&self) -> u64 {

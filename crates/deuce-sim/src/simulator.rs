@@ -14,8 +14,7 @@
 //! length. [`Simulator::run_trace`] is the trivial in-RAM delegation
 //! and is bit-identical by construction. For callers that need to feed
 //! events one at a time (the `deuce-serve` front end), the same loop
-//! is exposed inside-out via [`Simulator::session`] and
-//! [`Simulator::owned_session`].
+//! is exposed inside-out via [`Simulator::session`].
 
 use std::fmt;
 use std::time::Instant;
@@ -28,7 +27,7 @@ use deuce_telemetry::{NullRecorder, Recorder};
 use deuce_trace::{Trace, TraceIoError, TraceSource, WriteSource};
 
 use crate::checkpoint::RunCheckpoint;
-use crate::config::{SimConfig, StoreBackend};
+use crate::config::{FileStoreConfig, SimConfig, StoreBackend};
 use crate::result::SimResult;
 use crate::session::{elapsed_ns, SessionBackend, SessionStep, StepSession};
 
@@ -145,9 +144,6 @@ where
     #[must_use]
     pub fn with_line_scheme(config: SimConfig, scheme: S) -> Self {
         let mut engine = OtpEngine::new(&SecretKey::from_seed(config.key_seed));
-        if let Some(pad_cache) = config.pad_cache {
-            engine = engine.with_pad_cache(pad_cache.entries);
-        }
         if config.pad_timing {
             engine = engine.with_pad_timing();
         }
@@ -293,64 +289,42 @@ where
         )
     }
 
-    /// The store backend the configuration picks, behind the runtime
-    /// [`SessionBackend`] dispatch (sessions trade the monomorphised
-    /// backend for a uniform type).
-    fn session_backend(&self) -> Result<SessionBackend<S>, RunError> {
-        match &self.config.store {
-            StoreBackend::Arena => {
-                Ok(SessionBackend::Arena(ArenaBackend::new(self.scheme.needs_shadow())))
-            }
-            StoreBackend::File(file) => {
-                FilePageBackend::create(&file.path, file.resident_pages, self.scheme.needs_shadow())
-                    .map(SessionBackend::File)
-                    .map_err(|e| {
-                        RunError::Store(format!("create page file {}: {e}", file.path.display()))
-                    })
-            }
-        }
+    /// Creates the page file a [`StoreBackend::File`] configuration
+    /// names.
+    fn create_page_file(&self, file: &FileStoreConfig) -> Result<FilePageBackend<S>, RunError> {
+        FilePageBackend::create(&file.path, file.resident_pages, self.scheme.needs_shadow())
+            .map_err(|e| RunError::Store(format!("create page file {}: {e}", file.path.display())))
     }
 
-    /// Opens a step-at-a-time session borrowing this simulator's
-    /// engine: feed it [`deuce_trace::TraceEvent`]s in stream order and
+    /// Opens a step-at-a-time session: feed it
+    /// [`deuce_trace::TraceEvent`]s in stream order and
     /// [`finish`](StepSession::finish) it for the [`SimResult`]. The
     /// stepped run is bit-identical to
     /// [`run_source`](Self::run_source) over the same event sequence.
     /// `cores` is the stream's core count (what
     /// [`WriteSource::cores`] would report).
     ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Store`] when a configured page-file store
-    /// backend cannot be created.
-    pub fn session(&self, cores: usize) -> Result<StepSession<S, &OtpEngine>, RunError> {
-        Ok(StepSession::build(
-            &self.config,
-            self.scheme,
-            &self.engine,
-            self.session_backend()?,
-            cores,
-            false,
-        ))
-    }
-
-    /// Like [`session`](Self::session), but the session owns a clone of
-    /// the engine, so it can outlive the simulator and move across
-    /// threads — the shape `deuce-serve` uses, one owned session per
-    /// tenant. Cloning the engine never changes results: pad generation
-    /// is a pure function of the key, and the cache is a transparent
-    /// memo of it.
+    /// The session owns a clone of the engine, so it can outlive the
+    /// simulator and move across threads — the shape `deuce-serve`
+    /// uses, one session per tenant. Its store backend sits behind the
+    /// runtime [`SessionBackend`] dispatch.
     ///
     /// # Errors
     ///
     /// Returns [`RunError::Store`] when a configured page-file store
     /// backend cannot be created.
-    pub fn owned_session(&self, cores: usize) -> Result<StepSession<S, OtpEngine>, RunError> {
+    pub fn session(&self, cores: usize) -> Result<StepSession<S>, RunError> {
+        let backend = match &self.config.store {
+            StoreBackend::Arena => {
+                SessionBackend::Arena(ArenaBackend::new(self.scheme.needs_shadow()))
+            }
+            StoreBackend::File(file) => SessionBackend::File(self.create_page_file(file)?),
+        };
         Ok(StepSession::build(
             &self.config,
             self.scheme,
             self.engine.clone(),
-            self.session_backend()?,
+            backend,
             cores,
             false,
         ))
@@ -370,15 +344,7 @@ where
                 self.drive_with(source, rec, plan, ArenaBackend::new(self.scheme.needs_shadow()))
             }
             StoreBackend::File(file) => {
-                let backend = FilePageBackend::create(
-                    &file.path,
-                    file.resident_pages,
-                    self.scheme.needs_shadow(),
-                )
-                .map_err(|e| {
-                    RunError::Store(format!("create page file {}: {e}", file.path.display()))
-                })?;
-                self.drive_with(source, rec, plan, backend)
+                self.drive_with(source, rec, plan, self.create_page_file(file)?)
             }
         }
     }
@@ -404,7 +370,7 @@ where
         let mut session = StepSession::build(
             &self.config,
             self.scheme,
-            &self.engine,
+            self.engine.clone(),
             backend,
             source.cores(),
             wants_spans,
@@ -412,9 +378,6 @@ where
         if R::ENABLED {
             if session.result().faults.is_some() {
                 rec.fault_injection_active();
-            }
-            if session.pad_cache_attached() {
-                rec.pad_cache_active();
             }
             if matches!(self.config.store, StoreBackend::File(_)) {
                 rec.store_paging_active();
@@ -595,95 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn pad_cache_never_changes_results() {
-        use crate::config::PadCacheConfig;
-        let t = trace(Benchmark::Mcf, 2000);
-        let plain = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&t);
-        let cached = Simulator::new(
-            SimConfig::new(SchemeKind::Deuce).with_pad_cache(PadCacheConfig::DEFAULT),
-        )
-        .run_trace(&t);
-        assert!(plain.pad_cache.is_none());
-        let stats = cached.pad_cache.expect("pad cache enabled");
-        assert!(stats.hits + stats.misses > 0, "pads were requested");
-        // Everything simulated is bit-identical; only the AES-work
-        // accounting differs.
-        assert_eq!(plain.writes, cached.writes);
-        assert_eq!(plain.data_flips, cached.data_flips);
-        assert_eq!(plain.meta_flips, cached.meta_flips);
-        assert_eq!(plain.counter_flips, cached.counter_flips);
-        assert_eq!(plain.total_slots, cached.total_slots);
-        assert_eq!(plain.exec_time_ns, cached.exec_time_ns);
-        // Both runs report the same dispatch tier: the simulator always
-        // builds its engine through the default dispatch.
-        assert_eq!(plain.aes_backend, cached.aes_backend);
-    }
-
-    /// A short epoch forces rollovers, so the end-of-write speculative
-    /// prefill fires; warming next-epoch pads must change only the
-    /// hit/miss/prefill accounting, never the simulated results.
-    #[test]
-    fn epoch_rollover_prefill_never_changes_results() {
-        use crate::config::PadCacheConfig;
-        use deuce_crypto::EpochInterval;
-        use deuce_schemes::SchemeConfig;
-        let t = trace(Benchmark::Mcf, 3000);
-        let scheme = SchemeConfig::new(SchemeKind::Deuce)
-            .with_epoch(EpochInterval::new(4).unwrap());
-        let plain = Simulator::new(SimConfig::with_scheme(scheme)).run_trace(&t);
-        let cached = Simulator::new(
-            SimConfig::with_scheme(scheme).with_pad_cache(PadCacheConfig::DEFAULT),
-        )
-        .run_trace(&t);
-        assert!(plain.epoch_starts > 0, "short epoch must roll over");
-        let stats = cached.pad_cache.expect("pad cache enabled");
-        assert!(stats.prefills > 0, "rollovers must trigger prefills");
-        // Every epoch start past each line's first was prefilled one
-        // write earlier, so the demand lookups land on warmed entries.
-        assert!(stats.hits > 0, "prefilled pads must be claimed as hits");
-        assert_eq!(plain.writes, cached.writes);
-        assert_eq!(plain.data_flips, cached.data_flips);
-        assert_eq!(plain.meta_flips, cached.meta_flips);
-        assert_eq!(plain.counter_flips, cached.counter_flips);
-        assert_eq!(plain.total_slots, cached.total_slots);
-        assert_eq!(plain.epoch_starts, cached.epoch_starts);
-        assert_eq!(plain.exec_time_ns, cached.exec_time_ns);
-    }
-
-    /// DEUCE+FNW feeds the cache from the 8-wide batched pad path
-    /// (writes generate full-line pads, rollovers prefill the next
-    /// epoch's); accounting must cover every pad request and the run
-    /// must stay bit-identical to the uncached one. (Read-side pair
-    /// accounting is covered at the engine layer — the simulator's
-    /// read stage charges timing without decrypting.)
-    #[test]
-    fn pad_cache_accounting_under_batched_pads() {
-        use crate::config::PadCacheConfig;
-        let t = trace(Benchmark::Libquantum, 2500);
-        let plain = Simulator::new(SimConfig::new(SchemeKind::DeuceFnw)).run_trace(&t);
-        let cached = Simulator::new(
-            SimConfig::new(SchemeKind::DeuceFnw).with_pad_cache(PadCacheConfig::DEFAULT),
-        )
-        .run_trace(&t);
-        let stats = cached.pad_cache.expect("pad cache enabled");
-        // One demand lookup per counted write plus one per initial
-        // placement, all through the batched whole-line path.
-        assert!(
-            stats.hits + stats.misses >= cached.writes,
-            "batched writes must be accounted: {stats:?} vs {} writes",
-            cached.writes,
-        );
-        assert!(stats.prefills > 0, "epoch rollovers must warm next-epoch pads");
-        assert!(stats.hits > 0, "warmed pads must be claimed as hits");
-        assert_eq!(plain.writes, cached.writes);
-        assert_eq!(plain.reads, cached.reads);
-        assert_eq!(plain.data_flips, cached.data_flips);
-        assert_eq!(plain.meta_flips, cached.meta_flips);
-        assert_eq!(plain.total_slots, cached.total_slots);
-        assert_eq!(plain.exec_time_ns, cached.exec_time_ns);
-    }
-
-    #[test]
     #[should_panic(expected = "wear-tracked lines")]
     fn wear_overflow_is_detected() {
         let t = trace(Benchmark::Mcf, 2000);
@@ -701,6 +575,9 @@ mod tests {
         let streamed = simulator.run_trace(&t);
         let cores = TraceSource::new(&t).cores();
         let mut session = simulator.session(cores).expect("arena session");
+        // The session owns its engine and store, so it outlives the
+        // simulator that opened it.
+        drop(simulator);
         for event in t.events() {
             let _ = session.step(event);
         }
@@ -716,24 +593,5 @@ mod tests {
         assert_eq!(stepped.exec_time_ns.to_bits(), streamed.exec_time_ns.to_bits());
         assert_eq!(stepped.line_store_bytes, streamed.line_store_bytes);
         assert_eq!(cp.exec_time_ns().to_bits(), streamed.exec_time_ns.to_bits());
-    }
-
-    /// An owned session (cloned engine) produces the same results and
-    /// the same content fingerprint as a borrowed one.
-    #[test]
-    fn owned_session_matches_borrowed() {
-        let t = trace(Benchmark::Mcf, 1200);
-        let simulator = Simulator::new(SimConfig::new(SchemeKind::Deuce));
-        let cores = TraceSource::new(&t).cores();
-        let mut borrowed = simulator.session(cores).unwrap();
-        let mut owned = simulator.owned_session(cores).unwrap();
-        for event in t.events() {
-            assert_eq!(borrowed.step(event), owned.step(event));
-        }
-        assert_eq!(borrowed.content_fingerprint(), owned.content_fingerprint());
-        let b = borrowed.finish().unwrap();
-        let o = owned.finish().unwrap();
-        assert_eq!(b.writes, o.writes);
-        assert_eq!(b.exec_time_ns.to_bits(), o.exec_time_ns.to_bits());
     }
 }

@@ -3,9 +3,7 @@
 //! acceptance criterion: stage self-times sum to the run total).
 
 use deuce_sim::telemetry::{TelemetryConfig, TelemetryRecorder};
-use deuce_sim::{
-    FaultConfig, PadCacheConfig, SchemeKind, SimConfig, Simulator, WearConfig,
-};
+use deuce_sim::{FaultConfig, SchemeKind, SimConfig, Simulator, WearConfig};
 use deuce_trace::{Benchmark, TraceConfig};
 
 fn recorder() -> TelemetryRecorder {
@@ -14,7 +12,6 @@ fn recorder() -> TelemetryRecorder {
 
 fn config() -> SimConfig {
     SimConfig::new(SchemeKind::Deuce)
-        .with_pad_cache(PadCacheConfig::DEFAULT)
         .with_pad_timing()
         .with_wear(WearConfig::vertical_only(64))
         .with_faults(FaultConfig::accelerated(2e-8).ecp_entries(2).spare_lines(4))
@@ -24,8 +21,9 @@ fn config() -> SimConfig {
 fn self_times_partition_the_run_total() {
     let trace =
         TraceConfig::new(Benchmark::Libquantum).lines(64).writes(4000).seed(7).generate();
+    let simulator = Simulator::new(config());
     let mut rec = recorder().with_spans();
-    let result = Simulator::new(config()).run_trace_recorded(&trace, &mut rec);
+    let result = simulator.run_trace_recorded(&trace, &mut rec);
 
     let spans = rec.spans().expect("span tracing enabled");
     let table = spans.self_times();
@@ -48,13 +46,21 @@ fn self_times_partition_the_run_total() {
     assert!(names.contains(&"pad_generation"), "engine timing folds in");
     let pad = table.iter().find(|s| s.name == "pad_generation").unwrap();
     assert_eq!(pad.parent, "stage:scheme");
-    assert!(pad.count > 0, "libq misses the pad cache at least once");
+    assert!(pad.count >= result.writes, "every counted write generates a pad");
 
     // The root folds once, at end-of-run, so its range is the final
     // write cursor; the scheme stage folds per event and spans the run.
     assert_eq!(root.write_range, Some((result.writes, result.writes)));
     let scheme = table.iter().find(|s| s.name == "stage:scheme").unwrap();
     assert_eq!(scheme.write_range.map(|(first, _)| first), Some(1));
+
+    // Each run's session owns a fresh engine clone, so a reused
+    // simulator reports that run's pads, not a running total.
+    let mut again = recorder().with_spans();
+    let _ = simulator.run_trace_recorded(&trace, &mut again);
+    let again_table = again.spans().expect("span tracing enabled").self_times();
+    let again_pad = again_table.iter().find(|s| s.name == "pad_generation").unwrap();
+    assert_eq!(again_pad.count, pad.count, "pad totals are per run");
 }
 
 #[test]

@@ -135,20 +135,6 @@ pub fn write_jsonl<W: Write>(
             )?;
         }
     }
-    // Pad-cache counters exist only for runs that attach the pad cache,
-    // so cache-free exports are byte-identical to pre-cache builds.
-    if let Some(pad_cache) = recorder.pad_cache() {
-        for (name, value) in [
-            ("pad_cache_hits", pad_cache.hits),
-            ("pad_cache_misses", pad_cache.misses),
-            ("pad_cache_prefills", pad_cache.prefills),
-        ] {
-            writeln!(
-                out,
-                "{{\"type\":\"counter\",\"run\":\"{run}\",\"name\":\"{name}\",\"value\":{value}}}",
-            )?;
-        }
-    }
     // The AES dispatch record exists only for runs that reported a
     // tier, so exports fed by pre-dispatch drivers are byte-identical.
     if let Some(backend) = recorder.aes_backend_name() {
@@ -277,11 +263,6 @@ pub fn write_csv<W: Write>(
         }
         writeln!(out, "{run},ecp_entries_used_mean,{}", json_num(faults.ecp_used_hist.mean()))?;
     }
-    if let Some(pad_cache) = recorder.pad_cache() {
-        writeln!(out, "{run},pad_cache_hits,{}", pad_cache.hits)?;
-        writeln!(out, "{run},pad_cache_misses,{}", pad_cache.misses)?;
-        writeln!(out, "{run},pad_cache_prefills,{}", pad_cache.prefills)?;
-    }
     if let Some(store) = recorder.store() {
         writeln!(out, "{run},store_page_faults,{}", store.page_faults)?;
         writeln!(out, "{run},store_page_evictions,{}", store.page_evictions)?;
@@ -400,33 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn pad_cache_section_appears_only_for_cached_runs() {
-        // Cache-free: no pad-cache counters anywhere.
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, "plain", &sample_recorder()).unwrap();
-        let plain = String::from_utf8(buf).unwrap();
-        assert!(!plain.contains("pad_cache_"), "cache-free export must be unchanged");
-
-        let mut r = sample_recorder();
-        r.pad_cache_active();
-        r.pad_cache_totals(40, 8, 6);
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, "cached", &r).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("\"name\":\"pad_cache_hits\",\"value\":40"));
-        assert!(text.contains("\"name\":\"pad_cache_misses\",\"value\":8"));
-        assert!(text.contains("\"name\":\"pad_cache_prefills\",\"value\":6"));
-        assert!(crate::parse::parse_jsonl(&text).is_ok());
-
-        let mut buf = Vec::new();
-        write_csv(&mut buf, "cached", &r).unwrap();
-        let csv = String::from_utf8(buf).unwrap();
-        assert!(csv.contains("cached,pad_cache_hits,40"));
-        assert!(csv.contains("cached,pad_cache_misses,8"));
-        assert!(csv.contains("cached,pad_cache_prefills,6"));
-    }
-
-    #[test]
     fn aes_backend_record_appears_only_when_reported() {
         // Pre-dispatch drivers never call the hook: no record anywhere.
         let mut buf = Vec::new();
@@ -512,7 +466,7 @@ mod tests {
     }
 
     /// Satellite coverage: a seeded export exercising *every* event
-    /// kind — including the gated fault, pad-cache, and span records —
+    /// kind — including the gated fault, store, and span records —
     /// round-trips through the parser with values intact.
     #[test]
     fn every_event_kind_round_trips_through_the_parser() {
@@ -536,8 +490,14 @@ mod tests {
             uncorrectable: true,
         });
         r.ecp_entries_used(1);
-        r.pad_cache_active();
-        r.pad_cache_totals(40, 8, 6);
+        r.store_paging_active();
+        r.store_totals(&crate::recorder::StoreTelemetry {
+            page_faults: 40,
+            page_evictions: 8,
+            pages_flushed: 6,
+            resident_bytes: 4096,
+            peak_resident_bytes: 8192,
+        });
         r.aes_backend("ttable");
         r.span_begin("run");
         r.stage_ns(Stage::Counter, 90);
@@ -573,7 +533,7 @@ mod tests {
         };
         assert_eq!(counter("writes"), Some(4));
         assert_eq!(counter("fault_cell_deaths"), Some(3));
-        assert_eq!(counter("pad_cache_hits"), Some(40));
+        assert_eq!(counter("store_page_faults"), Some(40));
         let ue = events.iter().find(|e| e.kind() == "uncorrectable").unwrap();
         assert_eq!(ue.u64("write"), Some(4));
         assert_eq!(ue.num("sim_ns"), Some(750.0));

@@ -73,8 +73,8 @@ pub use flight::{FlightEvent, FlightRecorder};
 pub use hist::{bucket_bounds, Histogram, BUCKETS};
 pub use progress::SweepProgress;
 pub use recorder::{
-    Counter, FaultObservation, FaultTelemetry, Gauge, NullRecorder, PadCacheTelemetry, Recorder,
-    Stage, StoreTelemetry, TelemetryConfig, TelemetryRecorder, WriteObservation,
+    Counter, FaultObservation, FaultTelemetry, Gauge, NullRecorder, Recorder, Stage,
+    StoreTelemetry, TelemetryConfig, TelemetryRecorder, WriteObservation,
 };
 pub use series::{Sample, SeriesSampler};
 pub use span::{SelfTime, SpanNode, SpanTrace};

@@ -216,24 +216,9 @@ pub struct FaultTelemetry {
     pub first_uncorrectable: Option<(u64, f64)>,
 }
 
-/// Pad-cache telemetry, materialised only when a run attaches the
-/// line-pad cache so cache-free exports stay byte-identical to
-/// pre-cache builds (the same gating discipline as [`FaultTelemetry`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PadCacheTelemetry {
-    /// Line-pad lookups answered from the cache (AES skipped).
-    pub hits: u64,
-    /// Line-pad lookups that fell through to AES pad generation.
-    pub misses: u64,
-    /// Pads generated speculatively ahead of demand (next-epoch
-    /// prefills); counted as neither hit nor miss.
-    pub prefills: u64,
-}
-
 /// Store-paging telemetry, materialised only when a run uses a paged
 /// line-store backend so arena-backed exports stay byte-identical to
-/// pre-paging builds (the same gating discipline as [`FaultTelemetry`]
-/// and [`PadCacheTelemetry`]).
+/// pre-paging builds (the same gating discipline as [`FaultTelemetry`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreTelemetry {
     /// Page-cache misses that materialised a page (fresh or reloaded).
@@ -300,16 +285,6 @@ pub trait Recorder {
     /// per-line distribution.
     fn ecp_entries_used(&mut self, entries: u64) {
         let _ = entries;
-    }
-
-    /// Announces that the run attaches a line-pad cache, so pad-cache
-    /// telemetry is collected (and exported) even if no lookup ever
-    /// hits.
-    fn pad_cache_active(&mut self) {}
-
-    /// Sets the run's end-of-run pad-cache hit/miss/prefill totals.
-    fn pad_cache_totals(&mut self, hits: u64, misses: u64, prefills: u64) {
-        let _ = (hits, misses, prefills);
     }
 
     /// Records which AES dispatch tier generated this run's pads. A
@@ -408,7 +383,6 @@ pub struct TelemetryRecorder {
     stage_hists: [Histogram; Stage::ALL.len()],
     series: SeriesSampler,
     faults: Option<FaultTelemetry>,
-    pad_cache: Option<PadCacheTelemetry>,
     store: Option<StoreTelemetry>,
     aes_backend: Option<&'static str>,
     spans: Option<SpanTrace>,
@@ -435,7 +409,6 @@ impl TelemetryRecorder {
             stage_hists: std::array::from_fn(|_| Histogram::new()),
             series: SeriesSampler::new(config.sample_every, config.energy_pj_per_flip),
             faults: None,
-            pad_cache: None,
             store: None,
             aes_backend: None,
             spans: None,
@@ -512,13 +485,6 @@ impl TelemetryRecorder {
     #[must_use]
     pub fn faults(&self) -> Option<&FaultTelemetry> {
         self.faults.as_ref()
-    }
-
-    /// Pad-cache telemetry, present only if the run announced a pad
-    /// cache (or totals arrived).
-    #[must_use]
-    pub fn pad_cache(&self) -> Option<&PadCacheTelemetry> {
-        self.pad_cache.as_ref()
     }
 
     /// Store-paging telemetry, present only if the run announced a
@@ -603,17 +569,6 @@ impl Recorder for TelemetryRecorder {
     fn ecp_entries_used(&mut self, entries: u64) {
         let faults = self.faults.get_or_insert_with(FaultTelemetry::default);
         faults.ecp_used_hist.record(entries);
-    }
-
-    fn pad_cache_active(&mut self) {
-        self.pad_cache.get_or_insert_with(PadCacheTelemetry::default);
-    }
-
-    fn pad_cache_totals(&mut self, hits: u64, misses: u64, prefills: u64) {
-        let cache = self.pad_cache.get_or_insert_with(PadCacheTelemetry::default);
-        cache.hits = hits;
-        cache.misses = misses;
-        cache.prefills = prefills;
     }
 
     fn aes_backend(&mut self, backend: &'static str) {
@@ -728,19 +683,6 @@ mod tests {
         let faults = r.faults().expect("announced");
         assert_eq!(faults.cell_deaths, 0);
         assert!(faults.retirements.is_empty());
-    }
-
-    #[test]
-    fn pad_cache_telemetry_absent_until_announced() {
-        let mut r = TelemetryRecorder::default();
-        assert!(r.pad_cache().is_none(), "cache-free runs carry no pad-cache section");
-        r.pad_cache_active();
-        assert_eq!(r.pad_cache(), Some(&PadCacheTelemetry::default()));
-        r.pad_cache_totals(12, 3, 5);
-        assert_eq!(
-            r.pad_cache(),
-            Some(&PadCacheTelemetry { hits: 12, misses: 3, prefills: 5 })
-        );
     }
 
     #[test]

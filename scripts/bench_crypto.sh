@@ -63,10 +63,6 @@ cat > BENCH_crypto.json <<EOF
   "available_tiers": "$AVAILABLE",
   "tiers": {$TIERS_JSON
   },
-  "pad_cache": {
-    "line_pad_cached_hot": $(ns line_pad_cached_hot),
-    "note": "steady-state PadCache hit path (working set 16 lines, 256-entry cache); tier-independent because a hit skips AES entirely."
-  },
   "pad_xor": {
     "xor_line_words": $(ns xor_line_words),
     "note": "u64-chunked 64-byte XOR in place; differential-tested against the byte loop in deuce-crypto pad tests."
