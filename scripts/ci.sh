@@ -197,6 +197,16 @@ for fig in fig05_encryption_overhead fig08_word_size fig09_epoch_interval \
     diff -u "results/$fig.tsv" "$SMOKE_DIR/$fig.tsv"
 done
 
+echo "==> timing and workload tables vs results/ (table2, fig16, fig17, power budget, counter cache), byte-identical"
+# Table 2 runs at its defaults; the four 8-core timing studies run at
+# the EXPERIMENTS.md invocation. With this loop all 14 TSVs are pinned.
+"target/release/table2_workloads" > "$SMOKE_DIR/table2_workloads.tsv"
+diff -u results/table2_workloads.tsv "$SMOKE_DIR/table2_workloads.tsv"
+for fig in fig16_speedup fig17_energy_power_edp ablation_power_budget ablation_counter_cache; do
+    "target/release/$fig" --writes 24000 --lines 64 > "$SMOKE_DIR/$fig.tsv"
+    diff -u "results/$fig.tsv" "$SMOKE_DIR/$fig.tsv"
+done
+
 echo "==> benchmark outputs at full size vs perfbench/expected.json"
 # `--seconds 0` runs the minimum of three repetitions per workload.
 # run.py checks every simulated output (wear totals and memory
