@@ -96,8 +96,8 @@ pub trait PageBackend<S: LineScheme> {
     fn flush(&mut self) {}
 
     /// Deterministic flush progress: `(pages flushed so far, running
-    /// FNV-1a fingerprint over flushed page bytes in flush order)`.
-    /// `(0, 0)` for backends that never flush.
+    /// fingerprint chaining each flushed page's index and checksum, in
+    /// flush order)`. `(0, 0)` for backends that never flush.
     fn flush_state(&self) -> (u64, u64) {
         (0, 0)
     }
@@ -115,8 +115,9 @@ pub trait PageBackend<S: LineScheme> {
 ///
 /// Every shipped state is a sequence of raw `u64` fields and encodes as
 /// little-endian words; [`crate::AnyState`] adds one leading tag byte.
-/// Decoding all-zero bytes must yield a valid placeholder state (used
-/// for never-materialised slots of a loaded page).
+/// Only materialised slots are ever decoded: a page file stores the
+/// others as zero bytes and gives them the backend's blank state on
+/// load.
 pub trait StateCodec: Sized {
     /// Encoded size in bytes. Fixed per type, pinned by
     /// `tests/state_sizes.rs`.

@@ -202,9 +202,9 @@ impl<S: LineScheme, B: PageBackend<S>> LineStore<S, B> {
         self.backend.flush();
     }
 
-    /// Deterministic flush progress: `(pages flushed, running FNV-1a
-    /// fingerprint over flushed page bytes)`; `(0, 0)` for backends
-    /// that never flush.
+    /// Deterministic flush progress: `(pages flushed, running
+    /// fingerprint chaining each flushed page's index and checksum)`;
+    /// `(0, 0)` for backends that never flush.
     #[must_use]
     pub fn flush_state(&self) -> (u64, u64) {
         self.backend.flush_state()
@@ -288,7 +288,8 @@ mod tests {
     ) -> (LineStore<AnyScheme, FilePageBackend<AnyScheme>>, PathBuf) {
         let scheme = AnyScheme::from_config(config);
         let path = page_file(tag);
-        let backend = FilePageBackend::create(&path, resident_pages, scheme.needs_shadow())
+        let (_, blank) = scheme.init(&engine(), LineAddr::new(0), &[0u8; LINE_BYTES]);
+        let backend = FilePageBackend::create(&path, resident_pages, scheme.needs_shadow(), blank)
             .expect("create page file");
         (LineStore::with_backend(scheme, backend), path)
     }

@@ -8,6 +8,7 @@
 
 use core::mem::size_of;
 
+use deuce_crypto::{LineAddr, OtpEngine, SecretKey};
 use deuce_schemes::{
     AnyScheme, AnyState, BleDeuceState, BleState, CtrState, DeuceFnwState, DeuceLine, DeuceState,
     DynDeuceState, EncryptedDcwLine, EncryptedFnwState, FilePageBackend, FnwState, LineScheme,
@@ -75,6 +76,29 @@ fn page_file_layout_stays_pinned() {
     assert_eq!(BleState::ENCODED_BYTES, 32);
     assert_eq!(BleDeuceState::ENCODED_BYTES, 40);
     assert_eq!(AnyState::ENCODED_BYTES, 41, "1 tag byte + largest payload");
+    assert_eq!(PageHeader::VERSION, 2, "version 2 added the trailing page checksum");
+
+    // The header a DEUCE page file really opens with, and the record
+    // size it implies: presence word, 64 x (64B stored + 64B shadow +
+    // 41B state), trailing checksum.
+    let scheme = AnyScheme::from_config(&SchemeConfig::new(SchemeKind::Deuce));
+    let path = std::env::temp_dir()
+        .join(format!("deuce-state-sizes-layout-{}.pages", std::process::id()));
+    let backend =
+        FilePageBackend::<AnyScheme>::create(&path, 1, scheme.needs_shadow(), blank(scheme))
+            .expect("create page file");
+    drop(backend);
+    let file = std::fs::read(&path).expect("read page file");
+    std::fs::remove_file(&path).ok();
+    let header = PageHeader::decode(file[..PageHeader::BYTES].try_into().expect("32-byte header"));
+    assert_eq!(header.version, PageHeader::VERSION);
+    assert_eq!(header.record_bytes(), 10_832, "8 + 64 x (64 + 64 + 41) + 8");
+}
+
+/// The scheme's state for a zero line: a page file's blank state.
+fn blank(scheme: AnyScheme) -> AnyState {
+    let engine = OtpEngine::new(&SecretKey::from_seed(1));
+    scheme.init(&engine, LineAddr::new(0), &[0u8; 64]).1
 }
 
 /// Both backends must account residency identically: per-line bytes are
@@ -87,8 +111,9 @@ fn backends_agree_on_per_line_bytes() {
         let scheme = AnyScheme::from_config(&SchemeConfig::new(kind));
         let arena = LineStore::new(scheme);
         let path = dir.join(format!("deuce-state-sizes-{kind}-{}.pages", std::process::id()));
-        let backend = FilePageBackend::<AnyScheme>::create(&path, 2, scheme.needs_shadow())
-            .expect("create page file");
+        let backend =
+            FilePageBackend::<AnyScheme>::create(&path, 2, scheme.needs_shadow(), blank(scheme))
+                .expect("create page file");
         assert_eq!(
             PageBackend::<AnyScheme>::per_line_bytes(&backend),
             arena.per_line_bytes(),

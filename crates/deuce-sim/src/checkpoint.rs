@@ -49,10 +49,11 @@ pub struct RunCheckpoint {
     /// checkpoint was taken (0 for the in-RAM arena, which never
     /// flushes).
     pub flushed_pages: u64,
-    /// Running FNV-1a fingerprint over every flushed page's bytes, in
-    /// flush order (0 for the arena). Replay reproduces evictions at
-    /// identical points, so a resume against an existing page file
-    /// verifies the flushed-page state, not just the run counters.
+    /// Running fingerprint chaining every flushed page's index and
+    /// checksum, in flush order (0 for the arena). Replay reproduces
+    /// evictions at identical points, so a resume against an existing
+    /// page file verifies the flushed-page state, not just the run
+    /// counters.
     pub flush_fp: u64,
 }
 

@@ -19,7 +19,7 @@
 use std::fmt;
 use std::time::Instant;
 
-use deuce_crypto::{OtpEngine, SecretKey};
+use deuce_crypto::{LineAddr, OtpEngine, SecretKey, LINE_BYTES};
 use deuce_schemes::{
     AnyScheme, ArenaBackend, FilePageBackend, LineScheme, PageBackend, StateCodec,
 };
@@ -290,9 +290,12 @@ where
     }
 
     /// Creates the page file a [`StoreBackend::File`] configuration
-    /// names.
+    /// names. Its blank state, for pages that fail to load, is the
+    /// scheme's state for a zero line, taken on an engine clone so the
+    /// pad never counts in the run's pad timing.
     fn create_page_file(&self, file: &FileStoreConfig) -> Result<FilePageBackend<S>, RunError> {
-        FilePageBackend::create(&file.path, file.resident_pages, self.scheme.needs_shadow())
+        let (_, blank) = self.scheme.init(&self.engine.clone(), LineAddr::new(0), &[0; LINE_BYTES]);
+        FilePageBackend::create(&file.path, file.resident_pages, self.scheme.needs_shadow(), blank)
             .map_err(|e| RunError::Store(format!("create page file {}: {e}", file.path.display())))
     }
 

@@ -8,12 +8,12 @@
 //! file's write-back history, not just the run counters.
 
 use deuce_sim::{
-    FaultConfig, FileStoreConfig, RunError, SimConfig, SimResult, Simulator, StoreBackend,
-    WearConfig,
+    FaultConfig, FileStoreConfig, RunError, SimConfig, SimResult, Simulator, StepSession,
+    StoreBackend, WearConfig,
 };
-use deuce_schemes::SchemeKind;
-use deuce_trace::{Benchmark, TraceConfig};
-use std::path::PathBuf;
+use deuce_schemes::{PageHeader, SchemeKind, SLOTS_PER_PAGE};
+use deuce_trace::{Benchmark, LineAddr, TraceConfig, TraceEvent, LINE_BYTES};
+use std::path::{Path, PathBuf};
 
 fn workload() -> TraceConfig {
     // 192 distinct lines = 3 pages of 64 slots, so a one-page residency
@@ -183,4 +183,90 @@ fn unwritable_page_file_reports_a_store_error() {
         .with_store_backend(StoreBackend::File(FileStoreConfig::new(missing_dir, 4)));
     let err = Simulator::new(config).run_source(&mut workload().stream()).unwrap_err();
     assert!(matches!(err, RunError::Store(_)), "{err:?}");
+}
+
+/// One write of round `round` to line `line`, with data unique to both.
+fn round_write(round: u8, line: u64) -> TraceEvent {
+    let mut data = [round; LINE_BYTES];
+    data[(line % 64) as usize] = line as u8;
+    TraceEvent::write(0, u64::from(round) * 1_000 + line, LineAddr::new(line), data)
+}
+
+/// Steps `session` through one round of writes over lines `0..3 pages`,
+/// in slot order.
+fn step_round(session: &mut StepSession<deuce_schemes::AnyScheme>, round: u8) {
+    for line in 0..3 * SLOTS_PER_PAGE as u64 {
+        let _ = session.step(&round_write(round, line));
+    }
+}
+
+/// A DEUCE session over a one-page budget after two rounds over three
+/// pages: pages 0 and 1 are flushed, page 2 is resident and dirty.
+fn flushed_session(tag: &str) -> StepSession<deuce_schemes::AnyScheme> {
+    let simulator = Simulator::new(paged(SimConfig::new(SchemeKind::Deuce), tag, 1));
+    let mut session = simulator.session(1).expect("create page file");
+    step_round(&mut session, 1);
+    step_round(&mut session, 2);
+    assert!(session.checkpoint().flushed_pages >= 2, "pages 0 and 1 were flushed");
+    session
+}
+
+/// One way to damage a flushed page record.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// XOR 0xff into the byte at this offset within the record.
+    Flip(usize),
+    /// Cut the file back to its header.
+    Truncate,
+    /// Copy the next page's record over this one.
+    CopyNext,
+}
+
+/// Damages page `page`'s record in the page file at `path`.
+fn damage(path: &Path, page: usize, damage: Damage) {
+    let mut file = std::fs::read(path).expect("read page file");
+    let header = PageHeader::decode(file[..PageHeader::BYTES].try_into().expect("header"));
+    let record = header.record_bytes();
+    let at = PageHeader::BYTES + page * record;
+    match damage {
+        Damage::Flip(offset) => file[at + offset] ^= 0xff,
+        Damage::Truncate => file.truncate(PageHeader::BYTES),
+        Damage::CopyNext => file.copy_within(at + record..at + 2 * record, at),
+    }
+    std::fs::write(path, &file).expect("rewrite page file");
+}
+
+/// A page file corrupted under a running session never panics the
+/// session: the page fails to load, the run keeps stepping on blank
+/// states, and `finish` returns a store error naming the page.
+#[test]
+fn corrupted_page_files_fail_with_a_store_error_naming_the_page() {
+    // DEUCE record offsets: presence word, 64 stored lines, 64 shadow
+    // lines, 64 AnyState slots of 41 bytes (tag byte first), checksum.
+    let stored = 8;
+    let shadow = stored + SLOTS_PER_PAGE * LINE_BYTES;
+    let states = shadow + SLOTS_PER_PAGE * LINE_BYTES;
+    let checksum = states + SLOTS_PER_PAGE * 41;
+    let cases = [
+        ("presence-word", Damage::Flip(3)),
+        ("stored-line", Damage::Flip(stored + 5 * LINE_BYTES + 7)),
+        ("shadow-line", Damage::Flip(shadow + 5 * LINE_BYTES + 7)),
+        ("state-tag", Damage::Flip(states)),
+        ("checksum-word", Damage::Flip(checksum + 3)),
+        ("truncated", Damage::Truncate),
+        ("record-copied", Damage::CopyNext),
+    ];
+    for (case, corruption) in cases {
+        let tag = format!("corrupt-{case}");
+        let mut session = flushed_session(&tag);
+        damage(&page_file(&tag), 0, corruption);
+        step_round(&mut session, 3);
+        match session.finish() {
+            Err(RunError::Store(message)) => {
+                assert!(message.contains("page 0:"), "{case}: {message}");
+            }
+            other => panic!("{case}: expected a store error naming page 0, got {other:?}"),
+        }
+        std::fs::remove_file(page_file(&tag)).ok();
+    }
 }
