@@ -185,6 +185,7 @@ impl From<RunError> for CliError {
                 CliError::Checkpoint(mismatch.to_string())
             }
             store @ RunError::Store(_) => CliError::Store(store.to_string()),
+            config @ RunError::Config(_) => CliError::Usage(config.to_string()),
         }
     }
 }

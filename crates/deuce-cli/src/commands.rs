@@ -16,8 +16,8 @@ use deuce_sim::telemetry::{
 };
 use deuce_sim::{
     grid_fingerprint, merge_manifests, read_manifest, CellRecord, FaultConfig, FileStoreConfig,
-    ManifestHeader, ManifestWriter, ParallelSweep, RunCheckpoint, ShardSpec, SimConfig, SimResult,
-    Simulator, StoreBackend, WearConfig,
+    ManifestHeader, ManifestWriter, ParallelSweep, RunCheckpoint, RunError, ShardSpec, SimConfig,
+    SimResult, Simulator, StoreBackend, WearConfig,
 };
 use deuce_trace::{
     open_source, write_source_jsonl, write_source_to_file, Op, Trace, TraceConfig, TraceEvent,
@@ -579,8 +579,8 @@ fn sweep_sharded<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> 
                 args,
                 Some(&format!("w{}e{epoch}", word_size.bytes())),
             ));
-            let result = Simulator::new(config).run_trace(&trace);
-            CellRecord {
+            let result = Simulator::new(config).run_source(&mut TraceSource::new(&trace))?;
+            Ok::<_, CliError>(CellRecord {
                 cell: cell as u64,
                 label: format!("w{}e{epoch}", word_size.bytes()),
                 writes: result.writes,
@@ -591,7 +591,7 @@ fn sweep_sharded<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> 
                     RunSummary::from(&result).metric_cells(),
                     scheme.metadata_bits(),
                 ),
-            }
+            })
         },
         Some(&ticker),
     )?;
@@ -616,7 +616,6 @@ pub fn sweep<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     }
     let trace = load_or_generate(args)?;
     let lines = fault_lines(args, Some(&trace))?;
-    writeln!(out, "word_bytes\tepoch\t{METRIC_HEADER}\tmeta_bits")?;
     let grid = sweep_grid();
     // One shard per grid cell; rows come back in grid order.
     let runner = ParallelSweep::new();
@@ -632,16 +631,19 @@ pub fn sweep<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
                 Some(&format!("w{}e{epoch}", word_size.bytes())),
             ));
             let simulator = Simulator::new(config);
+            let mut source = TraceSource::new(&trace);
             if collect {
                 let mut recorder = TelemetryRecorder::new(telemetry_config(args));
-                let result = simulator.run_trace_recorded(&trace, &mut recorder);
-                (scheme, result, Some(recorder))
+                let result = simulator.run_source_recorded(&mut source, &mut recorder)?;
+                Ok((scheme, result, Some(recorder)))
             } else {
-                (scheme, simulator.run_trace(&trace), None)
+                Ok((scheme, simulator.run_source(&mut source)?, None))
             }
         },
         Some(&ticker),
     );
+    let rows = rows.into_iter().collect::<Result<Vec<_>, RunError>>()?;
+    writeln!(out, "word_bytes\tepoch\t{METRIC_HEADER}\tmeta_bits")?;
     for ((word_size, epoch), (scheme, result, _)) in grid.iter().zip(&rows) {
         writeln!(
             out,
@@ -1091,7 +1093,7 @@ fn serve_replay<W: Write>(args: &ServeArgs, out: &mut W) -> Result<(), CliError>
 
 fn serve_error(e: ServeError) -> CliError {
     match e {
-        ServeError::Store { tenant, error } => {
+        ServeError::Session { tenant, error } => {
             CliError::Store(format!("tenant {tenant}: {error}"))
         }
         other => CliError::Usage(other.to_string()),

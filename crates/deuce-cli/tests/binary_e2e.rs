@@ -153,6 +153,46 @@ fn sharded_sweep_through_the_binary() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A sweep whose page files cannot be created fails with the store
+/// error and exit code 1, never a panic (exit code 101).
+fn assert_clean_store_failure(output: &std::process::Output) {
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(err.contains("line-store backend failed: create page file"), "{err}");
+    assert!(err.contains("/nonexistent-dir/definitely/x.pages.w"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn sweep_with_an_unwritable_store_file_fails_cleanly() {
+    let output = deuce()
+        .args(["sweep", "--benchmark", "mcf", "--writes", "300", "--lines", "32"])
+        .args(["--store-file", "/nonexistent-dir/definitely/x.pages"])
+        .output()
+        .expect("sweep runs");
+    assert_clean_store_failure(&output);
+    assert!(output.stdout.is_empty(), "no table for a failed sweep");
+}
+
+#[test]
+fn sharded_sweep_with_an_unwritable_store_file_fails_cleanly() {
+    let dir = std::env::temp_dir().join("deuce-bin-shard-store-error");
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("m.jsonl");
+    let output = deuce()
+        .args(["sweep", "--benchmark", "mcf", "--writes", "300", "--lines", "32"])
+        .args(["--store-file", "/nonexistent-dir/definitely/x.pages"])
+        .args(["--manifest", manifest.to_str().unwrap()])
+        .output()
+        .expect("sweep runs");
+    assert_clean_store_failure(&output);
+    // Failed cells append nothing: the manifest holds only its header.
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    assert_eq!(text.lines().count(), 1, "{text}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn paged_store_kill_and_resume_through_the_binary() {
     let dir = std::env::temp_dir().join("deuce-bin-paged-e2e");

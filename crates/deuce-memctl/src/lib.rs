@@ -5,13 +5,11 @@
 //! controller — or a downstream system wanting an encrypted NVM
 //! region — consumes them: a byte-addressable [`SecureMemory`] with
 //! transparent encryption, write-reduction, optional integrity
-//! checking, and cumulative device statistics. The [`pipeline`] module
-//! exposes the controller's internal structure — counter, scheme, wear,
-//! and timing stages behind traits — so trace-driven drivers (the
-//! simulator, the figure binaries, the CLI) share one core. The
-//! [`repair`] module adds the graceful-degradation layer: per-line ECP
-//! correction entries, retirement to a spare pool, and the
-//! [`UncorrectableError`] end-of-life signal.
+//! checking, and cumulative device statistics. The [`repair`] module
+//! adds the graceful-degradation layer: per-line ECP correction
+//! entries, retirement to a spare pool, and the [`UncorrectableError`]
+//! end-of-life signal, which the trace-driven simulator (`deuce-sim`)
+//! runs under fault injection.
 //!
 //! ```
 //! use deuce_memctl::{MemoryBuilder, MemoryError};
@@ -31,15 +29,10 @@
 
 mod builder;
 mod memory;
-pub mod pipeline;
 pub mod repair;
 
 pub use builder::MemoryBuilder;
 pub use memory::{MemoryError, MemoryStats, SecureMemory};
-pub use pipeline::{
-    counter_line_addr, CounterOutcome, CounterStage, FaultEvents, MemoryPipeline, SchemeStage,
-    StepOutcome, TimingStage, WearStage, WriteEffect, COUNTER_REGION,
-};
 pub use repair::{EcpConfig, EcpRepair, RepairAction, UncorrectableError};
 
 pub use deuce_schemes::{SchemeConfig, SchemeKind, WordSize};

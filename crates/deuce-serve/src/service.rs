@@ -82,10 +82,11 @@ pub enum ServeError {
     NoTenants,
     /// Two tenants share a name.
     DuplicateTenant(String),
-    /// A tenant's store backend could not be opened (paged backends
-    /// create their page file at start).
-    Store {
-        /// The tenant whose backend failed.
+    /// A tenant's session could not be opened: its configuration was
+    /// rejected, or its store backend failed (paged backends create
+    /// their page file at start).
+    Session {
+        /// The tenant whose session failed to open.
         tenant: String,
         /// The underlying error.
         error: String,
@@ -99,9 +100,7 @@ impl fmt::Display for ServeError {
         match self {
             Self::NoTenants => write!(f, "no tenants registered"),
             Self::DuplicateTenant(name) => write!(f, "duplicate tenant {name:?}"),
-            Self::Store { tenant, error } => {
-                write!(f, "tenant {tenant:?} store backend: {error}")
-            }
+            Self::Session { tenant, error } => write!(f, "tenant {tenant:?}: {error}"),
             Self::Spawn(error) => write!(f, "spawn shard worker: {error}"),
         }
     }
@@ -336,9 +335,8 @@ impl ServiceBuilder {
     ///
     /// [`ServeError::NoTenants`] with an empty tenant list,
     /// [`ServeError::DuplicateTenant`] on a name collision,
-    /// [`ServeError::Store`] if a tenant's store backend cannot be
-    /// opened, and [`ServeError::Spawn`] if a worker thread fails to
-    /// start.
+    /// [`ServeError::Session`] if a tenant's session cannot be opened,
+    /// and [`ServeError::Spawn`] if a worker thread fails to start.
     pub fn start(self) -> Result<ServeHandle, ServeError> {
         if self.tenants.is_empty() {
             return Err(ServeError::NoTenants);
@@ -350,7 +348,7 @@ impl ServiceBuilder {
                 return Err(ServeError::DuplicateTenant(name));
             }
             let session = Simulator::new(config).session(1).map_err(|e| {
-                ServeError::Store { tenant: name.clone(), error: e.to_string() }
+                ServeError::Session { tenant: name.clone(), error: e.to_string() }
             })?;
             owned[index % self.shards].tenants.push(TenantCore {
                 session,
@@ -773,6 +771,31 @@ mod tests {
             .start()
             .err();
         assert_eq!(err, Some(ServeError::DuplicateTenant("a".into())));
+    }
+
+    #[test]
+    fn start_names_the_tenant_whose_config_is_rejected() {
+        use deuce_sim::{CounterCacheConfig, FaultConfig};
+
+        let bad_configs = [
+            config().with_faults(FaultConfig::accelerated(1e-6)),
+            config().with_counter_cache(CounterCacheConfig { entries: 0, counters_per_line: 16 }),
+            config().with_counter_cache(CounterCacheConfig { entries: 4, counters_per_line: 0 }),
+        ];
+        for bad in bad_configs {
+            let err = ServiceBuilder::new()
+                .tenant("good", config())
+                .tenant("bad", bad)
+                .start()
+                .err();
+            match err {
+                Some(ServeError::Session { tenant, error }) => {
+                    assert_eq!(tenant, "bad");
+                    assert!(error.starts_with("invalid simulator configuration: "), "{error}");
+                }
+                other => panic!("expected a session error for tenant \"bad\", got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,19 @@
 //! before counter traffic becomes negligible (the
 //! `ablation_counter_cache` experiment).
 
+use deuce_crypto::LineAddr;
+
+/// Counter lines live in a dedicated address region so bank mapping
+/// keeps them apart from data lines.
+pub const COUNTER_REGION: u64 = 1 << 40;
+
+/// The address of the counter line holding `line`'s encryption counter,
+/// with `counters_per_line` counters packed per 64-byte counter line.
+#[must_use]
+pub fn counter_line_addr(line: LineAddr, counters_per_line: usize) -> LineAddr {
+    LineAddr::new(COUNTER_REGION | (line.value() / counters_per_line as u64))
+}
+
 /// Counter-cache configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterCacheConfig {
@@ -86,6 +99,17 @@ impl CounterCache {
         self.writebacks
     }
 
+    /// Counter lines currently resident.
+    #[must_use]
+    pub fn occupancy(&self) -> u64 {
+        self.entries.len() as u64
+    }
+
+    /// The address of the counter line holding `line`'s counter.
+    pub(crate) fn counter_line(&self, line: LineAddr) -> LineAddr {
+        counter_line_addr(line, self.config.counters_per_line)
+    }
+
     /// Hit ratio in `[0, 1]`.
     #[must_use]
     pub fn hit_ratio(&self) -> f64 {
@@ -119,27 +143,6 @@ impl CounterCache {
         }
         self.entries.push((tag, dirtying));
         traffic
-    }
-}
-
-/// The counter cache is the controller pipeline's stage 1: a hit is
-/// free, a miss is a blocking counter-line fill, a dirty eviction a
-/// counter-line writeback.
-impl deuce_memctl::CounterStage for CounterCache {
-    fn access(
-        &mut self,
-        line: deuce_crypto::LineAddr,
-        dirtying: bool,
-    ) -> deuce_memctl::CounterOutcome {
-        let traffic = CounterCache::access(self, line.value(), dirtying);
-        deuce_memctl::CounterOutcome {
-            fill: traffic.fill,
-            writeback: traffic.writeback,
-        }
-    }
-
-    fn occupancy(&self) -> u64 {
-        self.entries.len() as u64
     }
 }
 

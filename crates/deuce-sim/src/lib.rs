@@ -1,12 +1,15 @@
 //! Trace-driven system simulator for secure PCM memory.
 //!
-//! Ties the whole stack together: a [`deuce_trace::Trace`] is driven
-//! through a [`deuce_schemes::SchemeLine`] per memory line, the resulting
-//! bit-exact write outcomes feed the [`deuce_nvm`] device model (flips,
-//! write slots, energy, cell wear), an optional [`deuce_wear`] Start-Gap +
-//! HWL layer rotates the wear, and a memory-controller timing model with
-//! per-bank queues and blocking reads produces execution time — from which
-//! the paper's speedup / energy / power / EDP figures derive. Grids of
+//! Ties the whole stack together: a [`StepSession`] is the memory
+//! controller. Each event of a [`deuce_trace::WriteSource`] passes its
+//! optional counter cache, then a lazily populated
+//! [`deuce_schemes::LineStore`] that encodes the write under the
+//! configured scheme, then a timing model with per-bank queues and
+//! blocking reads, then an optional [`deuce_wear`] Start-Gap + HWL wear
+//! layer. The bit-exact write outcomes feed the [`deuce_nvm`] device
+//! model (flips, write slots, energy, cell wear), and execution time
+//! comes from the timing model — from which the paper's speedup /
+//! energy / power / EDP figures derive. Grids of
 //! independent runs shard across threads with [`ParallelSweep`],
 //! bit-identical to a sequential loop.
 //!
@@ -48,14 +51,16 @@ pub use config::{
     CpuParams, FaultConfig, FileStoreConfig, MetricConfig, SimConfig, StoreBackend, VerticalWl,
     WearConfig,
 };
-pub use counter_cache::{CounterCache, CounterCacheConfig, CounterTraffic};
+pub use counter_cache::{
+    counter_line_addr, CounterCache, CounterCacheConfig, CounterTraffic, COUNTER_REGION,
+};
 pub use latency::{pad_latency_report, PadEngineOption, PadLatencyReport};
 pub use manifest::{
     grid_fingerprint, merge_manifests, read_manifest, CellRecord, ManifestError, ManifestHeader,
     ManifestWriter, ShardSpec,
 };
 pub use result::{FaultReport, SimResult};
-pub use session::{SessionBackend, SessionStep, StepSession};
+pub use session::{SessionStep, StepSession};
 pub use simulator::{RunError, Simulator};
 pub use sweep::{ParallelSweep, SweepCell};
 pub use timing::MemoryTimingModel;

@@ -1,37 +1,47 @@
 //! Incremental (step-at-a-time) simulation sessions.
 //!
-//! [`StepSession`] is the simulator's drive loop turned inside out:
-//! instead of pulling events from a [`deuce_trace::WriteSource`] until
-//! it runs dry, a session is fed one [`TraceEvent`] at a time and
-//! finished explicitly. `Simulator::run_source` and friends are thin
-//! loops over a session, so a stepped run is bit-identical to a
-//! streamed one by construction — the property the `deuce-serve`
-//! front end's per-tenant determinism contract rests on.
+//! [`StepSession`] is the memory controller itself: it owns the four
+//! stages every request passes through, in order —
+//!
+//! 1. **Counter** — the optional on-chip [`CounterCache`] makes the
+//!    line's encryption counter available; a miss is a blocking
+//!    counter-line read, a dirty eviction a counter-line writeback.
+//! 2. **Scheme** — a [`LineStore`] over the configured page backend
+//!    encodes the write under the session's pad engine (DEUCE, DCW,
+//!    FNW, …) and reports its bit flips.
+//! 3. **Timing** — the [`MemoryTimingModel`] charges the request's
+//!    latency, bank occupancy and power-channel time.
+//! 4. **Wear** — the optional [`WearState`] records the flipped bits
+//!    under the wear-leveling rotation and runs the ECP repair ladder.
+//!
+//! A session is fed one [`TraceEvent`] at a time and finished
+//! explicitly. `Simulator::run_source` and friends are thin loops over
+//! a session, so a stepped run is bit-identical to a streamed one by
+//! construction — the property the `deuce-serve` front end's
+//! per-tenant determinism contract rests on.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use deuce_crypto::{LineAddr, OtpEngine};
-use deuce_memctl::{
-    EcpConfig, EcpRepair, FaultEvents, MemoryPipeline, RepairAction, SchemeStage, StepOutcome,
-    WearStage, WriteEffect,
-};
-use deuce_nvm::{CellArray, StuckAtFaults};
+use deuce_memctl::{EcpConfig, EcpRepair, RepairAction};
+use deuce_nvm::{write_slots, CellArray, SlotConfig, StuckAtFaults};
 use deuce_schemes::{
     ArenaBackend, FilePageBackend, LineBytes, LineMut, LineRef, LineScheme, LineStore, PageBackend,
     StateCodec, StorePageStats, WriteOutcome,
 };
 use deuce_telemetry::{
-    FaultObservation, FlightEvent, Gauge, NullRecorder, Recorder, StoreTelemetry, WriteObservation,
+    Counter, FaultObservation, FlightEvent, Gauge, NullRecorder, Recorder, Stage, StoreTelemetry,
+    WriteObservation,
 };
-use deuce_trace::TraceEvent;
+use deuce_trace::{Op, TraceEvent};
 use deuce_wear::{HorizontalWearLeveler, HwlMode, SecurityRefresh, StartGap};
 
 use crate::checkpoint::RunCheckpoint;
 use crate::config::{SimConfig, VerticalWl};
 use crate::counter_cache::CounterCache;
 use crate::result::{FaultReport, SimResult};
-use crate::simulator::RunError;
+use crate::simulator::{RunError, Simulator};
 use crate::timing::MemoryTimingModel;
 
 /// What one stepped event did to the simulated memory.
@@ -57,13 +67,12 @@ pub enum SessionStep {
     },
 }
 
-/// The slot backend a runtime-configured [`StepSession`] runs over:
-/// whichever of the two shipped [`PageBackend`]s the session's
-/// [`crate::StoreBackend`] picked. Delegates every call, so a session
-/// over this enum observes the exact slot contents the monomorphised
-/// backends would.
+/// The slot backend a session's store runs over: whichever of the two
+/// shipped [`PageBackend`]s the configured [`crate::StoreBackend`]
+/// picked. Delegates every call, so a session over this enum observes
+/// the exact slot contents either backend would on its own.
 #[derive(Debug)]
-pub enum SessionBackend<S: LineScheme>
+pub(crate) enum SessionBackend<S: LineScheme>
 where
     S::State: StateCodec,
 {
@@ -148,13 +157,12 @@ where
     }
 }
 
-/// One in-flight simulation: the staged pipeline plus the running
-/// [`SimResult`], fed one event at a time.
+/// One in-flight simulation: the controller's four stages plus the
+/// running [`SimResult`], fed one event at a time.
 ///
-/// Construct via [`Simulator::session`](crate::Simulator::session).
+/// Construct via [`Simulator::session`].
 /// The session owns its engine, so it can outlive the simulator — e.g.
-/// one per tenant in `deuce-serve`. The backend parameter `B` defaults
-/// to the runtime-selected [`SessionBackend`].
+/// one per tenant in `deuce-serve`.
 ///
 /// # Examples
 ///
@@ -175,32 +183,43 @@ where
 /// assert_eq!(result.writes, 1);
 /// ```
 #[derive(Debug)]
-pub struct StepSession<S, B = SessionBackend<S>>
+pub struct StepSession<S: LineScheme>
 where
-    S: LineScheme,
-    B: PageBackend<S>,
+    S::State: StateCodec,
 {
-    pipeline: MemoryPipeline<CounterCache, StoreStage<S, B>, WearState, MemoryTimingModel>,
+    /// Stage 1, when a counter cache is modelled.
+    counters: Option<CounterCache>,
+    /// Stage 2: lines materialised lazily over the configured backend.
+    /// The first write to an address is the initial placement (§3.1)
+    /// and is not counted.
+    store: LineStore<S, SessionBackend<S>>,
+    engine: OtpEngine,
+    slot: SlotConfig,
+    /// Stage 3.
+    timing: MemoryTimingModel,
+    /// Stage 4, when wear tracking is on.
+    wear: Option<WearState>,
     result: SimResult,
     events_consumed: u64,
 }
 
-impl<S, B> StepSession<S, B>
+impl<S: LineScheme + Copy> StepSession<S>
 where
-    S: LineScheme,
-    B: PageBackend<S>,
+    S::State: StateCodec,
 {
-    /// Assembles the staged pipeline exactly as the streaming drive
-    /// loop does. `time_repairs` turns on wall-clock self-timing of the
-    /// ECP repair ladder (span tracing only; never simulated time).
+    /// Assembles the controller for `simulator`'s configuration.
+    /// `time_repairs` turns on wall-clock self-timing of the ECP repair
+    /// ladder (span tracing only; never simulated time).
+    ///
+    /// The configuration is checked before the store backend is opened,
+    /// so a rejected configuration never creates a page file.
     pub(crate) fn build(
-        config: &SimConfig,
-        scheme: S,
-        engine: OtpEngine,
-        backend: B,
+        simulator: &Simulator<S>,
         cores: usize,
         time_repairs: bool,
-    ) -> Self {
+    ) -> Result<Self, RunError> {
+        let config = &simulator.config;
+        check(config)?;
         let timing = MemoryTimingModel::with_power_channels(
             config.timing,
             config.cpu,
@@ -209,14 +228,9 @@ where
             config.power_channels,
         );
 
-        let meta_bits = scheme.metadata_bits();
+        let meta_bits = simulator.scheme.metadata_bits();
         let bits_per_line = deuce_crypto::LINE_BITS as u32 + meta_bits;
-        assert!(
-            config.faults.is_none() || config.wear.is_some(),
-            "fault injection requires wear tracking: combine SimConfig::with_faults \
-             with SimConfig::with_wear"
-        );
-        let wear_state = config.wear.map(|w| {
+        let wear = config.wear.map(|w| {
             let faults = config.faults;
             WearState {
                 // With faults on, the cell array also covers the spare
@@ -259,124 +273,201 @@ where
             }
         });
 
-        let aes_backend = engine.aes_backend();
-
-        let store = StoreStage {
-            store: LineStore::with_backend(scheme, backend),
-            engine,
-        };
-        let counters_per_line = config
-            .counter_cache
-            .map_or(16, |cache| cache.counters_per_line);
-        let pipeline = MemoryPipeline::new(store, timing, config.slot)
-            .with_counter_stage(config.counter_cache.map(CounterCache::new), counters_per_line)
-            .with_wear_stage(wear_state);
-
+        let engine = simulator.engine.clone();
         let result = SimResult {
             counters_in_metric: config.metric.count_counter_bits,
             energy_params: config.energy,
             metadata_bits: meta_bits,
             faults: config.faults.map(|_| FaultReport::default()),
-            aes_backend,
+            aes_backend: engine.aes_backend(),
             ..SimResult::default()
         };
 
-        Self { pipeline, result, events_consumed: 0 }
+        Ok(Self {
+            counters: config.counter_cache.map(CounterCache::new),
+            store: LineStore::with_backend(simulator.scheme, simulator.backend()?),
+            engine,
+            slot: config.slot,
+            timing,
+            wear,
+            result,
+            events_consumed: 0,
+        })
     }
 
-    /// Feeds one event through the pipeline. Events must arrive in the
-    /// stream's logical order; the session's result after any prefix is
-    /// bit-identical to a streamed run over that prefix.
+    /// Feeds one event through the controller. Events must arrive in
+    /// the stream's logical order; the session's result after any
+    /// prefix is bit-identical to a streamed run over that prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a write event carries no data.
     pub fn step(&mut self, event: &TraceEvent) -> SessionStep {
         self.step_recorded(event, &mut NullRecorder)
     }
 
-    /// [`step`](Self::step) with telemetry recording. Recording never
-    /// changes the result.
+    /// [`step`](Self::step) with telemetry recording: per-stage wall
+    /// time, flip/slot counters, counter-cache traffic and per-write
+    /// observations flow into `rec`. With [`NullRecorder`] this
+    /// monomorphises to the bare step — recording never changes the
+    /// result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a write event carries no data.
     pub fn step_recorded<R: Recorder>(&mut self, event: &TraceEvent, rec: &mut R) -> SessionStep {
-        let wants_flight = R::ENABLED && rec.wants_flight();
         self.events_consumed += 1;
-        match self.pipeline.step_recorded(event, rec) {
-            StepOutcome::Read => {
-                self.result.reads += 1;
-                SessionStep::Read
+        let core = usize::from(event.core);
+        let (instr, line) = (event.instr, event.line);
+        let clock = stage_clock::<R>();
+        let data = match event.op {
+            Op::Read => None,
+            Op::Write => Some(event.data.as_ref().expect("write events carry data")),
+        };
+        self.access_counter(core, instr, line, data.is_some(), rec);
+        let clock = charge::<R>(rec, Stage::Counter, clock);
+
+        let Some(data) = data else {
+            self.timing.read(core, instr, line);
+            charge::<R>(rec, Stage::Timing, clock);
+            if R::ENABLED {
+                rec.add(Counter::Reads, 1);
             }
-            StepOutcome::FirstTouch => {
+            self.result.reads += 1;
+            return SessionStep::Read;
+        };
+
+        let Some(outcome) = self.store.write_first_touch(&self.engine, line, data) else {
+            charge::<R>(rec, Stage::Scheme, clock);
+            if R::ENABLED {
+                rec.add(Counter::FirstTouches, 1);
                 // Not a counted write, but a post-mortem wants to see
                 // initial placements too.
-                if wants_flight {
+                if rec.wants_flight() {
                     rec.flight_observed(FlightEvent {
                         write_index: 0,
-                        addr: event.line.value(),
+                        addr: line.value(),
                         action: "first_touch",
                         flips: 0,
                         slots: 0,
                         epoch_started: false,
-                        sim_ns: self.pipeline.timing.exec_time_ns(),
+                        sim_ns: self.timing.exec_time_ns(),
                         cell_deaths: 0,
                         ecp_consumed: 0,
                         retired: false,
                         uncorrectable: false,
                     });
                 }
-                SessionStep::FirstTouch
             }
-            StepOutcome::Write(effect) => {
-                fold_effect(&mut self.result, &effect);
-                if effect.faults.any() {
-                    fold_faults(&mut self.result, &effect.faults);
-                    if R::ENABLED {
-                        rec.fault_observed(&FaultObservation {
-                            sim_ns: self.pipeline.timing.exec_time_ns(),
-                            write_index: self.result.writes,
-                            cell_deaths: effect.faults.cell_deaths,
-                            ecp_consumed: effect.faults.ecp_consumed,
-                            retired: effect.faults.retired,
-                            uncorrectable: effect.faults.uncorrectable,
-                        });
-                    }
-                }
-                let mut flips =
-                    u64::from(effect.outcome.flips.data) + u64::from(effect.outcome.flips.meta);
-                if self.result.counters_in_metric {
-                    flips += u64::from(effect.outcome.counter_flips);
-                }
-                if R::ENABLED {
-                    let (hits, misses) = self
-                        .pipeline
-                        .counters
-                        .as_ref()
-                        .map_or((0, 0), |c| (c.hits(), c.misses()));
-                    rec.write_observed(&WriteObservation {
-                        sim_ns: self.pipeline.timing.exec_time_ns(),
-                        flips,
-                        slots: effect.slots,
-                        cache_hits: hits,
-                        cache_misses: misses,
-                    });
-                    if wants_flight {
-                        rec.flight_observed(FlightEvent {
-                            write_index: self.result.writes,
-                            addr: event.line.value(),
-                            action: "write",
-                            flips,
-                            slots: effect.slots,
-                            epoch_started: effect.outcome.epoch_started,
-                            sim_ns: self.pipeline.timing.exec_time_ns(),
-                            cell_deaths: effect.faults.cell_deaths,
-                            ecp_consumed: effect.faults.ecp_consumed,
-                            retired: effect.faults.retired,
-                            uncorrectable: effect.faults.uncorrectable,
-                        });
-                    }
-                }
-                SessionStep::Write {
+            return SessionStep::FirstTouch;
+        };
+        let slots = write_slots(&outcome.old_image, &outcome.new_image, self.slot);
+        let clock = charge::<R>(rec, Stage::Scheme, clock);
+        self.timing.write(core, instr, line, slots);
+        let clock = charge::<R>(rec, Stage::Timing, clock);
+        let faults = match &mut self.wear {
+            Some(wear) => wear.record(line, &outcome),
+            None => FaultEvents::default(),
+        };
+        charge::<R>(rec, Stage::Wear, clock);
+        if R::ENABLED {
+            rec.add(Counter::Writes, 1);
+            rec.add(Counter::DataFlips, u64::from(outcome.flips.data));
+            rec.add(Counter::MetaFlips, u64::from(outcome.flips.meta));
+            rec.add(Counter::CounterFlips, u64::from(outcome.counter_flips));
+            rec.add(Counter::EpochStarts, u64::from(outcome.epoch_started));
+            rec.add(Counter::SlotsTotal, u64::from(slots));
+        }
+
+        let result = &mut self.result;
+        result.writes += 1;
+        result.data_flips += u64::from(outcome.flips.data);
+        result.meta_flips += u64::from(outcome.flips.meta);
+        result.counter_flips += u64::from(outcome.counter_flips);
+        result.epoch_starts += u64::from(outcome.epoch_started);
+        result.total_slots += u64::from(slots);
+        if faults.any() {
+            fold_faults(result, &faults);
+            if R::ENABLED {
+                rec.fault_observed(&FaultObservation {
+                    sim_ns: self.timing.exec_time_ns(),
+                    write_index: result.writes,
+                    cell_deaths: faults.cell_deaths,
+                    ecp_consumed: faults.ecp_consumed,
+                    retired: faults.retired,
+                    uncorrectable: faults.uncorrectable,
+                });
+            }
+        }
+        let mut flips = u64::from(outcome.flips.data) + u64::from(outcome.flips.meta);
+        if result.counters_in_metric {
+            flips += u64::from(outcome.counter_flips);
+        }
+        if R::ENABLED {
+            let (hits, misses) = self.counters.as_ref().map_or((0, 0), |c| (c.hits(), c.misses()));
+            rec.write_observed(&WriteObservation {
+                sim_ns: self.timing.exec_time_ns(),
+                flips,
+                slots,
+                cache_hits: hits,
+                cache_misses: misses,
+            });
+            if rec.wants_flight() {
+                rec.flight_observed(FlightEvent {
+                    write_index: result.writes,
+                    addr: line.value(),
+                    action: "write",
                     flips,
-                    slots: effect.slots,
-                    epoch_started: effect.outcome.epoch_started,
-                    uncorrectable: effect.faults.uncorrectable,
-                }
+                    slots,
+                    epoch_started: outcome.epoch_started,
+                    sim_ns: self.timing.exec_time_ns(),
+                    cell_deaths: faults.cell_deaths,
+                    ecp_consumed: faults.ecp_consumed,
+                    retired: faults.retired,
+                    uncorrectable: faults.uncorrectable,
+                });
             }
+        }
+        SessionStep::Write {
+            flips,
+            slots,
+            epoch_started: outcome.epoch_started,
+            uncorrectable: faults.uncorrectable,
+        }
+    }
+
+    /// Stage 1: looks up `line`'s counter and routes the cache's memory
+    /// traffic into the timing model. The counter must be available
+    /// before the pad can be generated, so a fill is a blocking read; a
+    /// dirty eviction is an extra 1-slot write.
+    fn access_counter<R: Recorder>(
+        &mut self,
+        core: usize,
+        instr: u64,
+        line: LineAddr,
+        dirtying: bool,
+        rec: &mut R,
+    ) {
+        let Some(counters) = &mut self.counters else {
+            return;
+        };
+        let traffic = counters.access(line.value(), dirtying);
+        if R::ENABLED {
+            rec.add(Counter::CounterAccesses, 1);
+            if traffic.fill {
+                rec.add(Counter::CounterFills, 1);
+            }
+            if traffic.writeback {
+                rec.add(Counter::CounterWritebacks, 1);
+            }
+            rec.residency(counters.occupancy());
+        }
+        let counter_line = counters.counter_line(line);
+        if traffic.fill {
+            self.timing.read(core, instr, counter_line);
+        }
+        if traffic.writeback {
+            self.timing.write(core, instr, counter_line, 1);
         }
     }
 
@@ -388,8 +479,8 @@ where
         RunCheckpoint::capture(
             self.events_consumed,
             &self.result,
-            self.pipeline.timing.exec_time_ns(),
-            self.pipeline.schemes.store.flush_state(),
+            self.timing.exec_time_ns(),
+            self.store.flush_state(),
         )
     }
 
@@ -422,7 +513,7 @@ where
     /// materialisation order.
     #[must_use]
     pub fn content_fingerprint(&self) -> u64 {
-        self.pipeline.schemes.store.content_fingerprint()
+        self.store.content_fingerprint()
     }
 
     /// Finalises the session: flushes the store, folds end-of-run
@@ -446,16 +537,16 @@ where
     /// error during the session.
     pub fn finish_recorded<R: Recorder>(mut self, rec: &mut R) -> Result<SimResult, RunError> {
         let wants_spans = R::ENABLED && rec.wants_spans();
-        self.result.exec_time_ns = self.pipeline.timing.exec_time_ns();
-        self.result.line_store_bytes = self.pipeline.schemes.resident_bytes();
+        self.result.exec_time_ns = self.timing.exec_time_ns();
+        self.result.line_store_bytes = self.store.resident_bytes();
         // End-of-run flush of dirty resident pages (no-op for the
         // arena), then collect paging statistics and surface any I/O
         // error the backend latched mid-run.
-        self.pipeline.schemes.store.flush();
-        if let Some(error) = self.pipeline.schemes.store.io_error() {
+        self.store.flush();
+        if let Some(error) = self.store.io_error() {
             return Err(RunError::Store(error));
         }
-        self.result.store = self.pipeline.schemes.store.paging_stats();
+        self.result.store = self.store.paging_stats();
         if R::ENABLED {
             if let Some(stats) = &self.result.store {
                 rec.store_totals(&StoreTelemetry {
@@ -467,7 +558,7 @@ where
                 });
             }
         }
-        if let Some(wear) = self.pipeline.wear {
+        if let Some(wear) = self.wear {
             // Fold the repair ladder's self-measured wall time in as a
             // child of the wear stage before the state is consumed.
             if wants_spans && wear.repair_calls > 0 {
@@ -492,7 +583,7 @@ where
             }
             self.result.cells = Some(wear.cells);
         }
-        if let Some(cache) = &self.pipeline.counters {
+        if let Some(cache) = &self.counters {
             self.result.counter_cache_misses = cache.misses();
             self.result.counter_cache_writebacks = cache.writebacks();
             self.result.counter_cache_hit_ratio = cache.hit_ratio();
@@ -509,7 +600,7 @@ where
             // Pad generation times itself inside the engine; the session
             // owns that engine, so its totals are this run's. Hang them
             // under the scheme stage where the AES work is charged.
-            if let Some(pads) = self.pipeline.schemes.engine.pad_timing_stats() {
+            if let Some(pads) = self.engine.pad_timing_stats() {
                 rec.span_attach(Some("stage:scheme"), "pad_generation", pads.wall_ns, pads.calls);
             }
         }
@@ -517,24 +608,73 @@ where
     }
 }
 
+/// Rejects configurations the controller cannot be built from, naming
+/// the mistake.
+fn check(config: &SimConfig) -> Result<(), RunError> {
+    let mistake = if config.faults.is_some() && config.wear.is_none() {
+        "fault injection requires wear tracking: combine SimConfig::with_faults with \
+         SimConfig::with_wear"
+    } else if config.counter_cache.is_some_and(|c| c.entries == 0) {
+        "the counter cache needs at least one entry"
+    } else if config.counter_cache.is_some_and(|c| c.counters_per_line == 0) {
+        "the counter cache needs at least one counter per counter line"
+    } else {
+        return Ok(());
+    };
+    Err(RunError::Config(mistake.to_string()))
+}
+
+/// Starts the per-stage wall clock when `R` records anything.
+fn stage_clock<R: Recorder>() -> Option<Instant> {
+    R::ENABLED.then(Instant::now)
+}
+
+/// Charges the elapsed wall time to `stage` and restarts the clock for
+/// the next stage.
+///
+/// `stage_ns` is also the span tracer's landing spot: a recorder with
+/// span tracing on folds each charge into a `stage:*` span under the
+/// current `run` span, so the session needs no span plumbing of its
+/// own.
+fn charge<R: Recorder>(rec: &mut R, stage: Stage, clock: Option<Instant>) -> Option<Instant> {
+    let start = clock?;
+    let now = Instant::now();
+    rec.stage_ns(stage, u64::try_from((now - start).as_nanos()).unwrap_or(u64::MAX));
+    Some(now)
+}
+
 /// Wall-clock nanoseconds since `started`, saturating.
 pub(crate) fn elapsed_ns(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Accumulates one counted write's effect into the aggregate result.
-fn fold_effect(result: &mut SimResult, effect: &WriteEffect) {
-    result.writes += 1;
-    result.data_flips += u64::from(effect.outcome.flips.data);
-    result.meta_flips += u64::from(effect.outcome.flips.meta);
-    result.counter_flips += u64::from(effect.outcome.counter_flips);
-    result.epoch_starts += u64::from(effect.outcome.epoch_started);
-    result.total_slots += u64::from(effect.slots);
+/// Cell-death and repair activity one write triggered. All-zero (the
+/// default) unless fault injection is on and the write killed at least
+/// one cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct FaultEvents {
+    /// Cells that reached their endurance threshold on this write.
+    cell_deaths: u32,
+    /// ECP correction entries consumed repairing those deaths.
+    ecp_consumed: u32,
+    /// The write exhausted the line's ECP entries and retired it to a
+    /// spare line.
+    retired: bool,
+    /// A death could not be repaired: entries exhausted and no spare
+    /// left. The line has failed.
+    uncorrectable: bool,
+}
+
+impl FaultEvents {
+    /// Whether anything fault-related happened on this write.
+    fn any(&self) -> bool {
+        *self != Self::default()
+    }
 }
 
 /// Accumulates one write's fault events into the fault report.
-/// `result.writes` has already been bumped by [`fold_effect`], so the
-/// recorded first-event indices are 1-based write positions.
+/// `result.writes` already counts this write, so the recorded
+/// first-event indices are 1-based write positions.
 fn fold_faults(result: &mut SimResult, faults: &FaultEvents) {
     let report = result
         .faults
@@ -552,29 +692,11 @@ fn fold_faults(result: &mut SimResult, faults: &FaultEvents) {
     }
 }
 
-/// Stage 2: a [`LineStore`] materialising lines lazily over the
-/// configured backend (in-RAM arena or out-of-core page file). The
-/// first write to an address is the initial placement (encrypted as it
-/// enters memory, per §3.1) and is not counted.
+/// Stage 4: cell-array wear under the configured vertical and
+/// horizontal levelers, with the ECP repair layer consuming any cell
+/// deaths when fault injection is on.
 #[derive(Debug)]
-pub(crate) struct StoreStage<S: LineScheme, B: PageBackend<S>> {
-    pub(crate) store: LineStore<S, B>,
-    pub(crate) engine: OtpEngine,
-}
-
-impl<S: LineScheme, B: PageBackend<S>> SchemeStage for StoreStage<S, B> {
-    fn write(&mut self, line: LineAddr, data: &[u8; 64]) -> Option<WriteOutcome> {
-        self.store.write_first_touch(&self.engine, line, data)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        self.store.resident_bytes()
-    }
-}
-
-/// Wear-tracking state bundled together.
-#[derive(Debug)]
-pub(crate) struct WearState {
+struct WearState {
     /// Per-cell write counts; covers `lines + spare_lines` physical
     /// lines when fault injection is on, `lines` otherwise.
     cells: CellArray,
@@ -620,12 +742,9 @@ impl WearState {
             },
         }
     }
-}
 
-/// Stage 3: cell-array wear recording under the configured vertical
-/// and horizontal levelers, with the ECP repair layer consuming any
-/// cell deaths when fault injection is on.
-impl WearStage for WearState {
+    /// Records the bit flips of `outcome` against `addr`'s cells and
+    /// reports any cell deaths and repair activity the write triggered.
     fn record(&mut self, addr: LineAddr, outcome: &WriteOutcome) -> FaultEvents {
         let next = self.index_of.len();
         let lines = self.lines;

@@ -1,12 +1,9 @@
-//! The simulator driving traces through the staged memory-controller
-//! pipeline: counter cache → scheme engine → wear recording → timing.
+//! The simulator: streaming drivers over the memory controller.
 //!
-//! The pipeline structure itself lives in
-//! [`deuce_memctl::pipeline`]; the concrete stages (lazy scheme-line
-//! store, counter cache, wear state, timing model) and the per-event
-//! fold into a [`SimResult`] live in [`crate::session`] as
-//! [`StepSession`] — this module supplies the streaming drivers over
-//! it.
+//! The controller itself — counter cache → scheme engine over a lazy
+//! line store → timing model → wear recording, and the per-event fold
+//! into a [`SimResult`] — is [`StepSession`] in [`crate::session`].
+//! This module opens sessions and supplies the loops that feed them.
 //!
 //! The driver is streaming: [`Simulator::run_source`] pulls events
 //! from any [`WriteSource`] — a seeded generator, a trace file reader,
@@ -20,14 +17,12 @@ use std::fmt;
 use std::time::Instant;
 
 use deuce_crypto::{LineAddr, OtpEngine, SecretKey, LINE_BYTES};
-use deuce_schemes::{
-    AnyScheme, ArenaBackend, FilePageBackend, LineScheme, PageBackend, StateCodec,
-};
+use deuce_schemes::{AnyScheme, ArenaBackend, FilePageBackend, LineScheme, StateCodec};
 use deuce_telemetry::{NullRecorder, Recorder};
 use deuce_trace::{Trace, TraceIoError, TraceSource, WriteSource};
 
 use crate::checkpoint::RunCheckpoint;
-use crate::config::{FileStoreConfig, SimConfig, StoreBackend};
+use crate::config::{SimConfig, StoreBackend};
 use crate::result::SimResult;
 use crate::session::{elapsed_ns, SessionBackend, SessionStep, StepSession};
 
@@ -52,6 +47,10 @@ pub enum RunError {
     /// scheme hot loop is infallible, so backends swallow I/O errors
     /// and surface the first one here at end of run).
     Store(String),
+    /// The [`SimConfig`] cannot be simulated (for example fault
+    /// injection without wear tracking, or an empty counter cache).
+    /// Reported when a session is opened, before any store is created.
+    Config(String),
 }
 
 impl fmt::Display for RunError {
@@ -64,6 +63,7 @@ impl fmt::Display for RunError {
                  {found} (different stream or configuration)"
             ),
             RunError::Store(msg) => write!(f, "line-store backend failed: {msg}"),
+            RunError::Config(msg) => write!(f, "invalid simulator configuration: {msg}"),
         }
     }
 }
@@ -72,7 +72,7 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunError::Trace(e) => Some(e),
-            RunError::CheckpointMismatch { .. } | RunError::Store(_) => None,
+            RunError::CheckpointMismatch { .. } | RunError::Store(_) | RunError::Config(_) => None,
         }
     }
 }
@@ -161,9 +161,10 @@ where
     /// # Panics
     ///
     /// Panics if wear tracking is enabled and the trace touches more
-    /// distinct lines than [`crate::WearConfig::lines`], or if a
+    /// distinct lines than [`crate::WearConfig::lines`], if the
+    /// configuration is rejected ([`RunError::Config`]), or if a
     /// configured page-file store backend fails on I/O (use
-    /// [`run_source`](Self::run_source) to handle store errors as a
+    /// [`run_source`](Self::run_source) to handle both as a
     /// [`RunError`] instead).
     #[must_use]
     pub fn run_trace(&self, trace: &Trace) -> SimResult {
@@ -186,8 +187,8 @@ where
         let mut source = TraceSource::new(trace);
         match self.drive(&mut source, rec, CheckpointPlan::none()) {
             Ok(result) => result,
-            // In-RAM sources cannot fail, so the only error left is the
-            // page-file store backend.
+            // In-RAM sources cannot fail, so the only errors left are a
+            // rejected configuration and the page-file store backend.
             Err(e) => panic!("trace run failed: {e}"),
         }
     }
@@ -201,11 +202,14 @@ where
     /// # Errors
     ///
     /// Returns [`RunError::Trace`] when the source fails (I/O failure
-    /// or malformed trace input).
+    /// or malformed trace input), [`RunError::Config`] when the
+    /// configuration is rejected, and [`RunError::Store`] when the
+    /// page-file store backend fails.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`run_trace`](Self::run_trace).
+    /// Panics if wear tracking is enabled and the stream touches more
+    /// distinct lines than [`crate::WearConfig::lines`].
     pub fn run_source<Src: WriteSource + ?Sized>(
         &self,
         source: &mut Src,
@@ -218,11 +222,11 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Trace`] when the source fails.
+    /// As [`run_source`](Self::run_source).
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`run_trace`](Self::run_trace).
+    /// As [`run_source`](Self::run_source).
     pub fn run_source_recorded<Src: WriteSource + ?Sized, R: Recorder>(
         &self,
         source: &mut Src,
@@ -238,11 +242,11 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Trace`] when the source fails.
+    /// As [`run_source`](Self::run_source).
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`run_trace`](Self::run_trace).
+    /// As [`run_source`](Self::run_source).
     pub fn run_source_checkpointed<Src: WriteSource + ?Sized, R: Recorder>(
         &self,
         source: &mut Src,
@@ -270,12 +274,12 @@ where
     ///
     /// Returns [`RunError::CheckpointMismatch`] when the replay
     /// diverges from `from` (including a stream shorter than the
-    /// checkpoint position), and [`RunError::Trace`] when the source
-    /// fails.
+    /// checkpoint position), and otherwise as
+    /// [`run_source`](Self::run_source).
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`run_trace`](Self::run_trace).
+    /// As [`run_source`](Self::run_source).
     pub fn resume_source<Src: WriteSource + ?Sized, R: Recorder>(
         &self,
         source: &mut Src,
@@ -289,13 +293,18 @@ where
         )
     }
 
-    /// Creates the page file a [`StoreBackend::File`] configuration
-    /// names. Its blank state, for pages that fail to load, is the
-    /// scheme's state for a zero line, taken on an engine clone so the
-    /// pad never counts in the run's pad timing.
-    fn create_page_file(&self, file: &FileStoreConfig) -> Result<FilePageBackend<S>, RunError> {
+    /// Opens the configured store backend. A page file's blank state,
+    /// for pages that fail to load, is the scheme's state for a zero
+    /// line, taken on an engine clone so the pad never counts in the
+    /// run's pad timing.
+    pub(crate) fn backend(&self) -> Result<SessionBackend<S>, RunError> {
+        let needs_shadow = self.scheme.needs_shadow();
+        let StoreBackend::File(file) = &self.config.store else {
+            return Ok(SessionBackend::Arena(ArenaBackend::new(needs_shadow)));
+        };
         let (_, blank) = self.scheme.init(&self.engine.clone(), LineAddr::new(0), &[0; LINE_BYTES]);
-        FilePageBackend::create(&file.path, file.resident_pages, self.scheme.needs_shadow(), blank)
+        FilePageBackend::create(&file.path, file.resident_pages, needs_shadow, blank)
+            .map(SessionBackend::File)
             .map_err(|e| RunError::Store(format!("create page file {}: {e}", file.path.display())))
     }
 
@@ -309,58 +318,25 @@ where
     ///
     /// The session owns a clone of the engine, so it can outlive the
     /// simulator and move across threads — the shape `deuce-serve`
-    /// uses, one session per tenant. Its store backend sits behind the
-    /// runtime [`SessionBackend`] dispatch.
+    /// uses, one session per tenant.
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Store`] when a configured page-file store
-    /// backend cannot be created.
+    /// Returns [`RunError::Config`] when the configuration is rejected,
+    /// and [`RunError::Store`] when a configured page-file store backend
+    /// cannot be created.
     pub fn session(&self, cores: usize) -> Result<StepSession<S>, RunError> {
-        let backend = match &self.config.store {
-            StoreBackend::Arena => {
-                SessionBackend::Arena(ArenaBackend::new(self.scheme.needs_shadow()))
-            }
-            StoreBackend::File(file) => SessionBackend::File(self.create_page_file(file)?),
-        };
-        Ok(StepSession::build(
-            &self.config,
-            self.scheme,
-            self.engine.clone(),
-            backend,
-            cores,
-            false,
-        ))
+        StepSession::build(self, cores, false)
     }
 
-    /// Dispatches on the configured store backend, so the streaming
-    /// loop below monomorphises per backend and the arena path stays
-    /// exactly the historical code.
+    /// The one streaming drive loop all run entry points share: a
+    /// [`StepSession`] fed from `source` until it runs dry, with
+    /// checkpoint emission/verification interleaved per the plan.
     fn drive<Src: WriteSource + ?Sized, R: Recorder>(
         &self,
         source: &mut Src,
         rec: &mut R,
-        plan: CheckpointPlan<'_>,
-    ) -> Result<SimResult, RunError> {
-        match &self.config.store {
-            StoreBackend::Arena => {
-                self.drive_with(source, rec, plan, ArenaBackend::new(self.scheme.needs_shadow()))
-            }
-            StoreBackend::File(file) => {
-                self.drive_with(source, rec, plan, self.create_page_file(file)?)
-            }
-        }
-    }
-
-    /// The one streaming drive loop all public run entry points share:
-    /// a [`StepSession`] fed from `source` until it runs dry, with
-    /// checkpoint emission/verification interleaved per the plan.
-    fn drive_with<Src: WriteSource + ?Sized, R: Recorder, B: PageBackend<S>>(
-        &self,
-        source: &mut Src,
-        rec: &mut R,
         mut plan: CheckpointPlan<'_>,
-        backend: B,
     ) -> Result<SimResult, RunError> {
         // Span tracing is double-gated: the `R::ENABLED` half vanishes
         // under `NullRecorder`, the dynamic half keeps a telemetry-only
@@ -370,14 +346,7 @@ where
             rec.span_begin("run");
         }
 
-        let mut session = StepSession::build(
-            &self.config,
-            self.scheme,
-            self.engine.clone(),
-            backend,
-            source.cores(),
-            wants_spans,
-        );
+        let mut session = StepSession::build(self, source.cores(), wants_spans)?;
         if R::ENABLED {
             if session.result().faults.is_some() {
                 rec.fault_injection_active();
@@ -566,6 +535,49 @@ mod tests {
         let t = trace(Benchmark::Mcf, 2000);
         let cfg = SimConfig::new(SchemeKind::Deuce).with_wear(WearConfig::vertical_only(2));
         let _ = Simulator::new(cfg).run_trace(&t);
+    }
+
+    /// Configurations the controller cannot be built from are typed
+    /// errors from every fallible entry point, reported before the
+    /// store backend is opened.
+    #[test]
+    fn rejected_configs_are_errors_not_panics() {
+        use crate::config::{FaultConfig, FileStoreConfig};
+        use crate::counter_cache::CounterCacheConfig;
+
+        let pages = std::env::temp_dir()
+            .join(format!("deuce-rejected-config-{}.pages", std::process::id()));
+        let cases = [
+            (
+                SimConfig::new(SchemeKind::Deuce).with_faults(FaultConfig::accelerated(1e-6)),
+                "fault injection requires wear tracking",
+            ),
+            (
+                SimConfig::new(SchemeKind::Deuce)
+                    .with_counter_cache(CounterCacheConfig { entries: 0, counters_per_line: 16 }),
+                "at least one entry",
+            ),
+            (
+                SimConfig::new(SchemeKind::Deuce)
+                    .with_counter_cache(CounterCacheConfig { entries: 4, counters_per_line: 0 }),
+                "at least one counter per counter line",
+            ),
+        ];
+        let t = trace(Benchmark::Mcf, 50);
+        for (config, cause) in cases {
+            let config =
+                config.with_store_backend(StoreBackend::File(FileStoreConfig::new(&pages, 1)));
+            let simulator = Simulator::new(config);
+            let session = simulator.session(1).map(|_| ());
+            let streamed = simulator.run_source(&mut TraceSource::new(&t)).map(|_| ());
+            for outcome in [session, streamed] {
+                match outcome {
+                    Err(RunError::Config(msg)) => assert!(msg.contains(cause), "{msg}"),
+                    other => panic!("expected a config error naming {cause:?}, got {other:?}"),
+                }
+            }
+            assert!(!pages.exists(), "a rejected config must not create its page file");
+        }
     }
 
     /// Stepping a session by hand must be bit-identical to the

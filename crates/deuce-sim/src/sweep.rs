@@ -212,6 +212,7 @@ impl ParallelSweep {
     /// finished [`CellRecord`] is appended (and flushed) to `writer`
     /// the moment it completes — so a killed process loses at most the
     /// cells in flight, and `--resume` re-runs only the missing ones.
+    /// A cell whose `f` fails appends nothing.
     ///
     /// Returns this invocation's records in cell order. `f` must be a
     /// pure function of `(cell_index, item)` for the manifest to merge
@@ -219,13 +220,15 @@ impl ParallelSweep {
     ///
     /// # Errors
     ///
-    /// Returns the first manifest-append I/O error (simulation results
-    /// from other cells are discarded; re-run with resume to recover).
+    /// Returns the first error in cell order: a failed cell's own
+    /// error, or a manifest-append I/O error. Records of the other
+    /// cells are discarded, but those already appended stay in the
+    /// manifest, so a resumed run re-runs only what is missing.
     ///
     /// # Panics
     ///
     /// Propagates a panic from `f`.
-    pub fn run_manifest<I, F>(
+    pub fn run_manifest<I, F, E>(
         &self,
         items: &[I],
         shard: ShardSpec,
@@ -233,10 +236,11 @@ impl ParallelSweep {
         writer: &ManifestWriter,
         f: F,
         progress: Option<&SweepProgress>,
-    ) -> io::Result<Vec<CellRecord>>
+    ) -> Result<Vec<CellRecord>, E>
     where
         I: Sync,
-        F: Fn(usize, &I) -> CellRecord + Sync,
+        F: Fn(usize, &I) -> Result<CellRecord, E> + Sync,
+        E: From<io::Error> + Send,
     {
         let pending: Vec<(usize, &I)> = items
             .iter()
@@ -246,22 +250,17 @@ impl ParallelSweep {
                 shard.owns(cell) && !completed.contains(&cell)
             })
             .collect();
-        let outcomes: Vec<(CellRecord, io::Result<()>)> = self.map_observed_with(
+        let outcomes: Vec<Result<CellRecord, E>> = self.map_observed_with(
             &pending,
             |_, &(cell, item)| {
-                let record = f(cell, item);
-                let appended = writer.append(&record);
-                (record, appended)
+                let record = f(cell, item)?;
+                writer.append(&record)?;
+                Ok(record)
             },
             progress,
-            |(record, _)| record.writes,
+            |outcome| outcome.as_ref().map_or(0, |record| record.writes),
         );
-        let mut records = Vec::with_capacity(outcomes.len());
-        for (record, appended) in outcomes {
-            appended?;
-            records.push(record);
-        }
-        Ok(records)
+        outcomes.into_iter().collect()
     }
 
     /// Runs every cell (generate its trace, simulate it), in cell
@@ -402,11 +401,13 @@ mod tests {
             fingerprint: grid_fingerprint("toy\t7"),
             columns: "value".into(),
         };
-        let cell_of = |i: usize, &x: &u64| CellRecord {
-            cell: i as u64,
-            label: format!("cell{i}"),
-            writes: x,
-            row: format!("{}", x * 2),
+        let cell_of = |i: usize, &x: &u64| {
+            Ok::<_, io::Error>(CellRecord {
+                cell: i as u64,
+                label: format!("cell{i}"),
+                writes: x,
+                row: format!("{}", x * 2),
+            })
         };
 
         // Unsharded reference.
@@ -454,6 +455,44 @@ mod tests {
         for name in ["whole.jsonl", "shard0.jsonl", "shard1.jsonl", "resumed.jsonl"] {
             std::fs::remove_file(dir.join(name)).unwrap();
         }
+    }
+
+    #[test]
+    fn failed_cell_ends_the_run_and_appends_nothing() {
+        use crate::manifest::{grid_fingerprint, read_manifest, ManifestHeader, ManifestWriter};
+
+        let dir = std::env::temp_dir().join(format!("deuce-sweep-failed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("failed.jsonl");
+        let items: Vec<u64> = (0..5).collect();
+        let header = ManifestHeader {
+            grid: "toy grid".into(),
+            cells: items.len() as u64,
+            fingerprint: grid_fingerprint("toy\t5"),
+            columns: "value".into(),
+        };
+        let writer = ManifestWriter::create(&path, &header).unwrap();
+        let cell_of = |i: usize, &x: &u64| {
+            if x == 3 {
+                return Err(io::Error::other("cell 3 failed"));
+            }
+            Ok(CellRecord {
+                cell: i as u64,
+                label: format!("cell{i}"),
+                writes: x,
+                row: x.to_string(),
+            })
+        };
+        let err = ParallelSweep::with_shards(2)
+            .run_manifest(&items, ShardSpec::WHOLE, &BTreeSet::new(), &writer, cell_of, None)
+            .unwrap_err();
+        assert_eq!(err.to_string(), "cell 3 failed");
+        let (_, records) = read_manifest(&path).unwrap();
+        let mut cells: Vec<u64> = records.iter().map(|r| r.cell).collect();
+        cells.sort_unstable();
+        assert_eq!(cells, vec![0, 1, 2, 4], "only the failed cell is missing");
+
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -131,18 +131,6 @@ impl MemoryTimingModel {
     }
 }
 
-/// The timing model is the controller pipeline's stage 4: every issued
-/// request is charged latency, bank occupancy, and power-channel time.
-impl deuce_memctl::TimingStage for MemoryTimingModel {
-    fn read(&mut self, core: usize, instr: u64, line: deuce_crypto::LineAddr) {
-        MemoryTimingModel::read(self, core, instr, line);
-    }
-
-    fn write(&mut self, core: usize, instr: u64, line: deuce_crypto::LineAddr, slots: u32) {
-        MemoryTimingModel::write(self, core, instr, line, slots);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

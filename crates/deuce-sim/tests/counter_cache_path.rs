@@ -1,10 +1,9 @@
-//! End-to-end tests of the counter-storage path: the controller
-//! pipeline's stage 1 (counter cache) as seen from a whole simulation —
+//! End-to-end tests of the counter-storage path: the controller's
+//! stage 1 (counter cache) as seen from a whole simulation —
 //! fill-on-miss blocking reads, dirty-eviction writebacks, and the
 //! counter-region address mapping the timing model is charged with.
 
-use deuce_memctl::{counter_line_addr, COUNTER_REGION};
-use deuce_sim::{CounterCacheConfig, SimConfig, Simulator};
+use deuce_sim::{counter_line_addr, CounterCacheConfig, SimConfig, Simulator, COUNTER_REGION};
 use deuce_schemes::SchemeKind;
 use deuce_trace::{Benchmark, TraceConfig};
 

@@ -3,11 +3,11 @@
 //! uninstrumented run, sequentially and under sharded sweeps.
 
 use deuce_schemes::{SchemeConfig, SchemeKind, WordSize};
-use deuce_sim::telemetry::{Counter, SweepProgress, TelemetryRecorder};
+use deuce_sim::telemetry::{Counter, Stage, SweepProgress, TelemetryRecorder};
 use deuce_sim::{
-    CounterCacheConfig, ParallelSweep, SimConfig, SimResult, Simulator, SweepCell,
+    CounterCacheConfig, ParallelSweep, SimConfig, SimResult, Simulator, SweepCell, WearConfig,
 };
-use deuce_trace::{Benchmark, TraceConfig};
+use deuce_trace::{Benchmark, Op, TraceConfig, TraceSource, WriteSource};
 
 /// Every field that feeds a figure, bit-exact (floats by bit pattern).
 fn fingerprint(r: &SimResult) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64) {
@@ -122,4 +122,55 @@ fn per_cell_recorders_are_deterministic_across_shardings() {
     let sequential = observe(1);
     assert_eq!(observe(3), sequential);
     assert_eq!(observe(8), sequential);
+}
+
+/// A session stepped with a recorder returns exactly what a plain
+/// session returns, and the recorder accounts for every event: the
+/// event counters match the result, and each controller stage is
+/// charged once per event that passes through it.
+#[test]
+fn recorded_session_matches_plain_and_charges_every_stage() {
+    // A two-entry counter cache over a 256-line footprint: fills and
+    // dirty writebacks throughout the reads, first touches and rewrites.
+    let config = SimConfig::new(SchemeKind::Deuce)
+        .with_counter_cache(CounterCacheConfig { entries: 2, counters_per_line: 16 })
+        .with_wear(WearConfig::vertical_only(256));
+    let trace = TraceConfig::new(Benchmark::Mcf).lines(256).writes(2_000).seed(3).generate();
+    let cores = TraceSource::new(&trace).cores();
+    let simulator = Simulator::new(config);
+    let mut plain = simulator.session(cores).unwrap();
+    let mut recorded = simulator.session(cores).unwrap();
+    let mut rec = TelemetryRecorder::default();
+    for event in trace.events() {
+        assert_eq!(plain.step(event), recorded.step_recorded(event, &mut rec));
+    }
+    let plain = plain.finish().unwrap();
+    let recorded = recorded.finish_recorded(&mut rec).unwrap();
+    assert_eq!(format!("{plain:?}"), format!("{recorded:?}"), "identical results");
+
+    let events = trace.events().len() as u64;
+    let first_touches = trace
+        .events()
+        .iter()
+        .filter(|e| e.op == Op::Write)
+        .map(|e| e.line.value())
+        .collect::<std::collections::HashSet<_>>()
+        .len() as u64;
+    assert!(plain.reads > 0 && plain.writes > 0 && first_touches > 0);
+    assert_eq!(plain.reads + first_touches + plain.writes, events);
+    assert_eq!(rec.counter(Counter::Reads), plain.reads);
+    assert_eq!(rec.counter(Counter::Writes), plain.writes);
+    assert_eq!(rec.counter(Counter::FirstTouches), first_touches);
+    assert_eq!(rec.counter(Counter::DataFlips), plain.data_flips);
+    assert_eq!(rec.counter(Counter::SlotsTotal), plain.total_slots);
+
+    assert!(plain.counter_cache_writebacks > 0, "the tiny cache must write back");
+    assert_eq!(rec.counter(Counter::CounterAccesses), events);
+    assert_eq!(rec.counter(Counter::CounterFills), plain.counter_cache_misses);
+    assert_eq!(rec.counter(Counter::CounterWritebacks), plain.counter_cache_writebacks);
+
+    assert_eq!(rec.stage_hist(Stage::Counter).count(), events);
+    assert_eq!(rec.stage_hist(Stage::Scheme).count(), plain.writes + first_touches);
+    assert_eq!(rec.stage_hist(Stage::Timing).count(), plain.reads + plain.writes);
+    assert_eq!(rec.stage_hist(Stage::Wear).count(), plain.writes);
 }

@@ -117,21 +117,23 @@ impl Gauge {
     }
 }
 
-/// The four stations of the memory-controller write pipeline.
+/// The four stages of the memory controller. A request runs them in
+/// the order counter, scheme, timing, wear; the variants keep their
+/// historical export order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Stage 1: counter availability (cache lookup + fills/writebacks).
+    /// Counter availability (cache lookup + fills/writebacks); first.
     Counter,
-    /// Stage 2: scheme encode and slot packing.
+    /// Scheme encode and slot packing; second.
     Scheme,
-    /// Stage 3: cell-wear recording.
+    /// Cell-wear recording; last, after timing.
     Wear,
-    /// Stage 4: timing-model charging.
+    /// Timing-model charging; third.
     Timing,
 }
 
 impl Stage {
-    /// Every stage, in pipeline order.
+    /// Every stage, in export order.
     pub const ALL: [Stage; 4] = [Stage::Counter, Stage::Scheme, Stage::Wear, Stage::Timing];
 
     /// Stable export name.

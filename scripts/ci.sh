@@ -211,10 +211,19 @@ echo "==> benchmark outputs at full size vs perfbench/expected.json"
 # `--seconds 0` runs the minimum of three repetitions per workload.
 # run.py checks every simulated output (wear totals and memory
 # fingerprints included) against the seed-1 record and exits 1 on any
-# difference.
+# difference. The build must not rewrite perfbench/Cargo.lock: a
+# dependency edit in any crate perfbench builds would otherwise change
+# a benchmark file silently.
+lock_before=$(cksum perfbench/Cargo.lock)
 for workload in mcf-full sparse-paged serve-zipf; do
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 | tail -n 1
 done
+lock_after=$(cksum perfbench/Cargo.lock)
+if [ "$lock_before" != "$lock_after" ]; then
+    echo "error: building perfbench rewrote perfbench/Cargo.lock" >&2
+    echo "       (a [dependencies] edit in a crate perfbench builds?)" >&2
+    exit 1
+fi
 
 echo "==> recorded benchmark trajectory"
 bash scripts/bench_trajectory.sh
