@@ -576,8 +576,8 @@ impl Command {
                     benchmark_given = true;
                 }
                 "--writes" => gen.writes = parse_number(&value("--writes")?, "--writes")?,
-                "--lines" => gen.lines = parse_number(&value("--lines")?, "--lines")?,
-                "--cores" => gen.cores = parse_number(&value("--cores")?, "--cores")?,
+                "--lines" => gen.lines = parse_count(&value("--lines")?, "--lines")?,
+                "--cores" => gen.cores = parse_count(&value("--cores")?, "--cores")?,
                 "--seed" => gen.seed = parse_number(&value("--seed")?, "--seed")?,
                 "-o" | "--output" => gen.output = Some(value("-o")?),
                 "--trace" => trace_path = Some(value("--trace")?),
@@ -867,7 +867,7 @@ impl Command {
                     serve.benchmark = Benchmark::from_name(&value("--benchmark")?)
                         .map_err(|e| CliError::Usage(e.to_string()))?;
                 }
-                "--lines" => serve.lines = parse_number(&value("--lines")?, "--lines")?,
+                "--lines" => serve.lines = parse_count(&value("--lines")?, "--lines")?,
                 "--seed" => serve.seed = parse_number(&value("--seed")?, "--seed")?,
                 "--telemetry" => serve.telemetry = Some(value("--telemetry")?),
                 "--progress" => serve.progress = Some(value("--progress")?),
@@ -933,6 +933,18 @@ impl Command {
 fn parse_number<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
     s.parse()
         .map_err(|_| CliError::Usage(format!("{flag}: invalid number {s:?}")))
+}
+
+/// [`parse_number`] for a count that must be at least 1.
+fn parse_count<T: std::str::FromStr + From<u8> + PartialOrd>(
+    s: &str,
+    flag: &str,
+) -> Result<T, CliError> {
+    let n: T = parse_number(s, flag)?;
+    if n < T::from(1) {
+        return Err(CliError::Usage(format!("{flag} must be at least 1")));
+    }
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -1440,5 +1452,41 @@ mod tests {
         ), "--resident-pages without --store-dir");
         assert!(matches!(parse(&["serve", "--flip"]), Err(CliError::Usage(_))));
         assert!(matches!(parse(&["serve", "--seed"]), Err(CliError::Usage(_))));
+    }
+
+    /// Asserts that `argv` is a usage error whose message names `flag`.
+    fn assert_usage_names(argv: &[&str], flag: &str) {
+        match parse(argv) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains(flag), "{argv:?}: {msg}"),
+            other => panic!("{argv:?}: expected a usage error naming {flag}, got {other:?}"),
+        }
+    }
+
+    /// The subcommands that take `--lines` and `--cores` from the shared
+    /// parser, each with the flags it otherwise requires.
+    const GENERATING_COMMANDS: [&[&str]; 4] = [
+        &["gen", "--benchmark", "mcf", "-o", "t.trace"],
+        &["run", "--benchmark", "mcf"],
+        &["compare", "--benchmark", "mcf"],
+        &["sweep", "--benchmark", "mcf"],
+    ];
+
+    #[test]
+    fn zero_lines_is_a_usage_error() {
+        for command in GENERATING_COMMANDS {
+            assert_usage_names(&[command, &["--lines", "0"]].concat(), "--lines");
+        }
+    }
+
+    #[test]
+    fn zero_cores_is_a_usage_error() {
+        for command in GENERATING_COMMANDS {
+            assert_usage_names(&[command, &["--cores", "0"]].concat(), "--cores");
+        }
+    }
+
+    #[test]
+    fn serve_zero_lines_is_a_usage_error() {
+        assert_usage_names(&["serve", "--lines", "0"], "--lines");
     }
 }

@@ -31,10 +31,6 @@ pub struct AddrPadScheme;
 impl LineScheme for AddrPadScheme {
     type State = ();
 
-    fn needs_shadow(&self) -> bool {
-        false
-    }
-
     fn metadata_bits(&self) -> u32 {
         0
     }

@@ -75,10 +75,6 @@ impl BleScheme {
 impl LineScheme for BleScheme {
     type State = BleState;
 
-    fn needs_shadow(&self) -> bool {
-        true
-    }
-
     fn metadata_bits(&self) -> u32 {
         0
     }
@@ -95,10 +91,11 @@ impl LineScheme for BleScheme {
         data: &LineBytes,
     ) -> WriteOutcome {
         let old_image = LineImage::new(*line.stored, MetaBits::new(0));
+        let old = self.read(engine, addr, line.view());
         let mut counter_flips = 0u32;
         for block in 0..BLOCKS_PER_LINE {
             let range = block_range(block);
-            if data[range.clone()] == line.shadow[range.clone()] {
+            if data[range.clone()] == old[range.clone()] {
                 continue;
             }
             counter_flips += bump_block(&mut line.state.ctrs, block, self.counter_bits);
@@ -107,7 +104,6 @@ impl LineScheme for BleScheme {
             pt.copy_from_slice(&data[range.clone()]);
             line.stored[range].copy_from_slice(&pad.xor(&pt));
         }
-        *line.shadow = *data;
         WriteOutcome::from_images(
             old_image,
             LineImage::new(*line.stored, MetaBits::new(0)),
@@ -209,10 +205,6 @@ impl BleDeuceScheme {
 impl LineScheme for BleDeuceScheme {
     type State = BleDeuceState;
 
-    fn needs_shadow(&self) -> bool {
-        true
-    }
-
     fn metadata_bits(&self) -> u32 {
         self.word_size.tracking_bits()
     }
@@ -235,6 +227,7 @@ impl LineScheme for BleDeuceScheme {
     ) -> WriteOutcome {
         let mut modified = self.modified_bits(line.state);
         let old_image = LineImage::new(*line.stored, modified);
+        let old = self.read(engine, addr, line.view());
         let w = self.word_size.bytes();
         let wpb = self.words_per_block();
         let mut counter_flips = 0u32;
@@ -242,7 +235,7 @@ impl LineScheme for BleDeuceScheme {
 
         for block in 0..BLOCKS_PER_LINE {
             let brange = block_range(block);
-            if data[brange.clone()] == line.shadow[brange] {
+            if data[brange.clone()] == old[brange] {
                 continue; // cold block: counter frozen, nothing rewritten
             }
             counter_flips += bump_block(&mut line.state.ctrs, block, self.counter_bits);
@@ -263,7 +256,7 @@ impl LineScheme for BleDeuceScheme {
                 for word_in_block in 0..wpb {
                     let word = block * wpb + word_in_block;
                     let range = word * w..(word + 1) * w;
-                    if data[range.clone()] != line.shadow[range] {
+                    if data[range.clone()] != old[range] {
                         modified.set(word as u32, true);
                     }
                 }
@@ -279,7 +272,6 @@ impl LineScheme for BleDeuceScheme {
             }
         }
         line.state.modified = modified.raw();
-        *line.shadow = *data;
         WriteOutcome::from_images(
             old_image,
             LineImage::new(*line.stored, modified),

@@ -82,18 +82,23 @@ pub(crate) fn assert_counter_width(width_bits: u32) {
 }
 
 /// Marks the tracking bit of every word whose plaintext differs between
-/// `shadow` (the previous write's data) and `data` (§4.3.2: modified
-/// bits are sticky within an epoch, so bits already set stay set).
+/// `old` (the line's previous value) and `data` (§4.3.2: modified bits
+/// are sticky within an epoch, so bits already set stay set).
+///
+/// `old` need only be right in the words not yet marked, so a DEUCE line
+/// supplies its stored bytes decrypted under the trailing pad: an
+/// unmarked word still holds its epoch-start ciphertext, and the words
+/// that decrypt to noise are marked already.
 pub(crate) fn mark_modified_words(
     modified: &mut MetaBits,
     word_size: WordSize,
-    shadow: &LineBytes,
+    old: &LineBytes,
     data: &LineBytes,
 ) {
     let w = word_size.bytes();
     for word in 0..word_size.words_per_line() {
         let range = word * w..(word + 1) * w;
-        if data[range.clone()] != shadow[range] {
+        if data[range.clone()] != old[range] {
             modified.set(word as u32, true);
         }
     }
@@ -179,13 +184,13 @@ mod tests {
     #[test]
     fn modified_word_marking_is_sticky() {
         let mut modified = MetaBits::new(32);
-        let shadow = [0u8; 64];
+        let old = [0u8; 64];
         let mut data = [0u8; 64];
         data[0] = 1;
-        mark_modified_words(&mut modified, WordSize::Bytes2, &shadow, &data);
+        mark_modified_words(&mut modified, WordSize::Bytes2, &old, &data);
         assert_eq!(modified.count_ones(), 1);
         // A later write that reverts word 0 must not clear its bit.
-        mark_modified_words(&mut modified, WordSize::Bytes2, &data, &shadow);
+        mark_modified_words(&mut modified, WordSize::Bytes2, &data, &old);
         assert_eq!(modified.count_ones(), 1);
     }
 

@@ -17,10 +17,6 @@ pub struct UnencryptedDcwScheme;
 impl LineScheme for UnencryptedDcwScheme {
     type State = ();
 
-    fn needs_shadow(&self) -> bool {
-        false
-    }
-
     fn metadata_bits(&self) -> u32 {
         0
     }
@@ -114,10 +110,6 @@ impl EncryptedDcwScheme {
 
 impl LineScheme for EncryptedDcwScheme {
     type State = CtrState;
-
-    fn needs_shadow(&self) -> bool {
-        false
-    }
 
     fn metadata_bits(&self) -> u32 {
         0

@@ -71,10 +71,6 @@ impl DeuceScheme {
 impl LineScheme for DeuceScheme {
     type State = DeuceState;
 
-    fn needs_shadow(&self) -> bool {
-        true
-    }
-
     fn metadata_bits(&self) -> u32 {
         self.word_size.tracking_bits()
     }
@@ -101,16 +97,16 @@ impl LineScheme for DeuceScheme {
             *line.stored = engine.line_pad(addr, v.lctr()).xor(data);
             modified.clear();
         } else {
-            // Mark words changed by *this* write, then re-encrypt every
-            // word modified at any point this epoch with the fresh
-            // leading pad (Fig. 6: previously modified words re-encrypt
-            // on every write).
-            mark_modified_words(&mut modified, self.word_size, line.shadow, data);
-            let pad = engine.line_pad(addr, v.lctr());
+            // Mark words changed by *this* write, judged against the
+            // stored line decrypted under the trailing pad (unchanged
+            // within the epoch), then re-encrypt every word modified at
+            // any point this epoch with the fresh leading pad (Fig. 6:
+            // previously modified words re-encrypt on every write).
+            let (pad, pad_tctr) = engine.line_pad_pair(addr, v.lctr(), v.tctr());
+            mark_modified_words(&mut modified, self.word_size, &pad_tctr.xor(line.stored), data);
             reencrypt_marked_words(line.stored, data, &pad, &modified, self.word_size);
         }
         line.state.modified = modified.raw();
-        *line.shadow = *data;
         WriteOutcome::from_images(
             old_image,
             LineImage::new(*line.stored, modified),

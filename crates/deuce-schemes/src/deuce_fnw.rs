@@ -10,7 +10,7 @@ use deuce_crypto::{EpochInterval, LineAddr, LineBytes, OtpEngine, VirtualCounter
 use deuce_nvm::{LineImage, MetaBits};
 
 use crate::config::WordSize;
-use crate::core::{assert_counter_width, CtrState};
+use crate::core::{assert_counter_width, mark_modified_words, CtrState};
 use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
 use crate::WriteOutcome;
 
@@ -75,10 +75,6 @@ impl DeuceFnwScheme {
 impl LineScheme for DeuceFnwScheme {
     type State = DeuceFnwState;
 
-    fn needs_shadow(&self) -> bool {
-        true
-    }
-
     fn metadata_bits(&self) -> u32 {
         64
     }
@@ -119,13 +115,19 @@ impl LineScheme for DeuceFnwScheme {
                 Self::store_word_fnw(line.stored, &mut meta, word, &cipher[..w]);
             }
         } else {
-            for word in 0..Self::WORD.words_per_line() {
-                let range = word * w..(word + 1) * w;
-                if data[range.clone()] != line.shadow[range] {
-                    meta.set(word as u32, true);
-                }
+            // An unmarked word still holds its epoch-start ciphertext
+            // under the trailing pad, stored inverted iff its flip bit
+            // is set: undo the inversion, decrypt, and mark what this
+            // write changes.
+            let (pad, pad_tctr) = engine.line_pad_pair(addr, v.lctr(), v.tctr());
+            let mut old = pad_tctr.xor(line.stored);
+            let mut inverted = meta.raw() >> Self::FLIP_BASE;
+            while inverted != 0 {
+                let word = inverted.trailing_zeros() as usize;
+                inverted &= inverted - 1;
+                old[word * w..(word + 1) * w].iter_mut().for_each(|b| *b = !*b);
             }
-            let pad = engine.line_pad(addr, v.lctr());
+            mark_modified_words(&mut meta, Self::WORD, &old, data);
             for word in 0..Self::WORD.words_per_line() {
                 if meta.get(word as u32) {
                     let mut cipher = [0u8; 8];
@@ -137,7 +139,6 @@ impl LineScheme for DeuceFnwScheme {
             }
         }
         line.state.meta = meta.raw();
-        *line.shadow = *data;
         WriteOutcome::from_images(
             old_image,
             LineImage::new(*line.stored, meta),

@@ -12,7 +12,7 @@ use deuce_crypto::{EpochInterval, LineAddr, LineBytes, OtpEngine, Pad, VirtualCo
 use deuce_nvm::{LineImage, MetaBits};
 
 use crate::config::WordSize;
-use crate::core::{assert_counter_width, CtrState};
+use crate::core::{assert_counter_width, mark_modified_words, CtrState};
 use crate::fnw::{fnw_decode, fnw_encode};
 use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
 use crate::WriteOutcome;
@@ -70,23 +70,20 @@ impl DynDeuceScheme {
     }
 
     /// The stored line and metadata a DEUCE-mode encoding would produce.
-    /// `pad` is the line pad for the current leading counter.
+    /// `pad` is the line pad for the current leading counter; `old` is
+    /// the stored line decrypted under the trailing pad, right in every
+    /// word not yet marked this epoch.
     fn deuce_candidate(
         self,
         pad: &Pad,
         stored: &LineBytes,
-        shadow: &LineBytes,
+        old: &LineBytes,
         state: &DynDeuceState,
         data: &LineBytes,
     ) -> (LineBytes, MetaBits) {
         let w = Self::WORD.bytes();
         let mut modified = Self::tracking_bits(state);
-        for word in 0..Self::WORD.words_per_line() {
-            let range = word * w..(word + 1) * w;
-            if data[range.clone()] != shadow[range] {
-                modified.set(word as u32, true);
-            }
-        }
+        mark_modified_words(&mut modified, Self::WORD, old, data);
         let mut candidate = *stored;
         for word in 0..Self::WORD.words_per_line() {
             if modified.get(word as u32) {
@@ -119,10 +116,6 @@ impl DynDeuceScheme {
 
 impl LineScheme for DynDeuceScheme {
     type State = DynDeuceState;
-
-    fn needs_shadow(&self) -> bool {
-        true
-    }
 
     fn metadata_bits(&self) -> u32 {
         33
@@ -162,9 +155,12 @@ impl LineScheme for DynDeuceScheme {
             line.state.meta = enc.flip_bits.raw() | 1 << MODE_BIT;
         } else {
             // DEUCE mode: evaluate both encodings exactly (Fig. 11).
-            let pad = engine.line_pad(addr, v.lctr());
+            // Every write so far this epoch was a DEUCE write, so the
+            // unmarked words still decrypt under the trailing pad.
+            let (pad, pad_tctr) = engine.line_pad_pair(addr, v.lctr(), v.tctr());
+            let old = pad_tctr.xor(line.stored);
             let (deuce_stored, deuce_meta) =
-                self.deuce_candidate(&pad, line.stored, line.shadow, line.state, data);
+                self.deuce_candidate(&pad, line.stored, &old, line.state, data);
             let (fnw_stored, fnw_meta) = self.fnw_candidate(&pad, line.stored, line.state, data);
 
             let deuce_img = LineImage::new(deuce_stored, deuce_meta);
@@ -180,7 +176,6 @@ impl LineScheme for DynDeuceScheme {
                 line.state.meta = deuce_meta.raw();
             }
         }
-        *line.shadow = *data;
         WriteOutcome::from_images(
             old_image,
             LineImage::new(*line.stored, Self::meta_bits(line.state)),

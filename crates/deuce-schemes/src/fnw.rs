@@ -136,10 +136,6 @@ impl UnencryptedFnwScheme {
 impl LineScheme for UnencryptedFnwScheme {
     type State = FnwState;
 
-    fn needs_shadow(&self) -> bool {
-        false
-    }
-
     fn metadata_bits(&self) -> u32 {
         self.segments()
     }
@@ -257,10 +253,6 @@ impl EncryptedFnwScheme {
 
 impl LineScheme for EncryptedFnwScheme {
     type State = EncryptedFnwState;
-
-    fn needs_shadow(&self) -> bool {
-        false
-    }
 
     fn metadata_bits(&self) -> u32 {
         self.segments()

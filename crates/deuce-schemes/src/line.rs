@@ -120,21 +120,6 @@ impl AnyScheme {
 impl LineScheme for AnyScheme {
     type State = AnyState;
 
-    fn needs_shadow(&self) -> bool {
-        match &self.kind {
-            AnySchemeKind::UnencryptedDcw(s) => s.needs_shadow(),
-            AnySchemeKind::UnencryptedFnw(s) => s.needs_shadow(),
-            AnySchemeKind::EncryptedDcw(s) => s.needs_shadow(),
-            AnySchemeKind::EncryptedFnw(s) => s.needs_shadow(),
-            AnySchemeKind::Ble(s) => s.needs_shadow(),
-            AnySchemeKind::Deuce(s) => s.needs_shadow(),
-            AnySchemeKind::DynDeuce(s) => s.needs_shadow(),
-            AnySchemeKind::DeuceFnw(s) => s.needs_shadow(),
-            AnySchemeKind::BleDeuce(s) => s.needs_shadow(),
-            AnySchemeKind::AddrPad(s) => s.needs_shadow(),
-        }
-    }
-
     fn metadata_bits(&self) -> u32 {
         self.metadata_bits
     }
@@ -191,37 +176,37 @@ impl LineScheme for AnyScheme {
         line: LineMut<'_, AnyState>,
         data: &LineBytes,
     ) -> WriteOutcome {
-        let LineMut { stored, shadow, state } = line;
+        let LineMut { stored, state } = line;
         match (&self.kind, state) {
             (AnySchemeKind::UnencryptedDcw(s), AnyState::UnencryptedDcw) => {
-                s.write(engine, addr, LineMut { stored, shadow, state: &mut () }, data)
+                s.write(engine, addr, LineMut { stored, state: &mut () }, data)
             }
             (AnySchemeKind::UnencryptedFnw(s), AnyState::UnencryptedFnw(st)) => {
-                s.write(engine, addr, LineMut { stored, shadow, state: st }, data)
+                s.write(engine, addr, LineMut { stored, state: st }, data)
             }
             (AnySchemeKind::EncryptedDcw(s), AnyState::EncryptedDcw(st)) => {
-                s.write(engine, addr, LineMut { stored, shadow, state: st }, data)
+                s.write(engine, addr, LineMut { stored, state: st }, data)
             }
             (AnySchemeKind::EncryptedFnw(s), AnyState::EncryptedFnw(st)) => {
-                s.write(engine, addr, LineMut { stored, shadow, state: st }, data)
+                s.write(engine, addr, LineMut { stored, state: st }, data)
             }
             (AnySchemeKind::Ble(s), AnyState::Ble(st)) => {
-                s.write(engine, addr, LineMut { stored, shadow, state: st }, data)
+                s.write(engine, addr, LineMut { stored, state: st }, data)
             }
             (AnySchemeKind::Deuce(s), AnyState::Deuce(st)) => {
-                s.write(engine, addr, LineMut { stored, shadow, state: st }, data)
+                s.write(engine, addr, LineMut { stored, state: st }, data)
             }
             (AnySchemeKind::DynDeuce(s), AnyState::DynDeuce(st)) => {
-                s.write(engine, addr, LineMut { stored, shadow, state: st }, data)
+                s.write(engine, addr, LineMut { stored, state: st }, data)
             }
             (AnySchemeKind::DeuceFnw(s), AnyState::DeuceFnw(st)) => {
-                s.write(engine, addr, LineMut { stored, shadow, state: st }, data)
+                s.write(engine, addr, LineMut { stored, state: st }, data)
             }
             (AnySchemeKind::BleDeuce(s), AnyState::BleDeuce(st)) => {
-                s.write(engine, addr, LineMut { stored, shadow, state: st }, data)
+                s.write(engine, addr, LineMut { stored, state: st }, data)
             }
             (AnySchemeKind::AddrPad(s), AnyState::AddrPad) => {
-                s.write(engine, addr, LineMut { stored, shadow, state: &mut () }, data)
+                s.write(engine, addr, LineMut { stored, state: &mut () }, data)
             }
             _ => unreachable!("scheme/state mismatch"),
         }

@@ -8,9 +8,11 @@
 //! - a compact **per-line state** ([`LineScheme::State`]) holding only
 //!   what varies per line — raw counter values and raw metadata bits.
 //!
-//! Storage (the 64 ciphertext bytes, the optional plaintext shadow, and
-//! the state) lives *outside* the scheme, in a [`SchemeCell`] for a
-//! single line or a [`crate::LineStore`] arena for many. The simulator
+//! Storage (the 64 ciphertext bytes and the state) lives *outside* the
+//! scheme, in a [`SchemeCell`] for a single line or a
+//! [`crate::LineStore`] arena for many. No plaintext is kept: a scheme
+//! that needs a line's previous value to find what a write changed
+//! decrypts it from the stored bytes, as the paper's controller does. The simulator
 //! hot loop is generic over `S: LineScheme` and monomorphises away all
 //! dispatch; [`crate::SchemeLine`] (a `SchemeCell<AnyScheme>`) keeps the
 //! runtime-selected path for CLI sweeps.
@@ -25,12 +27,19 @@ use crate::WriteOutcome;
 pub struct LineMut<'a, S> {
     /// Ciphertext exactly as stored in the PCM cells.
     pub stored: &'a mut LineBytes,
-    /// Plaintext of the previous write. Only meaningful for schemes
-    /// whose [`LineScheme::needs_shadow`] is true; others receive a
-    /// scratch buffer they must ignore.
-    pub shadow: &'a mut LineBytes,
     /// The scheme's compact per-line state.
     pub state: &'a mut S,
+}
+
+impl<S> LineMut<'_, S> {
+    /// The same line, lent shared (to decrypt it before a write).
+    #[must_use]
+    pub fn view(&self) -> LineRef<'_, S> {
+        LineRef {
+            stored: self.stored,
+            state: self.state,
+        }
+    }
 }
 
 /// Shared view of one line's storage, lent to [`LineScheme::read`] and
@@ -53,10 +62,13 @@ pub trait LineScheme {
     /// Compact per-line state (raw counters and raw metadata bits).
     type State: Copy + core::fmt::Debug;
 
-    /// Whether lines keep a plaintext shadow of the last write (DEUCE
-    /// variants compare incoming data against it to mark modified
-    /// words; BLE uses it to skip untouched blocks).
-    fn needs_shadow(&self) -> bool;
+    /// Always `false`, and nothing reads it. No scheme keeps a plaintext
+    /// copy of a line: one that needs a line's previous value decrypts
+    /// it from the stored bytes. Retained so that wrappers forwarding it
+    /// keep compiling.
+    fn needs_shadow(&self) -> bool {
+        false
+    }
 
     /// Metadata bits per line for Table 3 accounting.
     fn metadata_bits(&self) -> u32;
@@ -67,7 +79,6 @@ pub trait LineScheme {
         -> (LineBytes, Self::State);
 
     /// Drives one full-line write through the scheme state machine.
-    /// Implementations with a shadow must refresh it to `data`.
     fn write(
         &self,
         engine: &OtpEngine,
@@ -85,7 +96,7 @@ pub trait LineScheme {
 }
 
 /// One self-contained memory line under a scheme `S`: owns the stored
-/// bytes, the shadow, and the per-line state.
+/// bytes and the per-line state.
 ///
 /// The concrete line types ([`crate::DeuceLine`], [`crate::BleLine`],
 /// …) are aliases of this with scheme-specific constructors, and
@@ -109,7 +120,6 @@ pub struct SchemeCell<S: LineScheme> {
     scheme: S,
     addr: LineAddr,
     stored: LineBytes,
-    shadow: LineBytes,
     state: S::State,
 }
 
@@ -122,7 +132,6 @@ impl<S: LineScheme> SchemeCell<S> {
             scheme,
             addr,
             stored,
-            shadow: *initial,
             state,
         }
     }
@@ -136,7 +145,6 @@ impl<S: LineScheme> SchemeCell<S> {
             self.addr,
             LineMut {
                 stored: &mut self.stored,
-                shadow: &mut self.shadow,
                 state: &mut self.state,
             },
             data,

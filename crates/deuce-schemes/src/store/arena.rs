@@ -1,49 +1,42 @@
 //! The fully-resident in-RAM backend: the original arena, now one
 //! [`PageBackend`] among several.
 
-use deuce_crypto::{LineBytes, LINE_BYTES};
+use deuce_crypto::LineBytes;
 
 use crate::scheme::{LineMut, LineRef, LineScheme};
 use crate::store::backend::PageBackend;
 
-/// Dense in-RAM slot storage: three parallel arrays, every page
+/// Dense in-RAM slot storage: two parallel arrays, every page
 /// permanently resident. This is the default backend and is
 /// bit-identical to the historical monolithic `LineStore` layout.
 #[derive(Debug, Clone)]
 pub struct ArenaBackend<S: LineScheme> {
-    needs_shadow: bool,
     stored: Vec<LineBytes>,
-    /// Parallel to `stored` iff the scheme needs a shadow; empty
-    /// otherwise.
-    shadow: Vec<LineBytes>,
     state: Vec<S::State>,
-    /// Shadow stand-in handed to shadowless schemes (they never read or
-    /// write it).
-    scratch: LineBytes,
 }
 
 impl<S: LineScheme> ArenaBackend<S> {
     /// Creates an empty arena; nothing is allocated until the first
     /// slot is pushed.
     #[must_use]
-    pub fn new(needs_shadow: bool) -> Self {
+    pub fn new() -> Self {
         Self {
-            needs_shadow,
             stored: Vec::new(),
-            shadow: Vec::new(),
             state: Vec::new(),
-            scratch: [0u8; LINE_BYTES],
         }
     }
 }
 
+impl<S: LineScheme> Default for ArenaBackend<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<S: LineScheme> PageBackend<S> for ArenaBackend<S> {
-    fn push(&mut self, stored: &LineBytes, shadow: Option<&LineBytes>, state: S::State) -> u32 {
+    fn push(&mut self, stored: &LineBytes, state: S::State) -> u32 {
         let slot = u32::try_from(self.stored.len()).expect("more than u32::MAX lines");
         self.stored.push(*stored);
-        if let Some(shadow) = shadow {
-            self.shadow.push(*shadow);
-        }
         self.state.push(state);
         slot
     }
@@ -54,14 +47,8 @@ impl<S: LineScheme> PageBackend<S> for ArenaBackend<S> {
 
     fn with_slot_mut<T>(&mut self, slot: u32, f: impl FnOnce(LineMut<'_, S::State>) -> T) -> T {
         let i = slot as usize;
-        let shadow = if self.needs_shadow {
-            &mut self.shadow[i]
-        } else {
-            &mut self.scratch
-        };
         f(LineMut {
             stored: &mut self.stored[i],
-            shadow,
             state: &mut self.state[i],
         })
     }
@@ -72,11 +59,6 @@ impl<S: LineScheme> PageBackend<S> for ArenaBackend<S> {
             stored: &self.stored[i],
             state: &self.state[i],
         })
-    }
-
-    fn per_line_bytes(&self) -> u64 {
-        let shadow = if self.needs_shadow { LINE_BYTES } else { 0 };
-        (LINE_BYTES + shadow + core::mem::size_of::<S::State>()) as u64
     }
 
     fn resident_bytes(&self) -> u64 {

@@ -2,16 +2,16 @@
 //! pages of line slots, plus the state codec that lets per-line states
 //! cross the RAM/disk boundary without `unsafe`.
 //!
-//! A backend owns the three SoA segments of every materialised slot —
-//! 64-byte stored images, optional plaintext shadows, and compact
-//! per-line states — grouped into fixed-size pages of
+//! A backend owns the two SoA segments of every materialised slot —
+//! 64-byte stored images and compact per-line states — grouped into
+//! fixed-size pages of
 //! [`SLOTS_PER_PAGE`] slots with a presence bitmap per page. Slot ids
 //! are dense and assigned in materialisation order, so backends agree
 //! on slot placement by construction and the scheme hot loop stays
 //! borrow-based: access happens inside a closure while the slot's page
 //! is pinned.
 
-use deuce_crypto::{LineBytes, BLOCKS_PER_LINE};
+use deuce_crypto::{LineBytes, BLOCKS_PER_LINE, LINE_BYTES};
 
 use crate::ble::{BleDeuceState, BleState};
 use crate::core::CtrState;
@@ -52,13 +52,13 @@ pub struct StorePageStats {
 /// bit-identical slot contents observed through
 /// [`with_slot`](Self::with_slot) / [`with_slot_mut`](Self::with_slot_mut).
 pub trait PageBackend<S: LineScheme> {
-    /// Appends a slot holding `stored` / `shadow` / `state`, returning
-    /// its dense id. `shadow` is `None` for shadowless schemes.
+    /// Appends a slot holding `stored` / `state`, returning its dense
+    /// id.
     ///
     /// # Panics
     ///
     /// Panics if more than `u32::MAX` slots are materialised.
-    fn push(&mut self, stored: &LineBytes, shadow: Option<&LineBytes>, state: S::State) -> u32;
+    fn push(&mut self, stored: &LineBytes, state: S::State) -> u32;
 
     /// Materialised slots.
     fn len(&self) -> usize;
@@ -68,19 +68,20 @@ pub trait PageBackend<S: LineScheme> {
         self.len() == 0
     }
 
-    /// Pins `slot`'s page and lends its segments mutably for the
-    /// duration of `f`. Shadowless schemes receive a scratch shadow
-    /// they must ignore (same contract as [`LineMut`]).
+    /// Pins `slot`'s page and lends its stored image and state mutably
+    /// for the duration of `f`.
     fn with_slot_mut<T>(&mut self, slot: u32, f: impl FnOnce(LineMut<'_, S::State>) -> T) -> T;
 
     /// Pins `slot`'s page and lends its stored image and state for the
     /// duration of `f`.
     fn with_slot<T>(&self, slot: u32, f: impl FnOnce(LineRef<'_, S::State>) -> T) -> T;
 
-    /// Bytes of line storage one materialised slot occupies in RAM
-    /// (stored image + shadow if kept + in-memory state). Must agree
-    /// with [`crate::LineStore::per_line_bytes`].
-    fn per_line_bytes(&self) -> u64;
+    /// Bytes of line storage one materialised slot occupies in RAM: the
+    /// stored image plus the in-memory state. The same for every
+    /// backend; [`crate::LineStore::per_line_bytes`] reports it.
+    fn per_line_bytes(&self) -> u64 {
+        (LINE_BYTES + core::mem::size_of::<S::State>()) as u64
+    }
 
     /// Bytes of line storage currently resident in RAM (materialised
     /// slots of resident pages only).
@@ -117,7 +118,8 @@ pub trait PageBackend<S: LineScheme> {
 /// little-endian words; [`crate::AnyState`] adds one leading tag byte.
 /// Only materialised slots are ever decoded: a page file stores the
 /// others as zero bytes and gives them the backend's blank state on
-/// load.
+/// load. Decoding is fallible because a page file is input: bytes that
+/// name no state (an unknown [`crate::AnyState`] tag) decode to `None`.
 pub trait StateCodec: Sized {
     /// Encoded size in bytes. Fixed per type, pinned by
     /// `tests/state_sizes.rs`.
@@ -128,8 +130,9 @@ pub trait StateCodec: Sized {
     fn encode(&self, out: &mut [u8]);
 
     /// Reads a state back from exactly
-    /// [`ENCODED_BYTES`](Self::ENCODED_BYTES) bytes.
-    fn decode(bytes: &[u8]) -> Self;
+    /// [`ENCODED_BYTES`](Self::ENCODED_BYTES) bytes, or `None` if they
+    /// encode no state.
+    fn decode(bytes: &[u8]) -> Option<Self>;
 }
 
 /// Little-endian `u64` store at `offset`.
@@ -149,7 +152,9 @@ impl StateCodec for () {
 
     fn encode(&self, _out: &mut [u8]) {}
 
-    fn decode(_bytes: &[u8]) -> Self {}
+    fn decode(_bytes: &[u8]) -> Option<Self> {
+        Some(())
+    }
 }
 
 impl StateCodec for CtrState {
@@ -159,8 +164,8 @@ impl StateCodec for CtrState {
         put_u64(out, 0, self.value());
     }
 
-    fn decode(bytes: &[u8]) -> Self {
-        CtrState::from_raw(get_u64(bytes, 0))
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        Some(CtrState::from_raw(get_u64(bytes, 0)))
     }
 }
 
@@ -171,8 +176,8 @@ impl StateCodec for FnwState {
         put_u64(out, 0, self.flip_bits);
     }
 
-    fn decode(bytes: &[u8]) -> Self {
-        Self { flip_bits: get_u64(bytes, 0) }
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        Some(Self { flip_bits: get_u64(bytes, 0) })
     }
 }
 
@@ -184,11 +189,11 @@ impl StateCodec for EncryptedFnwState {
         put_u64(out, 8, self.flip_bits);
     }
 
-    fn decode(bytes: &[u8]) -> Self {
-        Self {
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        Some(Self {
             ctr: CtrState::from_raw(get_u64(bytes, 0)),
             flip_bits: get_u64(bytes, 8),
-        }
+        })
     }
 }
 
@@ -200,11 +205,11 @@ impl StateCodec for DeuceState {
         put_u64(out, 8, self.modified);
     }
 
-    fn decode(bytes: &[u8]) -> Self {
-        Self {
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        Some(Self {
             ctr: CtrState::from_raw(get_u64(bytes, 0)),
             modified: get_u64(bytes, 8),
-        }
+        })
     }
 }
 
@@ -216,11 +221,11 @@ impl StateCodec for DynDeuceState {
         put_u64(out, 8, self.meta);
     }
 
-    fn decode(bytes: &[u8]) -> Self {
-        Self {
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        Some(Self {
             ctr: CtrState::from_raw(get_u64(bytes, 0)),
             meta: get_u64(bytes, 8),
-        }
+        })
     }
 }
 
@@ -232,11 +237,11 @@ impl StateCodec for DeuceFnwState {
         put_u64(out, 8, self.meta);
     }
 
-    fn decode(bytes: &[u8]) -> Self {
-        Self {
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        Some(Self {
             ctr: CtrState::from_raw(get_u64(bytes, 0)),
             meta: get_u64(bytes, 8),
-        }
+        })
     }
 }
 
@@ -249,10 +254,10 @@ impl StateCodec for BleState {
         }
     }
 
-    fn decode(bytes: &[u8]) -> Self {
-        Self {
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        Some(Self {
             ctrs: core::array::from_fn(|block| get_u64(bytes, block * 8)),
-        }
+        })
     }
 }
 
@@ -266,11 +271,11 @@ impl StateCodec for BleDeuceState {
         put_u64(out, 8 * BLOCKS_PER_LINE, self.modified);
     }
 
-    fn decode(bytes: &[u8]) -> Self {
-        Self {
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        Some(Self {
             ctrs: core::array::from_fn(|block| get_u64(bytes, block * 8)),
             modified: get_u64(bytes, 8 * BLOCKS_PER_LINE),
-        }
+        })
     }
 }
 
@@ -327,20 +332,20 @@ impl StateCodec for AnyState {
         }
     }
 
-    fn decode(bytes: &[u8]) -> Self {
+    fn decode(bytes: &[u8]) -> Option<Self> {
         let payload = &bytes[1..Self::ENCODED_BYTES];
-        match bytes[0] {
+        Some(match bytes[0] {
             0 => AnyState::UnencryptedDcw,
-            1 => AnyState::UnencryptedFnw(FnwState::decode(payload)),
-            2 => AnyState::EncryptedDcw(CtrState::decode(payload)),
-            3 => AnyState::EncryptedFnw(EncryptedFnwState::decode(payload)),
-            4 => AnyState::Ble(BleState::decode(payload)),
-            5 => AnyState::Deuce(DeuceState::decode(payload)),
-            6 => AnyState::DynDeuce(DynDeuceState::decode(payload)),
-            7 => AnyState::DeuceFnw(DeuceFnwState::decode(payload)),
-            8 => AnyState::BleDeuce(BleDeuceState::decode(payload)),
+            1 => AnyState::UnencryptedFnw(FnwState::decode(payload)?),
+            2 => AnyState::EncryptedDcw(CtrState::decode(payload)?),
+            3 => AnyState::EncryptedFnw(EncryptedFnwState::decode(payload)?),
+            4 => AnyState::Ble(BleState::decode(payload)?),
+            5 => AnyState::Deuce(DeuceState::decode(payload)?),
+            6 => AnyState::DynDeuce(DynDeuceState::decode(payload)?),
+            7 => AnyState::DeuceFnw(DeuceFnwState::decode(payload)?),
+            8 => AnyState::BleDeuce(BleDeuceState::decode(payload)?),
             9 => AnyState::AddrPad,
-            tag => panic!("corrupt page file: unknown AnyState tag {tag}"),
-        }
+            _ => return None,
+        })
     }
 }

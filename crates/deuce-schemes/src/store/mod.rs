@@ -1,8 +1,8 @@
 //! Layered storage for many lines under one scheme.
 //!
 //! [`LineStore`] replaces per-line fat-enum allocations with dense SoA
-//! slot storage — 64-byte stored images, optional plaintext shadows,
-//! and compact per-line states — plus an address→slot index. Lines are
+//! slot storage — 64-byte stored images and compact per-line states —
+//! plus an address→slot index. No plaintext is stored. Lines are
 //! materialised lazily on first touch, so constructing a store is O(1)
 //! regardless of the address space it will cover.
 //!
@@ -62,8 +62,7 @@ impl<S: LineScheme> LineStore<S> {
     /// allocated until a line is first touched.
     #[must_use]
     pub fn new(scheme: S) -> Self {
-        let backend = ArenaBackend::new(scheme.needs_shadow());
-        Self::with_backend(scheme, backend)
+        Self::with_backend(scheme, ArenaBackend::new())
     }
 }
 
@@ -111,8 +110,7 @@ impl<S: LineScheme, B: PageBackend<S>> LineStore<S, B> {
             return slot;
         }
         let (stored, state) = self.scheme.init(engine, addr, initial);
-        let shadow = self.scheme.needs_shadow().then_some(initial);
-        let slot = self.backend.push(&stored, shadow, state);
+        let slot = self.backend.push(&stored, state);
         self.index.insert(addr.value(), slot);
         slot
     }
@@ -171,13 +169,11 @@ impl<S: LineScheme, B: PageBackend<S>> LineStore<S, B> {
     }
 
     /// Bytes of line storage one materialised line occupies in RAM: the
-    /// stored image, the shadow (if the scheme keeps one), and the
-    /// compact state. Index overhead is excluded, so the figure is
-    /// deterministic.
+    /// stored image and the compact state. Index overhead is excluded,
+    /// so the figure is deterministic.
     #[must_use]
     pub fn per_line_bytes(&self) -> u64 {
-        let shadow = if self.scheme.needs_shadow() { LINE_BYTES } else { 0 };
-        (LINE_BYTES + shadow + core::mem::size_of::<S::State>()) as u64
+        self.backend.per_line_bytes()
     }
 
     /// Bytes of line storage currently resident in RAM. For the arena
@@ -289,8 +285,8 @@ mod tests {
         let scheme = AnyScheme::from_config(config);
         let path = page_file(tag);
         let (_, blank) = scheme.init(&engine(), LineAddr::new(0), &[0u8; LINE_BYTES]);
-        let backend = FilePageBackend::create(&path, resident_pages, scheme.needs_shadow(), blank)
-            .expect("create page file");
+        let backend =
+            FilePageBackend::create(&path, resident_pages, blank).expect("create page file");
         (LineStore::with_backend(scheme, backend), path)
     }
 
@@ -346,24 +342,11 @@ mod tests {
         assert!(store.read(&e, LineAddr::new(1)).is_none());
         assert!(store.image(LineAddr::new(1)).is_none());
         let _ = store.write(&e, LineAddr::new(1), &[1u8; 64]);
-        // 64 stored + 64 shadow + 16 state (counter + modified bits).
+        // 64 stored + 16 state (counter + modified bits).
+        assert_eq!(store.per_line_bytes(), 80);
         assert_eq!(store.resident_bytes(), store.per_line_bytes());
         assert!(store.contains(LineAddr::new(1)));
         assert!(!store.contains(LineAddr::new(2)));
-    }
-
-    #[test]
-    fn shadowless_schemes_skip_the_shadow_array() {
-        let e = engine();
-        let mut with_shadow = LineStore::new(AnyScheme::from_config(&SchemeConfig::new(SchemeKind::Deuce)));
-        let mut without = LineStore::new(AnyScheme::from_config(&SchemeConfig::new(SchemeKind::EncryptedDcw)));
-        let _ = with_shadow.write(&e, LineAddr::new(0), &[1u8; 64]);
-        let _ = without.write(&e, LineAddr::new(0), &[1u8; 64]);
-        assert_eq!(
-            with_shadow.per_line_bytes() - without.per_line_bytes(),
-            LINE_BYTES as u64,
-            "shadow accounts for exactly one line of bytes"
-        );
     }
 
     /// Under constant eviction pressure (one resident page), the paged

@@ -8,14 +8,15 @@
 //! `HEADER + index * record_bytes`:
 //!
 //! ```text
-//! [present: u64 LE][stored: 64 x 64B][shadow: 64 x 64B]?[state: 64 x ENCODED_BYTES][checksum: u64 LE]
+//! [present: u64 LE][stored: 64 x 64B][state: 64 x ENCODED_BYTES][checksum: u64 LE]
 //! ```
 //!
-//! The shadow segment exists only for schemes that keep one. Slots of a
+//! The file holds what the PCM cells and the controller's metadata
+//! would: ciphertext and per-line state, never plaintext. Slots of a
 //! page that were never materialised encode as zero bytes. The trailing
 //! checksum covers everything before it and is seeded from the page
-//! index (see [`page_checksum`]); a page is verified before any of its
-//! state is decoded.
+//! index (see [`page_checksum`]); a page is verified, and every present
+//! slot's state decoded once, before the page is used.
 //!
 //! # Pin/unpin discipline
 //!
@@ -26,9 +27,9 @@
 //! eviction can never invalidate a borrow. Faulting a page beyond the
 //! resident budget first evicts the least-recently-used page, writing
 //! it back iff dirty, and reads the incoming page into its buffer.
-//! Resident pages stay in record form: stored images and shadows are
-//! lent in place, and a slot's state is decoded for the pin and, after
-//! a mutable pin, encoded back.
+//! Resident pages stay in record form: stored images are lent in place,
+//! and a slot's state is decoded for the pin and, after a mutable pin,
+//! encoded back.
 //!
 //! # Determinism
 //!
@@ -43,12 +44,12 @@
 //! # I/O failures
 //!
 //! The scheme hot loop is infallible, so the backend latches the first
-//! I/O error or failed checksum and keeps simulating, on blank pages
-//! where a load failed; drivers surface the latched error at end of
-//! run. A page is only ever *read* from disk if this backend instance
-//! flushed it earlier, so stale content from a previous process can
-//! never leak into results — resuming against an existing page file is
-//! a pure replay that rebuilds the file.
+//! I/O error, failed checksum or undecodable state and keeps
+//! simulating, on blank pages where a load failed; drivers surface the
+//! latched error at end of run. A page is only ever *read* from disk if
+//! this backend instance flushed it earlier, so stale content from a
+//! previous process can never leak into results — resuming against an
+//! existing page file is a pure replay that rebuilds the file.
 
 use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
@@ -152,16 +153,15 @@ pub struct PageHeader {
     pub line_bytes: u32,
     /// Encoded state bytes per slot.
     pub state_bytes: u32,
-    /// 1 if pages carry a shadow segment, 0 otherwise.
-    pub shadow: u32,
 }
 
 impl PageHeader {
     /// `"DEUC"` little-endian.
     pub const MAGIC: u32 = u32::from_le_bytes(*b"DEUC");
     /// Current on-disk layout version. Version 2 added the trailing
-    /// page checksum.
-    pub const VERSION: u16 = 2;
+    /// page checksum; version 3 dropped the plaintext shadow segment
+    /// (bytes 16..20 of the header, its flag, are now reserved).
+    pub const VERSION: u16 = 3;
     /// Encoded header size in bytes (trailing bytes reserved as zero).
     pub const BYTES: usize = 32;
 
@@ -174,7 +174,6 @@ impl PageHeader {
         out[6..8].copy_from_slice(&self.slots_per_page.to_le_bytes());
         out[8..12].copy_from_slice(&self.line_bytes.to_le_bytes());
         out[12..16].copy_from_slice(&self.state_bytes.to_le_bytes());
-        out[16..20].copy_from_slice(&self.shadow.to_le_bytes());
         out
     }
 
@@ -197,7 +196,6 @@ impl PageHeader {
             slots_per_page: half(6..8),
             line_bytes: word(8..12),
             state_bytes: word(12..16),
-            shadow: word(16..20),
         }
     }
 
@@ -205,56 +203,49 @@ impl PageHeader {
     /// the slot segments and the trailing checksum.
     #[must_use]
     pub fn record_bytes(&self) -> usize {
-        let line = self.line_bytes as usize;
-        let shadow = if self.shadow == 0 { 0 } else { line };
-        8 + usize::from(self.slots_per_page) * (line + shadow + self.state_bytes as usize) + 8
+        8 + usize::from(self.slots_per_page) * (self.line_bytes + self.state_bytes) as usize + 8
     }
 }
 
 /// Slot-layout constants shared by the cache and the disk format.
 #[derive(Debug, Clone, Copy)]
 struct PageLayout {
-    needs_shadow: bool,
-    /// In-RAM state bytes per slot (`size_of::<S::State>()`).
-    state_ram_bytes: usize,
     /// Encoded state bytes per slot.
     state_bytes: usize,
     /// On-disk bytes of one page record ([`PageHeader::record_bytes`]).
     record_bytes: usize,
 }
 
-impl PageLayout {
-    /// RAM bytes one materialised slot occupies.
-    fn per_line_ram_bytes(&self) -> u64 {
-        let shadow = if self.needs_shadow { LINE_BYTES } else { 0 };
-        (LINE_BYTES + shadow + self.state_ram_bytes) as u64
-    }
+/// Bytes of a record's stored segment.
+const STORED_BYTES: usize = SLOTS_PER_PAGE * LINE_BYTES;
 
+impl PageLayout {
     /// Byte offset of page `index` in the file.
     fn page_offset(&self, index: u32) -> u64 {
         PageHeader::BYTES as u64 + u64::from(index) * self.record_bytes as u64
     }
 
-    /// A record's stored segment, shadow segment (empty for shadowless
-    /// schemes) and state segment, borrowed disjointly.
-    fn segments<'a>(
-        &self,
-        record: &'a mut [u8],
-    ) -> (&'a mut [LineBytes], &'a mut [LineBytes], &'a mut [u8]) {
-        let lines = SLOTS_PER_PAGE * LINE_BYTES;
-        let (stored, rest) = record[8..].split_at_mut(lines);
-        let (shadow, rest) = rest.split_at_mut(if self.needs_shadow { lines } else { 0 });
-        let states = &mut rest[..SLOTS_PER_PAGE * self.state_bytes];
-        (stored.as_chunks_mut().0, shadow.as_chunks_mut().0, states)
+    /// A record's stored segment and state segment, borrowed
+    /// disjointly.
+    fn segments<'a>(&self, record: &'a mut [u8]) -> (&'a mut [LineBytes], &'a mut [u8]) {
+        let (stored, rest) = record[8..].split_at_mut(STORED_BYTES);
+        (stored.as_chunks_mut().0, &mut rest[..SLOTS_PER_PAGE * self.state_bytes])
     }
 
     /// Slot `off`'s stored image and encoded state in a record.
     fn slot<'a>(&self, record: &'a [u8], off: usize) -> (&'a LineBytes, &'a [u8]) {
-        let lines = SLOTS_PER_PAGE * LINE_BYTES;
-        let stored = &record[8..8 + lines].as_chunks().0[off];
-        let states = 8 + if self.needs_shadow { 2 * lines } else { lines };
+        let stored = &record[8..8 + STORED_BYTES].as_chunks().0[off];
         let sb = self.state_bytes;
-        (stored, &record[states + off * sb..][..sb])
+        (stored, &record[8 + STORED_BYTES + off * sb..][..sb])
+    }
+
+    /// The first present slot of `record` whose encoded state does not
+    /// decode as a `T`.
+    fn undecodable<T: StateCodec>(&self, record: &[u8]) -> Option<usize> {
+        let present = get_u64(record, 0);
+        (0..SLOTS_PER_PAGE).find(|&off| {
+            present & (1u64 << off) != 0 && T::decode(self.slot(record, off).1).is_none()
+        })
     }
 }
 
@@ -262,9 +253,9 @@ impl PageLayout {
 const NIL: u32 = u32::MAX;
 
 /// One slab entry of the resident cache: one page, held as its page
-/// record, plus the frame's links in the LRU list. Stored images and
-/// shadows are lent in place; a slot's state is decoded when the slot is
-/// pinned and encoded back after a mutable pin. The record buffer is
+/// record, plus the frame's links in the LRU list. Stored images are
+/// lent in place; a slot's state is decoded when the slot is pinned and
+/// encoded back after a mutable pin. The record buffer is
 /// allocated once and reused by every page the frame holds, so a fault
 /// reads straight into it and a write-back writes straight from it.
 #[derive(Debug)]
@@ -296,15 +287,12 @@ impl Frame {
     /// checksum, which it returns.
     fn seal(&mut self, page: u32, layout: &PageLayout) -> u64 {
         put_u64(&mut self.record, 0, self.present);
-        let (stored, shadow, states) = layout.segments(&mut self.record);
+        let (stored, states) = layout.segments(&mut self.record);
         let mut absent = !self.present;
         while absent != 0 {
             let slot = absent.trailing_zeros() as usize;
             absent &= absent - 1;
             stored[slot].fill(0);
-            if let Some(shadow) = shadow.get_mut(slot) {
-                shadow.fill(0);
-            }
             states[slot * layout.state_bytes..][..layout.state_bytes].fill(0);
         }
         let body = self.record.len() - 8;
@@ -375,13 +363,14 @@ where
     }
 
     /// Slot `off`'s state in frame `f`: decoded if the slot is present,
-    /// the blank state otherwise.
+    /// the blank state otherwise. (Present slots always decode: a load
+    /// checks them, and pushes and mutable pins encode valid states.)
     fn state(&self, f: usize, off: usize) -> S::State {
         let frame = &self.frames[f];
         if frame.present & (1u64 << off) == 0 {
             self.blank
         } else {
-            S::State::decode(self.layout.slot(&frame.record, off).1)
+            S::State::decode(self.layout.slot(&frame.record, off).1).unwrap_or(self.blank)
         }
     }
 
@@ -485,18 +474,20 @@ where
     }
 
     /// Reads frame `f`'s page into it and verifies it. A page that
-    /// cannot be read or fails its checksum latches an error and comes
-    /// back empty.
+    /// cannot be read, fails its checksum or holds a present slot whose
+    /// state does not decode latches an error and comes back empty.
     fn load(&mut self, f: usize) {
+        let layout = self.layout;
         let frame = &mut self.frames[f];
         let page = frame.page;
-        let offset = self.layout.page_offset(page);
-        let failure = match self.file.read_exact_at(&mut frame.record, offset) {
+        let failure = match self.file.read_exact_at(&mut frame.record, layout.page_offset(page)) {
             Err(err) => Some(format!("page {page}: load failed: {err}")),
             Ok(()) if !verifies(page, &frame.record) => {
                 Some(format!("page {page}: checksum mismatch, the page file is corrupt"))
             }
-            Ok(()) => None,
+            Ok(()) => layout.undecodable::<S::State>(&frame.record).map(|off| {
+                format!("page {page}: slot {off} holds no valid state, the page file is corrupt")
+            }),
         };
         match failure {
             None => frame.present = get_u64(&frame.record, 0),
@@ -531,9 +522,6 @@ where
 /// differ.
 #[derive(Debug)]
 pub struct FilePageBackend<S: LineScheme> {
-    /// Scratch shadow for shadowless schemes (outside the cell so the
-    /// mutable pin can lend it alongside page segments).
-    scratch: LineBytes,
     /// Interior mutability so the shared-access path (`read`/`image`,
     /// which take `&self`) can still fault pages in.
     inner: RefCell<PagedInner<S>>,
@@ -544,9 +532,7 @@ where
     S::State: StateCodec,
 {
     /// Creates (truncating) the page file at `path` with room for
-    /// `resident_pages` resident pages (clamped to at least 1).
-    /// `needs_shadow` is the scheme's shadow flag
-    /// ([`LineScheme::needs_shadow`]) and fixes the page layout. `blank`
+    /// `resident_pages` resident pages (clamped to at least 1). `blank`
     /// is the state of every slot a page does not hold — in a fresh
     /// page, or in one whose record fails to load. Pass the scheme's own
     /// state for a zero line (what [`LineScheme::init`] returns), so a
@@ -565,7 +551,6 @@ where
     pub fn create(
         path: &Path,
         resident_pages: usize,
-        needs_shadow: bool,
         blank: S::State,
     ) -> std::io::Result<Self> {
         let header = PageHeader {
@@ -574,11 +559,8 @@ where
             slots_per_page: SLOTS_PER_PAGE as u16,
             line_bytes: LINE_BYTES as u32,
             state_bytes: S::State::ENCODED_BYTES as u32,
-            shadow: u32::from(needs_shadow),
         };
         let layout = PageLayout {
-            needs_shadow,
-            state_ram_bytes: core::mem::size_of::<S::State>(),
             state_bytes: S::State::ENCODED_BYTES,
             record_bytes: header.record_bytes(),
         };
@@ -590,7 +572,6 @@ where
             .open(path)?;
         file.write_all(&header.encode())?;
         Ok(Self {
-            scratch: [0u8; LINE_BYTES],
             inner: RefCell::new(PagedInner {
                 file,
                 layout,
@@ -617,18 +598,15 @@ impl<S: LineScheme> PageBackend<S> for FilePageBackend<S>
 where
     S::State: StateCodec,
 {
-    fn push(&mut self, stored: &LineBytes, shadow: Option<&LineBytes>, state: S::State) -> u32 {
+    fn push(&mut self, stored: &LineBytes, state: S::State) -> u32 {
         let inner = self.inner.get_mut();
         let slot = u32::try_from(inner.len).expect("more than u32::MAX lines");
         let (page, off) = locate(slot);
         let f = inner.pin(page);
         let layout = inner.layout;
         let frame = &mut inner.frames[f];
-        let (stored_seg, shadow_seg, states) = layout.segments(&mut frame.record);
+        let (stored_seg, states) = layout.segments(&mut frame.record);
         stored_seg[off] = *stored;
-        if let Some(shadow) = shadow {
-            shadow_seg[off] = *shadow;
-        }
         state.encode(&mut states[off * layout.state_bytes..][..layout.state_bytes]);
         frame.present |= 1u64 << off;
         frame.dirty = true;
@@ -643,18 +621,16 @@ where
     }
 
     fn with_slot_mut<T>(&mut self, slot: u32, f: impl FnOnce(LineMut<'_, S::State>) -> T) -> T {
-        let Self { scratch, inner } = self;
-        let inner = inner.get_mut();
+        let inner = self.inner.get_mut();
         let (page, off) = locate(slot);
         let frame = inner.pin(page);
         let mut state = inner.state(frame, off);
         let layout = inner.layout;
         let frame = &mut inner.frames[frame];
         frame.dirty = true;
-        let (stored, shadow, states) = layout.segments(&mut frame.record);
+        let (stored, states) = layout.segments(&mut frame.record);
         let out = f(LineMut {
             stored: &mut stored[off],
-            shadow: shadow.get_mut(off).unwrap_or(scratch),
             state: &mut state,
         });
         state.encode(&mut states[off * layout.state_bytes..][..layout.state_bytes]);
@@ -672,18 +648,13 @@ where
         })
     }
 
-    fn per_line_bytes(&self) -> u64 {
-        self.inner.borrow().layout.per_line_ram_bytes()
-    }
-
     fn resident_bytes(&self) -> u64 {
-        let inner = self.inner.borrow();
-        inner.resident_slots * inner.layout.per_line_ram_bytes()
+        self.inner.borrow().resident_slots * PageBackend::<S>::per_line_bytes(self)
     }
 
     fn paging_stats(&self) -> Option<StorePageStats> {
         let inner = self.inner.borrow();
-        let per_line = inner.layout.per_line_ram_bytes();
+        let per_line = PageBackend::<S>::per_line_bytes(self);
         Some(StorePageStats {
             page_faults: inner.page_faults,
             page_evictions: inner.page_evictions,
@@ -716,15 +687,15 @@ mod tests {
     use deuce_crypto::{LineAddr, OtpEngine, SecretKey};
 
     /// Page 0's record as a one-page DEUCE store flushes it: all 64
-    /// slots present, each written twice so counters, modified bits and
-    /// shadows are all live.
+    /// slots present, each written twice so counters and modified bits
+    /// are live.
     fn deuce_record() -> Vec<u8> {
         let engine = OtpEngine::new(&SecretKey::from_seed(7));
         let scheme = AnyScheme::from_config(&SchemeConfig::new(SchemeKind::Deuce));
         let (_, blank) = scheme.init(&engine, LineAddr::new(0), &[0u8; LINE_BYTES]);
         let path = std::env::temp_dir()
             .join(format!("deuce-paged-record-{}.pages", std::process::id()));
-        let backend = FilePageBackend::create(&path, 1, true, blank).expect("create page file");
+        let backend = FilePageBackend::create(&path, 1, blank).expect("create page file");
         let mut store = LineStore::with_backend(scheme, backend);
         for round in 0..2u8 {
             for line in 0..SLOTS_PER_PAGE as u64 {
@@ -743,7 +714,7 @@ mod tests {
     #[test]
     fn every_single_byte_flip_fails_verification() {
         let mut record = deuce_record();
-        assert_eq!(record.len(), 10_832, "one DEUCE record");
+        assert_eq!(record.len(), 6_736, "one DEUCE record: 8 + 64 x (64 + 41) + 8");
         assert!(verifies(0, &record), "the flushed record verifies");
         for at in 0..record.len() {
             for mask in [0x01u8, 0x80, 0xff] {
@@ -753,6 +724,40 @@ mod tests {
             }
         }
         assert!(!verifies(1, &record), "a record at another page's offset fails");
+    }
+
+    /// A record whose checksum verifies but whose present slot carries
+    /// an unknown state tag fails to load like a corrupt one: the page
+    /// comes up blank and the latched error names it. Nothing panics.
+    #[test]
+    fn a_forged_state_tag_fails_the_load_not_the_process() {
+        let engine = OtpEngine::new(&SecretKey::from_seed(5));
+        let scheme = AnyScheme::from_config(&SchemeConfig::new(SchemeKind::Deuce));
+        let (_, blank) = scheme.init(&engine, LineAddr::new(0), &[0u8; LINE_BYTES]);
+        let path =
+            std::env::temp_dir().join(format!("deuce-paged-forged-{}.pages", std::process::id()));
+        let backend = FilePageBackend::create(&path, 1, blank).expect("create page file");
+        let mut store = LineStore::with_backend(scheme, backend);
+        // Filling page 1 evicts page 0 to the file.
+        for line in 0..2 * SLOTS_PER_PAGE as u64 {
+            let _ = store.write(&engine, LineAddr::new(line), &[line as u8; LINE_BYTES]);
+        }
+        let file = OpenOptions::new().read(true).write(true).open(&path).expect("open");
+        let mut header = [0u8; PageHeader::BYTES];
+        file.read_exact_at(&mut header, 0).expect("read header");
+        let mut record = vec![0u8; PageHeader::decode(&header).record_bytes()];
+        file.read_exact_at(&mut record, PageHeader::BYTES as u64).expect("read page 0");
+        assert!(verifies(0, &record));
+        record[8 + STORED_BYTES] = 0xEE; // slot 0's AnyState tag
+        let body = record.len() - 8;
+        let checksum = page_checksum(0, &record[..body]);
+        put_u64(&mut record, body, checksum);
+        file.write_all_at(&record, PageHeader::BYTES as u64).expect("forge page 0");
+
+        let _ = store.read(&engine, LineAddr::new(0));
+        let error = store.io_error().expect("the forged page latches an error");
+        assert!(error.starts_with("page 0: slot 0 holds no valid state"), "{error}");
+        std::fs::remove_file(&path).ok();
     }
 
     /// A reference LRU cache of pages and the paging counters it implies.
@@ -796,8 +801,8 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("deuce-paged-lru-{}.pages", std::process::id()));
         let capacity = 3;
-        let mut backend = FilePageBackend::<AnyScheme>::create(&path, capacity, false, blank)
-            .expect("create page file");
+        let mut backend =
+            FilePageBackend::<AnyScheme>::create(&path, capacity, blank).expect("create page file");
         let mut reference = ReferenceLru { capacity, ..ReferenceLru::default() };
         let mut images: Vec<LineBytes> = Vec::new();
         let mut rng = DeuceRng::seed_from_u64(11);
@@ -807,7 +812,7 @@ mod tests {
             if len == 0 || (choice == 0 && len < 8 * SLOTS_PER_PAGE as u32) {
                 let image = [step as u8; LINE_BYTES];
                 let (_, state) = scheme.init(&engine, LineAddr::new(u64::from(len)), &image);
-                assert_eq!(backend.push(&image, None, state), len);
+                assert_eq!(backend.push(&image, state), len);
                 images.push(image);
                 reference.pin(len / SLOTS_PER_PAGE as u32, true);
             } else {
@@ -837,7 +842,7 @@ mod tests {
 
     #[test]
     fn an_all_zero_record_fails_for_every_page_index() {
-        let zeros = vec![0u8; 10_832];
+        let zeros = vec![0u8; 6_736];
         let pages = (0..4096).chain((0..4096).map(|k| u32::MAX - k)).chain([1 << 16, 1 << 24]);
         for page in pages {
             assert!(!verifies(page, &zeros), "a zero hole verifies as page {page}");

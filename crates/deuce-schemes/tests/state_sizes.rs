@@ -36,25 +36,20 @@ fn per_line_states_stay_compact() {
 #[test]
 fn cell_and_dispatch_sizes_stay_pinned() {
     assert_eq!(size_of::<AnyScheme>(), 32, "runtime scheme descriptor");
-    assert_eq!(size_of::<SchemeLine>(), 216, "dyn cell: descriptor + addr + 2x64B + AnyState");
-    assert_eq!(size_of::<DeuceLine>(), 168, "mono cell: params + addr + 2x64B + DeuceState");
-    assert_eq!(size_of::<EncryptedDcwLine>(), 152, "shadow is stored but state is 8B");
+    assert_eq!(size_of::<SchemeLine>(), 152, "dyn cell: descriptor + addr + 64B + AnyState");
+    assert_eq!(size_of::<DeuceLine>(), 104, "mono cell: params + addr + 64B + DeuceState");
+    assert_eq!(size_of::<EncryptedDcwLine>(), 88, "mono cell: params + addr + 64B + 8B state");
 }
 
 /// The arena's per-line accounting must agree with the actual component
-/// sizes: one stored image, one shadow iff the scheme keeps one, plus
-/// the compact state — for every runtime-selected kind.
+/// sizes: one stored image plus the compact state, and no plaintext,
+/// for every runtime-selected kind.
 #[test]
 fn line_store_per_line_bytes_match_components() {
     for kind in SchemeKind::ALL {
-        let scheme = AnyScheme::from_config(&SchemeConfig::new(kind));
-        let store = LineStore::new(scheme);
-        let shadow = if scheme.needs_shadow() { 64 } else { 0 };
-        assert_eq!(
-            store.per_line_bytes(),
-            64 + shadow + size_of::<AnyState>() as u64,
-            "{kind}"
-        );
+        let store = LineStore::new(AnyScheme::from_config(&SchemeConfig::new(kind)));
+        assert_eq!(store.per_line_bytes(), 64 + size_of::<AnyState>() as u64, "{kind}");
+        assert_eq!(store.per_line_bytes(), 112, "{kind}");
     }
 }
 
@@ -76,23 +71,23 @@ fn page_file_layout_stays_pinned() {
     assert_eq!(BleState::ENCODED_BYTES, 32);
     assert_eq!(BleDeuceState::ENCODED_BYTES, 40);
     assert_eq!(AnyState::ENCODED_BYTES, 41, "1 tag byte + largest payload");
-    assert_eq!(PageHeader::VERSION, 2, "version 2 added the trailing page checksum");
+    assert_eq!(PageHeader::VERSION, 3, "version 3 dropped the plaintext shadow segment");
 
     // The header a DEUCE page file really opens with, and the record
-    // size it implies: presence word, 64 x (64B stored + 64B shadow +
-    // 41B state), trailing checksum.
+    // size it implies: presence word, 64 x (64B stored + 41B state),
+    // trailing checksum.
     let scheme = AnyScheme::from_config(&SchemeConfig::new(SchemeKind::Deuce));
     let path = std::env::temp_dir()
         .join(format!("deuce-state-sizes-layout-{}.pages", std::process::id()));
-    let backend =
-        FilePageBackend::<AnyScheme>::create(&path, 1, scheme.needs_shadow(), blank(scheme))
-            .expect("create page file");
+    let backend = FilePageBackend::<AnyScheme>::create(&path, 1, blank(scheme))
+        .expect("create page file");
     drop(backend);
     let file = std::fs::read(&path).expect("read page file");
     std::fs::remove_file(&path).ok();
     let header = PageHeader::decode(file[..PageHeader::BYTES].try_into().expect("32-byte header"));
     assert_eq!(header.version, PageHeader::VERSION);
-    assert_eq!(header.record_bytes(), 10_832, "8 + 64 x (64 + 64 + 41) + 8");
+    assert_eq!(header.record_bytes(), 6_736, "8 + 64 x (64 + 41) + 8");
+    assert_eq!(file[16..PageHeader::BYTES], [0u8; 16], "reserved header bytes are zero");
 }
 
 /// The scheme's state for a zero line: a page file's blank state.
@@ -111,9 +106,8 @@ fn backends_agree_on_per_line_bytes() {
         let scheme = AnyScheme::from_config(&SchemeConfig::new(kind));
         let arena = LineStore::new(scheme);
         let path = dir.join(format!("deuce-state-sizes-{kind}-{}.pages", std::process::id()));
-        let backend =
-            FilePageBackend::<AnyScheme>::create(&path, 2, scheme.needs_shadow(), blank(scheme))
-                .expect("create page file");
+        let backend = FilePageBackend::<AnyScheme>::create(&path, 2, blank(scheme))
+            .expect("create page file");
         assert_eq!(
             PageBackend::<AnyScheme>::per_line_bytes(&backend),
             arena.per_line_bytes(),

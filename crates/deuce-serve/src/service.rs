@@ -775,12 +775,13 @@ mod tests {
 
     #[test]
     fn start_names_the_tenant_whose_config_is_rejected() {
-        use deuce_sim::{CounterCacheConfig, FaultConfig};
+        use deuce_sim::{CounterCacheConfig, FaultConfig, WearConfig};
 
         let bad_configs = [
             config().with_faults(FaultConfig::accelerated(1e-6)),
             config().with_counter_cache(CounterCacheConfig { entries: 0, counters_per_line: 16 }),
             config().with_counter_cache(CounterCacheConfig { entries: 4, counters_per_line: 0 }),
+            config().with_wear(WearConfig::vertical_only(64).gap_interval(0)),
         ];
         for bad in bad_configs {
             let err = ServiceBuilder::new()

@@ -77,8 +77,9 @@ pub struct SimResult {
     pub counter_cache_writebacks: u64,
     /// Counter-cache hit ratio (0 when the model is disabled).
     pub counter_cache_hit_ratio: f64,
-    /// Resident bytes of the line-store arena at end of run (stored
-    /// images + shadows + compact per-line state; index excluded).
+    /// Resident bytes of the line store at end of run: 64 stored bytes
+    /// plus the compact state per resident line (112 under
+    /// `AnyScheme`); the address index is excluded.
     pub line_store_bytes: u64,
     /// Fault-injection observations, when faults were enabled.
     pub faults: Option<FaultReport>,

@@ -86,10 +86,10 @@ impl<S: LineScheme> PageBackend<S> for SessionBackend<S>
 where
     S::State: StateCodec,
 {
-    fn push(&mut self, stored: &LineBytes, shadow: Option<&LineBytes>, state: S::State) -> u32 {
+    fn push(&mut self, stored: &LineBytes, state: S::State) -> u32 {
         match self {
-            SessionBackend::Arena(b) => b.push(stored, shadow, state),
-            SessionBackend::File(b) => b.push(stored, shadow, state),
+            SessionBackend::Arena(b) => b.push(stored, state),
+            SessionBackend::File(b) => b.push(stored, state),
         }
     }
 
@@ -111,13 +111,6 @@ where
         match self {
             SessionBackend::Arena(b) => b.with_slot(slot, f),
             SessionBackend::File(b) => b.with_slot(slot, f),
-        }
-    }
-
-    fn per_line_bytes(&self) -> u64 {
-        match self {
-            SessionBackend::Arena(b) => b.per_line_bytes(),
-            SessionBackend::File(b) => b.per_line_bytes(),
         }
     }
 
@@ -618,6 +611,8 @@ fn check(config: &SimConfig) -> Result<(), RunError> {
         "the counter cache needs at least one entry"
     } else if config.counter_cache.is_some_and(|c| c.counters_per_line == 0) {
         "the counter cache needs at least one counter per counter line"
+    } else if config.wear.is_some_and(|w| w.gap_interval == 0) {
+        "the wear leveler's gap interval must be at least one write"
     } else {
         return Ok(());
     };

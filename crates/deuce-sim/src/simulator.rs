@@ -298,12 +298,11 @@ where
     /// line, taken on an engine clone so the pad never counts in the
     /// run's pad timing.
     pub(crate) fn backend(&self) -> Result<SessionBackend<S>, RunError> {
-        let needs_shadow = self.scheme.needs_shadow();
         let StoreBackend::File(file) = &self.config.store else {
-            return Ok(SessionBackend::Arena(ArenaBackend::new(needs_shadow)));
+            return Ok(SessionBackend::Arena(ArenaBackend::new()));
         };
         let (_, blank) = self.scheme.init(&self.engine.clone(), LineAddr::new(0), &[0; LINE_BYTES]);
-        FilePageBackend::create(&file.path, file.resident_pages, needs_shadow, blank)
+        FilePageBackend::create(&file.path, file.resident_pages, blank)
             .map(SessionBackend::File)
             .map_err(|e| RunError::Store(format!("create page file {}: {e}", file.path.display())))
     }
@@ -542,7 +541,7 @@ mod tests {
     /// store backend is opened.
     #[test]
     fn rejected_configs_are_errors_not_panics() {
-        use crate::config::{FaultConfig, FileStoreConfig};
+        use crate::config::{FaultConfig, FileStoreConfig, VerticalWl, WearConfig};
         use crate::counter_cache::CounterCacheConfig;
 
         let pages = std::env::temp_dir()
@@ -561,6 +560,19 @@ mod tests {
                 SimConfig::new(SchemeKind::Deuce)
                     .with_counter_cache(CounterCacheConfig { entries: 4, counters_per_line: 0 }),
                 "at least one counter per counter line",
+            ),
+            (
+                SimConfig::new(SchemeKind::Deuce)
+                    .with_wear(WearConfig::vertical_only(64).gap_interval(0)),
+                "gap interval must be at least one write",
+            ),
+            (
+                SimConfig::new(SchemeKind::Deuce).with_wear(
+                    WearConfig::vertical_only(64)
+                        .vertical_leveler(VerticalWl::SecurityRefresh)
+                        .gap_interval(0),
+                ),
+                "gap interval must be at least one write",
             ),
         ];
         let t = trace(Benchmark::Mcf, 50);

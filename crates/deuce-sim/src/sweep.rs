@@ -34,6 +34,7 @@
 
 use std::collections::BTreeSet;
 use std::io;
+use std::panic;
 use std::thread;
 
 use deuce_rng::derive_seed;
@@ -144,7 +145,7 @@ impl ParallelSweep {
     ///
     /// # Panics
     ///
-    /// Propagates a panic from `f`.
+    /// Propagates a panic from `f`, with its original payload.
     pub fn map_observed_with<I, T, F, W>(
         &self,
         items: &[I],
@@ -198,7 +199,8 @@ impl ParallelSweep {
                 .collect();
             let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
             for worker in workers {
-                for (i, value) in worker.join().expect("sweep worker panicked") {
+                let results = worker.join().unwrap_or_else(|payload| panic::resume_unwind(payload));
+                for (i, value) in results {
                     slots[i] = Some(value);
                 }
             }
@@ -493,6 +495,22 @@ mod tests {
         assert_eq!(cells, vec![0, 1, 2, 4], "only the failed cell is missing");
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A cell's panic reaches the caller with its own payload, so the
+    /// process's last words name the cause.
+    #[test]
+    fn a_cell_panic_reaches_the_caller_with_its_message() {
+        let items: Vec<usize> = (0..8).collect();
+        let payload = panic::catch_unwind(|| {
+            ParallelSweep::with_shards(2).map(&items, |_, &i| {
+                assert!(i != 5, "cell {i} failed on purpose");
+                i
+            })
+        })
+        .expect_err("the cell's panic reaches the caller");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+        assert_eq!(message, "cell 5 failed on purpose");
     }
 
     #[test]

@@ -241,16 +241,14 @@ fn damage(path: &Path, page: usize, damage: Damage) {
 /// states, and `finish` returns a store error naming the page.
 #[test]
 fn corrupted_page_files_fail_with_a_store_error_naming_the_page() {
-    // DEUCE record offsets: presence word, 64 stored lines, 64 shadow
-    // lines, 64 AnyState slots of 41 bytes (tag byte first), checksum.
+    // DEUCE record offsets: presence word, 64 stored lines, 64 AnyState
+    // slots of 41 bytes (tag byte first), checksum.
     let stored = 8;
-    let shadow = stored + SLOTS_PER_PAGE * LINE_BYTES;
-    let states = shadow + SLOTS_PER_PAGE * LINE_BYTES;
+    let states = stored + SLOTS_PER_PAGE * LINE_BYTES;
     let checksum = states + SLOTS_PER_PAGE * 41;
     let cases = [
         ("presence-word", Damage::Flip(3)),
         ("stored-line", Damage::Flip(stored + 5 * LINE_BYTES + 7)),
-        ("shadow-line", Damage::Flip(shadow + 5 * LINE_BYTES + 7)),
         ("state-tag", Damage::Flip(states)),
         ("checksum-word", Damage::Flip(checksum + 3)),
         ("truncated", Damage::Truncate),

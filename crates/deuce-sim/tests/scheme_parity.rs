@@ -28,7 +28,24 @@ fn fnv(hash: &mut u64, bytes: &[u8]) {
 }
 
 /// The scheme-parameter variants each kind is fingerprinted under.
+///
+/// `c3e4w2` (3-bit counters, epoch 4, 2-byte words) wraps every counter
+/// every 8 writes of its block or line, so the 200-write workload covers
+/// counter wraps, FNW inversions carried across writes and BLE's cold
+/// blocks many times over. Its rows follow the other variants' so the
+/// older rows keep their place in the fixture.
 fn variants() -> Vec<(&'static str, SchemeConfig)> {
+    let wrap_heavy = SchemeKind::ALL.iter().map(|&kind| {
+        (
+            "c3e4w2",
+            SchemeConfig {
+                counter_bits: 3,
+                ..SchemeConfig::new(kind)
+                    .with_word_size(WordSize::Bytes2)
+                    .with_epoch(EpochInterval::new(4).expect("power of two"))
+            },
+        )
+    });
     SchemeKind::ALL
         .iter()
         .flat_map(|&kind| {
@@ -45,6 +62,7 @@ fn variants() -> Vec<(&'static str, SchemeConfig)> {
                 ),
             ]
         })
+        .chain(wrap_heavy)
         .collect()
 }
 

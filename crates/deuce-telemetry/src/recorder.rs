@@ -89,8 +89,8 @@ pub enum Gauge {
     HitRatio,
     /// Metadata bits per line of the simulated scheme.
     MetadataBits,
-    /// Resident bytes of the arena-backed line store at end of run
-    /// (stored images + shadows + compact per-line state).
+    /// Resident bytes of the line store at end of run (stored images +
+    /// compact per-line state).
     LineStoreBytes,
 }
 

@@ -286,6 +286,9 @@ mod tests {
         for i in 0..42 {
             t.observe_write(150.0 * (i + 1) as f64);
         }
+        // A real run's attached children always fit inside it; make this
+        // root outlast the 1,500 ns attached to it on any host.
+        std::thread::sleep(std::time::Duration::from_millis(1));
         t.end();
 
         let selfs = t.self_times();

@@ -4,9 +4,12 @@
 
 use std::collections::HashSet;
 
-use deuce::crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
+use deuce::crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey, BLOCK_BYTES};
 use deuce::integrity::{CounterTree, LineMac};
+use deuce::rng::{DeuceRng, Rng};
 use deuce::schemes::{DeuceLine, SchemeConfig, SchemeKind, SchemeLine, WordSize};
+use deuce::sim::{FileStoreConfig, SimConfig, Simulator, StoreBackend};
+use deuce::trace::TraceEvent;
 
 fn engine() -> OtpEngine {
     OtpEngine::new(&SecretKey::from_seed(0x0005_ECDE))
@@ -45,6 +48,66 @@ fn data_at_rest_is_unrecognizable() {
                 let _ = line.write(&engine, &update);
             }
         }
+    }
+}
+
+/// Stolen-media attack on the page file: every line a run wrote is
+/// paged out through a one-page resident cache and flushed, and no
+/// 16-byte block of any plaintext the run wrote, earlier values
+/// included, appears anywhere in the file. Covers the five schemes that
+/// compare a write against the line's previous plaintext.
+#[test]
+fn page_file_holds_no_written_plaintext() {
+    const LINES: u64 = 200;
+    const ROUNDS: u8 = 4;
+    for kind in [
+        SchemeKind::Deuce,
+        SchemeKind::DynDeuce,
+        SchemeKind::DeuceFnw,
+        SchemeKind::Ble,
+        SchemeKind::BleDeuce,
+    ] {
+        let path = std::env::temp_dir().join(format!(
+            "deuce-stolen-page-file-{}-{}.pages",
+            std::process::id(),
+            kind.label()
+        ));
+        let config = SimConfig::new(kind)
+            .with_store_backend(StoreBackend::File(FileStoreConfig::new(&path, 1)));
+        let mut session = Simulator::new(config).session(1).expect("open session");
+        let mut rng = DeuceRng::seed_from_u64(0x0570_1E11);
+        let mut lines: Vec<[u8; 64]> = (0..LINES)
+            .map(|_| {
+                let mut data = [0u8; 64];
+                rng.fill(&mut data);
+                data
+            })
+            .collect();
+        let mut written = HashSet::new();
+        for round in 0..ROUNDS {
+            for (line, data) in lines.iter_mut().enumerate() {
+                if round > 0 {
+                    // A sparse update: two words change, the rest stays.
+                    for _ in 0..2 {
+                        let at = rng.gen_range(0usize..32) * 2;
+                        data[at] ^= rng.gen_range(1u8..=255);
+                    }
+                }
+                written.extend(data.chunks_exact(BLOCK_BYTES).map(<[u8]>::to_vec));
+                let at = LineAddr::new(line as u64);
+                let _ = session.step(&TraceEvent::write(0, u64::from(round) * LINES, at, *data));
+            }
+        }
+        let result = session.finish().expect("run finishes without a store error");
+        let flushed = result.store.map_or(0, |stats| stats.pages_flushed);
+        assert!(flushed > 1, "{kind}: pages reached the file");
+        let file = std::fs::read(&path).expect("read page file");
+        std::fs::remove_file(&path).ok();
+        let leaked = file
+            .windows(BLOCK_BYTES)
+            .filter(|window| written.contains(*window))
+            .count();
+        assert_eq!(leaked, 0, "{kind}: {leaked} plaintext blocks found in the page file");
     }
 }
 
