@@ -11,6 +11,9 @@
 //! --benchmarks a,b  subset of benchmarks (default: all 12)
 //! ```
 //!
+//! `--help` prints this table; a malformed command line prints the
+//! error and the table to stderr and exits with status 2.
+//!
 //! Output is TSV so results can be diffed against EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
@@ -18,6 +21,7 @@
 
 pub mod harness;
 
+use std::fmt;
 use std::io::IsTerminal;
 
 use deuce_schemes::SchemeConfig;
@@ -52,46 +56,91 @@ impl Default for ExperimentArgs {
     }
 }
 
+/// The figure binaries' flag table, as in the crate docs.
+pub const USAGE: &str = "\
+--writes N        writebacks per benchmark (default 20000)
+--lines N         working-set lines per core (default 256)
+--seed N          RNG seed (default 42)
+--cores N         cores in rate mode (default 1; timing studies use 8)
+--benchmarks a,b  subset of benchmarks (default: all 12)
+";
+
+/// Why [`ExperimentArgs::parse_from`] returned no arguments.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgsError {
+    /// `--help` or `-h` asked for the flag table.
+    Help,
+    /// The command line is malformed; the message names the flag.
+    Usage(String),
+}
+
+impl fmt::Display for ArgsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArgsError::Help => write!(f, "help requested"),
+            ArgsError::Usage(msg) => write!(f, "{msg}"),
+        }
+    }
+}
+
+impl std::error::Error for ArgsError {}
+
 impl ExperimentArgs {
-    /// Parses `std::env::args`, exiting with a usage message on error.
+    /// Parses `std::env::args`. `--help` prints [`USAGE`] to stderr and
+    /// exits with status 0; a malformed command line prints the error
+    /// and [`USAGE`] to stderr and exits with status 2.
     #[must_use]
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        match Self::parse_from(std::env::args().skip(1)) {
+            Ok(args) => args,
+            Err(ArgsError::Help) => {
+                eprint!("{USAGE}");
+                std::process::exit(0)
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                eprint!("{USAGE}");
+                std::process::exit(2)
+            }
+        }
     }
 
     /// Parses an explicit argument iterator.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on malformed arguments (the binaries are experiment
-    /// drivers; a loud failure is preferable to a silently wrong run).
-    #[must_use]
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Returns [`ArgsError::Help`] for `--help` or `-h`, and
+    /// [`ArgsError::Usage`] naming the flag for an unknown flag, a
+    /// missing or malformed value, an unknown benchmark, or a zero
+    /// `--lines` or `--cores`.
+    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgsError> {
         let mut out = Self::default();
         let mut iter = args.into_iter();
         while let Some(flag) = iter.next() {
-            let mut value = || {
-                iter.next()
-                    .unwrap_or_else(|| panic!("flag {flag} requires a value"))
-            };
+            if flag == "--help" || flag == "-h" {
+                return Err(ArgsError::Help);
+            }
+            let value = iter
+                .next()
+                .ok_or_else(|| ArgsError::Usage(format!("flag {flag} requires a value")));
             match flag.as_str() {
-                "--writes" => out.writes = value().parse().expect("--writes: integer"),
-                "--lines" => out.lines = value().parse().expect("--lines: integer"),
-                "--seed" => out.seed = value().parse().expect("--seed: integer"),
-                "--cores" => out.cores = value().parse().expect("--cores: integer"),
+                "--writes" => out.writes = number(&flag, &value?)?,
+                "--lines" => out.lines = positive(&flag, number(&flag, &value?)?)?,
+                "--seed" => out.seed = number(&flag, &value?)?,
+                "--cores" => out.cores = positive(&flag, number(&flag, &value?)?)?,
                 "--benchmarks" => {
-                    out.benchmarks = value()
+                    out.benchmarks = value?
                         .split(',')
                         .map(|n| {
                             Benchmark::from_name(n.trim())
-                                .unwrap_or_else(|e| panic!("--benchmarks: {e}"))
+                                .map_err(|e| ArgsError::Usage(format!("{flag}: {e}")))
                         })
-                        .collect();
+                        .collect::<Result<_, _>>()?;
                 }
-                other => panic!("unknown flag {other} (see crate docs for usage)"),
+                _ => return Err(ArgsError::Usage(format!("unknown flag {flag}"))),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Builds the trace config for one benchmark.
@@ -109,6 +158,21 @@ impl ExperimentArgs {
     pub fn trace(&self, benchmark: Benchmark) -> Trace {
         self.trace_config(benchmark).generate()
     }
+}
+
+/// `value` as the number `flag` takes.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ArgsError> {
+    value.parse().map_err(|_| {
+        ArgsError::Usage(format!("{flag}: expected a non-negative integer, got {value:?}"))
+    })
+}
+
+/// `n`, unless it is zero.
+fn positive<T: Default + PartialEq>(flag: &str, n: T) -> Result<T, ArgsError> {
+    if n == T::default() {
+        return Err(ArgsError::Usage(format!("{flag} must be at least 1")));
+    }
+    Ok(n)
 }
 
 /// Runs `f` for every benchmark as one sharded sweep (one shard per
@@ -183,26 +247,62 @@ pub fn mean(values: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<ExperimentArgs, ArgsError> {
+        ExperimentArgs::parse_from(args.iter().map(ToString::to_string))
+    }
+
+    /// The error for `args`, which must fail with a usage message.
+    fn usage_error(args: &[&str]) -> String {
+        match parse(args) {
+            Err(ArgsError::Usage(msg)) => msg,
+            other => panic!("{args:?}: expected a usage error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn parse_defaults_and_overrides() {
-        let args = ExperimentArgs::parse_from(Vec::<String>::new());
+        let args = parse(&[]).unwrap();
         assert_eq!(args.writes, 20_000);
         assert_eq!(args.benchmarks.len(), 12);
 
-        let args = ExperimentArgs::parse_from(
-            ["--writes", "100", "--seed", "7", "--benchmarks", "libq,mcf"]
-                .iter()
-                .map(ToString::to_string),
-        );
+        let args = parse(&["--writes", "100", "--seed", "7", "--benchmarks", "libq,mcf"]).unwrap();
         assert_eq!(args.writes, 100);
         assert_eq!(args.seed, 7);
         assert_eq!(args.benchmarks, vec![Benchmark::Libquantum, Benchmark::Mcf]);
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
-    fn unknown_flag_panics() {
-        let _ = ExperimentArgs::parse_from(["--bogus".to_string()]);
+    fn unknown_flag_is_an_error() {
+        assert_eq!(usage_error(&["--bogus"]), "unknown flag --bogus");
+    }
+
+    #[test]
+    fn help_is_not_a_usage_error() {
+        assert_eq!(parse(&["--help"]).unwrap_err(), ArgsError::Help);
+        assert_eq!(parse(&["--writes", "5", "-h"]).unwrap_err(), ArgsError::Help);
+    }
+
+    #[test]
+    fn missing_value_is_an_error() {
+        assert_eq!(usage_error(&["--writes"]), "flag --writes requires a value");
+    }
+
+    #[test]
+    fn non_numeric_value_is_an_error() {
+        let msg = usage_error(&["--seed", "forty"]);
+        assert!(msg.starts_with("--seed: expected a non-negative integer"), "{msg}");
+        assert!(usage_error(&["--cores", "300"]).starts_with("--cores:"), "u8 overflow");
+    }
+
+    #[test]
+    fn unknown_benchmark_is_an_error() {
+        assert!(usage_error(&["--benchmarks", "mcf,nope"]).starts_with("--benchmarks:"));
+    }
+
+    #[test]
+    fn zero_lines_or_cores_is_an_error() {
+        assert_eq!(usage_error(&["--lines", "0"]), "--lines must be at least 1");
+        assert_eq!(usage_error(&["--cores", "0"]), "--cores must be at least 1");
     }
 
     #[test]

@@ -186,6 +186,11 @@ impl From<RunError> for CliError {
             }
             store @ RunError::Store(_) => CliError::Store(store.to_string()),
             config @ RunError::Config(_) => CliError::Usage(config.to_string()),
+            // `--faults` sizes wear tracking from the stream's distinct
+            // lines, so this takes a stream that differs between passes.
+            capacity @ RunError::WearCapacity { .. } => CliError::Trace(
+                deuce_trace::TraceIoError::BadRecord(capacity.to_string()),
+            ),
         }
     }
 }

@@ -274,19 +274,35 @@ pub fn watch<W: Write>(args: &WatchArgs, out: &mut W) -> Result<(), CliError> {
 mod tests {
     use super::*;
 
-    fn dir() -> std::path::PathBuf {
+    /// A directory of the test's own, removed when dropped.
+    struct TestDir(std::path::PathBuf);
+
+    impl TestDir {
+        fn join(&self, name: &str) -> std::path::PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn dir() -> TestDir {
         let dir = std::env::temp_dir().join(format!(
             "deuce-watch-{}-{:?}",
             std::process::id(),
             std::thread::current().id(),
         ));
         fs::create_dir_all(&dir).unwrap();
-        dir
+        TestDir(dir)
     }
 
     #[test]
     fn classifies_checkpoint_files_with_totals() {
-        let path = dir().join("cp.jsonl");
+        let d = dir();
+        let path = d.join("cp.jsonl");
         fs::write(
             &path,
             "{\"type\":\"run_total\",\"events\":5000}\n\
@@ -303,7 +319,8 @@ mod tests {
 
     #[test]
     fn classifies_manifests_and_tolerates_torn_tails() {
-        let path = dir().join("m.jsonl");
+        let d = dir();
+        let path = d.join("m.jsonl");
         fs::write(
             &path,
             "{\"manifest\":\"deuce-sweep\",\"version\":1,\"grid\":\"epoch x word\",\
@@ -320,7 +337,8 @@ mod tests {
 
     #[test]
     fn classifies_serve_streams_last_line_wins() {
-        let path = dir().join("serve.jsonl");
+        let d = dir();
+        let path = d.join("serve.jsonl");
         fs::write(
             &path,
             "{\"type\":\"serve_progress\",\"submitted\":90,\"applied\":80,\
@@ -343,7 +361,8 @@ mod tests {
 
     #[test]
     fn serve_stream_completes_when_applied_reaches_total() {
-        let path = dir().join("serve-done.jsonl");
+        let d = dir();
+        let path = d.join("serve-done.jsonl");
         fs::write(
             &path,
             "{\"type\":\"serve_progress\",\"submitted\":200,\"applied\":200,\

@@ -133,6 +133,15 @@ pub trait StateCodec: Sized {
     /// [`ENCODED_BYTES`](Self::ENCODED_BYTES) bytes, or `None` if they
     /// encode no state.
     fn decode(bytes: &[u8]) -> Option<Self>;
+
+    /// Whether `self` is a state of the same kind as `other`, so a page
+    /// file whose blank state is `other` may hold it. Always true for a
+    /// concrete state type; [`crate::AnyState`] compares variants, so a
+    /// record carrying another scheme's state fails to load.
+    fn same_kind(&self, other: &Self) -> bool {
+        let _ = other;
+        true
+    }
 }
 
 /// Little-endian `u64` store at `offset`.
@@ -347,5 +356,9 @@ impl StateCodec for AnyState {
             9 => AnyState::AddrPad,
             _ => return None,
         })
+    }
+
+    fn same_kind(&self, other: &Self) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(other)
     }
 }

@@ -240,11 +240,12 @@ impl PageLayout {
     }
 
     /// The first present slot of `record` whose encoded state does not
-    /// decode as a `T`.
-    fn undecodable<T: StateCodec>(&self, record: &[u8]) -> Option<usize> {
+    /// decode as a `T` of `blank`'s kind.
+    fn undecodable<T: StateCodec>(&self, record: &[u8], blank: &T) -> Option<usize> {
         let present = get_u64(record, 0);
         (0..SLOTS_PER_PAGE).find(|&off| {
-            present & (1u64 << off) != 0 && T::decode(self.slot(record, off).1).is_none()
+            present & (1u64 << off) != 0
+                && !T::decode(self.slot(record, off).1).is_some_and(|state| state.same_kind(blank))
         })
     }
 }
@@ -475,7 +476,8 @@ where
 
     /// Reads frame `f`'s page into it and verifies it. A page that
     /// cannot be read, fails its checksum or holds a present slot whose
-    /// state does not decode latches an error and comes back empty.
+    /// state does not decode, or decodes to another scheme's state,
+    /// latches an error and comes back empty.
     fn load(&mut self, f: usize) {
         let layout = self.layout;
         let frame = &mut self.frames[f];
@@ -485,7 +487,7 @@ where
             Ok(()) if !verifies(page, &frame.record) => {
                 Some(format!("page {page}: checksum mismatch, the page file is corrupt"))
             }
-            Ok(()) => layout.undecodable::<S::State>(&frame.record).map(|off| {
+            Ok(()) => layout.undecodable(&frame.record, &self.blank).map(|off| {
                 format!("page {page}: slot {off} holds no valid state, the page file is corrupt")
             }),
         };
@@ -731,11 +733,25 @@ mod tests {
     /// comes up blank and the latched error names it. Nothing panics.
     #[test]
     fn a_forged_state_tag_fails_the_load_not_the_process() {
+        forge_slot_zero_tag(0xEE);
+    }
+
+    /// A slot whose tag names another scheme's valid state (4 is BLE, in
+    /// a DEUCE store) fails the load too, instead of reaching the
+    /// scheme with a state it cannot handle.
+    #[test]
+    fn another_schemes_state_fails_the_load_not_the_process() {
+        forge_slot_zero_tag(4);
+    }
+
+    /// Evicts a DEUCE page to its file, rewrites slot 0's `AnyState` tag
+    /// as `tag` under a valid checksum, and reads the page back.
+    fn forge_slot_zero_tag(tag: u8) {
         let engine = OtpEngine::new(&SecretKey::from_seed(5));
         let scheme = AnyScheme::from_config(&SchemeConfig::new(SchemeKind::Deuce));
         let (_, blank) = scheme.init(&engine, LineAddr::new(0), &[0u8; LINE_BYTES]);
-        let path =
-            std::env::temp_dir().join(format!("deuce-paged-forged-{}.pages", std::process::id()));
+        let path = std::env::temp_dir()
+            .join(format!("deuce-paged-forged-{tag}-{}.pages", std::process::id()));
         let backend = FilePageBackend::create(&path, 1, blank).expect("create page file");
         let mut store = LineStore::with_backend(scheme, backend);
         // Filling page 1 evicts page 0 to the file.
@@ -748,7 +764,7 @@ mod tests {
         let mut record = vec![0u8; PageHeader::decode(&header).record_bytes()];
         file.read_exact_at(&mut record, PageHeader::BYTES as u64).expect("read page 0");
         assert!(verifies(0, &record));
-        record[8 + STORED_BYTES] = 0xEE; // slot 0's AnyState tag
+        record[8 + STORED_BYTES] = tag; // slot 0's AnyState tag
         let body = record.len() - 8;
         let checksum = page_checksum(0, &record[..body]);
         put_u64(&mut record, body, checksum);

@@ -1,5 +1,6 @@
 //! Failure containment: tenant `i` is owned by shard `i % shards`, so a
-//! full or panicked shard affects only the tenants it owns.
+//! full shard affects only the tenants it owns, and a failing tenant
+//! only itself.
 //!
 //! Each test checks the unaffected tenants against a single-threaded
 //! replay of exactly the requests the service accepted for them.
@@ -91,18 +92,23 @@ fn backpressure_stays_on_the_owning_shard() {
 }
 
 #[test]
-fn panicking_shard_strands_only_its_own_tenants() {
+fn an_oversized_stream_fails_only_its_own_tenant() {
     // Two wear-tracked lines: the third distinct line to take a counted
-    // write trips the `WearState` capacity assert on bad's shard.
+    // write overflows bad's wear tracking. That fails bad's report when
+    // its session finishes; the shard never panics, so neighbour, which
+    // shares bad's shard, and good, on the other shard, both finish
+    // clean and match their replays.
     let handle = ServiceBuilder::new()
         .start_paused()
         .shards(2)
         .tenant("bad", config(0).with_wear(WearConfig::vertical_only(2)))
         .tenant("good", config(1))
+        .tenant("neighbour", config(2))
         .start()
         .unwrap();
     let bad = handle.tenant("bad").unwrap();
     let good = handle.tenant("good").unwrap();
+    let neighbour = handle.tenant("neighbour").unwrap();
 
     let lines: Vec<Request> = (0..10)
         .map(|i| Request::write(LineAddr::new(i), [i as u8; 64]))
@@ -110,22 +116,27 @@ fn panicking_shard_strands_only_its_own_tenants() {
     handle.submit(bad, &lines).unwrap();
     handle.submit(bad, &lines).unwrap();
     let good_requests = stream(1, 300);
-    for chunk in good_requests.chunks(25) {
-        handle.submit(good, chunk).unwrap();
+    let neighbour_requests = stream(2, 300);
+    for (g, n) in good_requests.chunks(25).zip(neighbour_requests.chunks(25)) {
+        handle.submit(good, g).unwrap();
+        handle.submit(neighbour, n).unwrap();
     }
 
     handle.resume();
     let report = handle.shutdown();
-    assert_eq!(report.panicked_shards, vec![0]);
+    assert!(report.panicked_shards.is_empty(), "no shard panics");
     let names: Vec<&str> = report.tenants.iter().map(|t| t.name.as_str()).collect();
-    assert_eq!(names, ["bad", "good"], "every tenant is reported");
-    assert!(report.tenants[0].result.is_err(), "bad's shard panicked");
+    assert_eq!(names, ["bad", "good", "neighbour"], "every tenant is reported");
+    match &report.tenants[0].result {
+        Err(msg) => assert!(msg.contains("configured 2 wear-tracked lines"), "{msg}"),
+        Ok(_) => panic!("bad's oversized stream must fail its report"),
+    }
     assert_matches_replay(&report.tenants[1], config(1), &good_requests);
+    assert_matches_replay(&report.tenants[2], config(2), &neighbour_requests);
 
-    // Ten first touches and two counted writes completed; the write
-    // that panicked is not counted, and every total agrees.
-    assert_eq!(report.tenants[0].requests_applied, 12);
-    assert_eq!(report.shards[0].drained, 12);
+    // Every request was applied, bad's included, and every total agrees.
+    assert_eq!(report.tenants[0].requests_applied, 20);
+    assert_eq!(report.shards[0].drained, 320);
     assert_eq!(report.shards[1].drained, 300);
-    assert_eq!(report.applied, 312);
+    assert_eq!(report.applied, 620);
 }

@@ -439,7 +439,8 @@ mod tests {
 
     #[test]
     fn write_read_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("deuce-manifest-{}", std::process::id()));
+        let dir = std::env::temp_dir()
+            .join(format!("deuce-manifest-roundtrip-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.jsonl");
         let writer = ManifestWriter::create(&path, &header()).unwrap();
@@ -450,12 +451,13 @@ mod tests {
         assert_eq!(h, header());
         assert_eq!(records.len(), 4);
         assert_eq!(records[0], record(2), "file order is completion order");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn resume_reports_completed_cells_and_truncates_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("deuce-manifest-{}", std::process::id()));
+        let dir = std::env::temp_dir()
+            .join(format!("deuce-manifest-resume-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("resume.jsonl");
         {
@@ -476,12 +478,13 @@ mod tests {
         let mut cells: Vec<u64> = records.iter().map(|r| r.cell).collect();
         cells.sort_unstable();
         assert_eq!(cells, vec![0, 1, 2, 3], "torn tail replaced by the real record");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn resume_rejects_a_different_grid() {
-        let dir = std::env::temp_dir().join(format!("deuce-manifest-{}", std::process::id()));
+        let dir = std::env::temp_dir()
+            .join(format!("deuce-manifest-mismatch-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mismatch.jsonl");
         let _ = ManifestWriter::create(&path, &header()).unwrap();
@@ -491,7 +494,7 @@ mod tests {
             ManifestWriter::resume(&path, &other),
             Err(ManifestError::HeaderMismatch { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

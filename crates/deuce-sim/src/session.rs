@@ -19,16 +19,24 @@
 //! a session, so a stepped run is bit-identical to a streamed one by
 //! construction — the property the `deuce-serve` front end's
 //! per-tenant determinism contract rests on.
+//!
+//! Without fault injection the wear stage is a pure sink: nothing
+//! reads its state before [`StepSession::finish`]. A streamed run
+//! therefore moves the [`WearState`] to a helper thread
+//! ([`StepSession::offload_wear`]); the session then logs each counted
+//! write's [`WearRecord`] in stream order, and the helper records the
+//! logs in the same order, so the cell counts come out the same.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
 use deuce_crypto::{LineAddr, OtpEngine};
 use deuce_memctl::{EcpConfig, EcpRepair, RepairAction};
-use deuce_nvm::{write_slots, CellArray, SlotConfig, StuckAtFaults};
+use deuce_nvm::{write_slots, CellArray, LineImage, SlotConfig, StuckAtFaults};
 use deuce_schemes::{
     ArenaBackend, FilePageBackend, LineBytes, LineMut, LineRef, LineScheme, LineStore, PageBackend,
-    StateCodec, StorePageStats, WriteOutcome,
+    StateCodec, StorePageStats,
 };
 use deuce_telemetry::{
     Counter, FaultObservation, FlightEvent, Gauge, NullRecorder, Recorder, Stage, StoreTelemetry,
@@ -190,8 +198,8 @@ where
     slot: SlotConfig,
     /// Stage 3.
     timing: MemoryTimingModel,
-    /// Stage 4, when wear tracking is on.
-    wear: Option<WearState>,
+    /// Stage 4.
+    wear: Wear,
     result: SimResult,
     events_consumed: u64,
 }
@@ -223,9 +231,9 @@ where
 
         let meta_bits = simulator.scheme.metadata_bits();
         let bits_per_line = deuce_crypto::LINE_BITS as u32 + meta_bits;
-        let wear = config.wear.map(|w| {
+        let wear = config.wear.map_or(Wear::Off, |w| {
             let faults = config.faults;
-            WearState {
+            Wear::Inline(Box::new(WearState {
                 // With faults on, the cell array also covers the spare
                 // pool — retirement moves a line's traffic there and the
                 // spares wear out like any other line.
@@ -260,10 +268,11 @@ where
                 hwl: w.hwl,
                 bits_per_line,
                 index_of: HashMap::new(),
+                overflowed: false,
                 time_repairs,
                 repair_wall_ns: 0,
                 repair_calls: 0,
-            }
+            }))
         });
 
         let engine = simulator.engine.clone();
@@ -359,8 +368,12 @@ where
         self.timing.write(core, instr, line, slots);
         let clock = charge::<R>(rec, Stage::Timing, clock);
         let faults = match &mut self.wear {
-            Some(wear) => wear.record(line, &outcome),
-            None => FaultEvents::default(),
+            Wear::Off => FaultEvents::default(),
+            Wear::Inline(wear) => wear.record(line, &outcome.old_image, &outcome.new_image),
+            Wear::Logged(log) => {
+                log.push(WearRecord { line, old: outcome.old_image, new: outcome.new_image });
+                FaultEvents::default()
+            }
         };
         charge::<R>(rec, Stage::Wear, clock);
         if R::ENABLED {
@@ -464,6 +477,49 @@ where
         }
     }
 
+    /// Moves the wear state out for a helper thread, when wear tracking
+    /// is on and fault injection off, and switches the session to
+    /// logging: each counted write then appends its [`WearRecord`] to
+    /// the wear log ([`swap_wear_log`](Self::swap_wear_log)) instead of
+    /// recording it. [`restore_wear`](Self::restore_wear) puts the state
+    /// back before [`finish`](Self::finish).
+    ///
+    /// With fault injection on, wear stays inline: its events feed
+    /// [`SessionStep::Write`]'s `uncorrectable` flag, the fault report
+    /// and the flight ring.
+    pub(crate) fn offload_wear(&mut self) -> Option<Box<WearState>> {
+        if self.result.faults.is_some() || !matches!(self.wear, Wear::Inline(_)) {
+            return None;
+        }
+        match std::mem::replace(&mut self.wear, Wear::Logged(Vec::new())) {
+            Wear::Inline(wear) => Some(wear),
+            _ => unreachable!("matched above"),
+        }
+    }
+
+    /// Records logged since the last swap.
+    pub(crate) fn wear_log_len(&self) -> usize {
+        match &self.wear {
+            Wear::Logged(log) => log.len(),
+            Wear::Off | Wear::Inline(_) => 0,
+        }
+    }
+
+    /// Replaces the wear log with `empty` and returns the records
+    /// logged since the last swap, in stream order.
+    pub(crate) fn swap_wear_log(&mut self, empty: Vec<WearRecord>) -> Vec<WearRecord> {
+        match &mut self.wear {
+            Wear::Logged(log) => std::mem::replace(log, empty),
+            Wear::Off | Wear::Inline(_) => empty,
+        }
+    }
+
+    /// Puts back the wear state [`offload_wear`](Self::offload_wear)
+    /// took, once every logged record has been recorded into it.
+    pub(crate) fn restore_wear(&mut self, wear: Box<WearState>) {
+        self.wear = Wear::Inline(wear);
+    }
+
     /// A [`RunCheckpoint`] capturing the session as of the last stepped
     /// event — exactly what a streamed checkpointed run would emit at
     /// this position.
@@ -515,7 +571,9 @@ where
     /// # Errors
     ///
     /// Returns [`RunError::Store`] when the backend latched an I/O
-    /// error during the session.
+    /// error during the session, and [`RunError::WearCapacity`] when
+    /// the stream touched more lines than wear tracking was configured
+    /// for.
     pub fn finish(self) -> Result<SimResult, RunError> {
         self.finish_recorded(&mut NullRecorder)
     }
@@ -526,8 +584,7 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Store`] when the backend latched an I/O
-    /// error during the session.
+    /// As [`finish`](Self::finish).
     pub fn finish_recorded<R: Recorder>(mut self, rec: &mut R) -> Result<SimResult, RunError> {
         let wants_spans = R::ENABLED && rec.wants_spans();
         self.result.exec_time_ns = self.timing.exec_time_ns();
@@ -551,7 +608,15 @@ where
                 });
             }
         }
-        if let Some(wear) = self.wear {
+        let wear = match self.wear {
+            Wear::Off => None,
+            Wear::Inline(wear) => Some(*wear),
+            Wear::Logged(_) => unreachable!("a streamed run restores its wear state to finish"),
+        };
+        if let Some(wear) = wear {
+            if wear.overflowed {
+                return Err(RunError::WearCapacity { lines: wear.lines });
+            }
             // Fold the repair ladder's self-measured wall time in as a
             // child of the wear stage before the state is consumed.
             if wants_spans && wear.repair_calls > 0 {
@@ -687,11 +752,38 @@ fn fold_faults(result: &mut SimResult, faults: &FaultEvents) {
     }
 }
 
+/// Stage 4 as the session holds it.
+#[derive(Debug)]
+enum Wear {
+    /// Wear tracking is off.
+    Off,
+    /// Recorded on the stepping thread.
+    Inline(Box<WearState>),
+    /// Recorded on a helper thread that owns the [`WearState`]; the
+    /// session logs the records it has yet to hand over.
+    Logged(Vec<WearRecord>),
+}
+
+/// One counted write's input to the wear stage.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WearRecord {
+    line: LineAddr,
+    old: LineImage,
+    new: LineImage,
+}
+
+impl WearRecord {
+    /// Records this write into `wear`. Fault-free wear reports nothing.
+    pub(crate) fn record_into(&self, wear: &mut WearState) {
+        let _ = wear.record(self.line, &self.old, &self.new);
+    }
+}
+
 /// Stage 4: cell-array wear under the configured vertical and
 /// horizontal levelers, with the ECP repair layer consuming any cell
 /// deaths when fault injection is on.
 #[derive(Debug)]
-struct WearState {
+pub(crate) struct WearState {
     /// Per-cell write counts; covers `lines + spare_lines` physical
     /// lines when fault injection is on, `lines` otherwise.
     cells: CellArray,
@@ -704,6 +796,9 @@ struct WearState {
     hwl: Option<HwlMode>,
     bits_per_line: u32,
     index_of: HashMap<u64, usize>,
+    /// Latched when the stream touched more than `lines` distinct
+    /// lines; nothing is recorded after it, and finishing fails.
+    overflowed: bool,
     /// When span tracing is on, the repair ladder times itself here —
     /// wall clock only, never simulated time.
     time_repairs: bool,
@@ -738,24 +833,27 @@ impl WearState {
         }
     }
 
-    /// Records the bit flips of `outcome` against `addr`'s cells and
-    /// reports any cell deaths and repair activity the write triggered.
-    fn record(&mut self, addr: LineAddr, outcome: &WriteOutcome) -> FaultEvents {
+    /// Records the bit flips from `old` to `new` against `addr`'s cells
+    /// and reports any cell deaths and repair activity the write
+    /// triggered. The first line past the configured count latches
+    /// `overflowed` and stops recording.
+    fn record(&mut self, addr: LineAddr, old: &LineImage, new: &LineImage) -> FaultEvents {
+        if self.overflowed {
+            return FaultEvents::default();
+        }
         let next = self.index_of.len();
-        let lines = self.lines;
-        let index = *self.index_of.entry(addr.value()).or_insert_with(|| {
-            assert!(
-                next < lines,
-                "trace touches more than the configured {lines} wear-tracked lines"
-            );
-            next
-        });
+        let index = match self.index_of.entry(addr.value()) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(slot) if next < self.lines => *slot.insert(next),
+            Entry::Vacant(_) => {
+                self.overflowed = true;
+                return FaultEvents::default();
+            }
+        };
         let rotation = self.rotation(index, addr.value());
         // Retired lines wear their spare, not their abandoned primary.
         let physical = self.repair.as_ref().map_or(index, |r| r.resolve(index));
-        let deaths =
-            self.cells
-                .record_write(physical, &outcome.old_image, &outcome.new_image, rotation);
+        let deaths = self.cells.record_write(physical, old, new, rotation);
         let mut events = FaultEvents::default();
         if let Some(repair) = &mut self.repair {
             events.cell_deaths = deaths.len() as u32;

@@ -12,8 +12,16 @@
 //! and is bit-identical by construction. For callers that need to feed
 //! events one at a time (the `deuce-serve` front end), the same loop
 //! is exposed inside-out via [`Simulator::session`].
+//!
+//! A streamed run with wear tracking on and fault injection off records
+//! wear on a scoped helper thread: the loop hands the session's wear
+//! log over in stream order, and the helper's state goes back into the
+//! session before it finishes. [`Simulator::session`]'s stepping keeps
+//! wear inline.
 
 use std::fmt;
+use std::sync::mpsc;
+use std::thread;
 use std::time::Instant;
 
 use deuce_crypto::{LineAddr, OtpEngine, SecretKey, LINE_BYTES};
@@ -24,7 +32,14 @@ use deuce_trace::{Trace, TraceIoError, TraceSource, WriteSource};
 use crate::checkpoint::RunCheckpoint;
 use crate::config::{SimConfig, StoreBackend};
 use crate::result::SimResult;
-use crate::session::{elapsed_ns, SessionBackend, SessionStep, StepSession};
+use crate::session::{elapsed_ns, SessionBackend, SessionStep, StepSession, WearRecord, WearState};
+
+/// Counted writes whose wear records the loop collects before handing
+/// them to the wear helper at once.
+const WEAR_LOG_RECORDS: usize = 512;
+
+/// Handed-over wear logs the helper may lag behind the stepping thread.
+const WEAR_LOGS_AHEAD: usize = 8;
 
 /// Errors from a streaming run.
 #[derive(Debug)]
@@ -51,6 +66,14 @@ pub enum RunError {
     /// injection without wear tracking, or an empty counter cache).
     /// Reported when a session is opened, before any store is created.
     Config(String),
+    /// The stream touched more distinct lines than wear tracking was
+    /// configured for ([`crate::WearConfig::lines`]). Wear stops
+    /// recording at the first extra line; the run fails when it
+    /// finishes.
+    WearCapacity {
+        /// The configured wear-tracked line count.
+        lines: usize,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -64,6 +87,10 @@ impl fmt::Display for RunError {
             ),
             RunError::Store(msg) => write!(f, "line-store backend failed: {msg}"),
             RunError::Config(msg) => write!(f, "invalid simulator configuration: {msg}"),
+            RunError::WearCapacity { lines } => write!(
+                f,
+                "the stream touches more than the configured {lines} wear-tracked lines"
+            ),
         }
     }
 }
@@ -72,7 +99,10 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunError::Trace(e) => Some(e),
-            RunError::CheckpointMismatch { .. } | RunError::Store(_) | RunError::Config(_) => None,
+            RunError::CheckpointMismatch { .. }
+            | RunError::Store(_)
+            | RunError::Config(_)
+            | RunError::WearCapacity { .. } => None,
         }
     }
 }
@@ -160,12 +190,11 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if wear tracking is enabled and the trace touches more
-    /// distinct lines than [`crate::WearConfig::lines`], if the
-    /// configuration is rejected ([`RunError::Config`]), or if a
-    /// configured page-file store backend fails on I/O (use
-    /// [`run_source`](Self::run_source) to handle both as a
-    /// [`RunError`] instead).
+    /// Panics with the [`RunError`]'s text where
+    /// [`run_source`](Self::run_source) would return one: the trace
+    /// touches more distinct lines than [`crate::WearConfig::lines`],
+    /// the configuration is rejected, or a configured page-file store
+    /// backend fails on I/O.
     #[must_use]
     pub fn run_trace(&self, trace: &Trace) -> SimResult {
         self.run_trace_recorded(trace, &mut NullRecorder)
@@ -188,7 +217,8 @@ where
         match self.drive(&mut source, rec, CheckpointPlan::none()) {
             Ok(result) => result,
             // In-RAM sources cannot fail, so the only errors left are a
-            // rejected configuration and the page-file store backend.
+            // rejected configuration, wear capacity and the page-file
+            // store backend.
             Err(e) => panic!("trace run failed: {e}"),
         }
     }
@@ -203,13 +233,10 @@ where
     ///
     /// Returns [`RunError::Trace`] when the source fails (I/O failure
     /// or malformed trace input), [`RunError::Config`] when the
-    /// configuration is rejected, and [`RunError::Store`] when the
-    /// page-file store backend fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if wear tracking is enabled and the stream touches more
-    /// distinct lines than [`crate::WearConfig::lines`].
+    /// configuration is rejected, [`RunError::Store`] when the
+    /// page-file store backend fails, and [`RunError::WearCapacity`]
+    /// when the stream touches more distinct lines than
+    /// [`crate::WearConfig::lines`].
     pub fn run_source<Src: WriteSource + ?Sized>(
         &self,
         source: &mut Src,
@@ -221,10 +248,6 @@ where
     /// [`run_trace_recorded`](Self::run_trace_recorded)).
     ///
     /// # Errors
-    ///
-    /// As [`run_source`](Self::run_source).
-    ///
-    /// # Panics
     ///
     /// As [`run_source`](Self::run_source).
     pub fn run_source_recorded<Src: WriteSource + ?Sized, R: Recorder>(
@@ -241,10 +264,6 @@ where
     /// bit-identical with and without them.
     ///
     /// # Errors
-    ///
-    /// As [`run_source`](Self::run_source).
-    ///
-    /// # Panics
     ///
     /// As [`run_source`](Self::run_source).
     pub fn run_source_checkpointed<Src: WriteSource + ?Sized, R: Recorder>(
@@ -276,10 +295,6 @@ where
     /// diverges from `from` (including a stream shorter than the
     /// checkpoint position), and otherwise as
     /// [`run_source`](Self::run_source).
-    ///
-    /// # Panics
-    ///
-    /// As [`run_source`](Self::run_source).
     pub fn resume_source<Src: WriteSource + ?Sized, R: Recorder>(
         &self,
         source: &mut Src,
@@ -328,9 +343,11 @@ where
         StepSession::build(self, cores, false)
     }
 
-    /// The one streaming drive loop all run entry points share: a
-    /// [`StepSession`] fed from `source` until it runs dry, with
-    /// checkpoint emission/verification interleaved per the plan.
+    /// The one streaming drive all run entry points share: a
+    /// [`StepSession`] fed from `source` by [`feed`] until it runs dry,
+    /// with checkpoint emission/verification interleaved per the plan.
+    /// Fault-free wear records on a helper thread meanwhile
+    /// ([`feed_with_wear_helper`]).
     fn drive<Src: WriteSource + ?Sized, R: Recorder>(
         &self,
         source: &mut Src,
@@ -355,19 +372,55 @@ where
             }
         }
 
-        let mut last_emitted: Option<u64> = None;
-        loop {
-            let pull_started = wants_spans.then(Instant::now);
-            let next = source.next_event()?;
-            if let Some(started) = pull_started {
-                rec.span_attach(Some("run"), "source", elapsed_ns(started), 1);
+        let mut wear = session.offload_wear();
+        let fed = wear.as_mut().and_then(|wear| {
+            feed_with_wear_helper(wear, &mut session, source, rec, &mut plan, wants_spans)
+        });
+        if let Some(wear) = wear {
+            session.restore_wear(wear);
+        }
+        match fed {
+            Some(fed) => fed?,
+            // No helper runs: wear, if tracked, records inline.
+            None => feed(&mut session, source, rec, &mut plan, wants_spans, |_| true)?,
+        }
+
+        let result = session.finish_recorded(rec)?;
+        if wants_spans {
+            rec.span_end();
+        }
+        Ok(result)
+    }
+}
+
+/// The event loop of every streamed run: steps `session` through
+/// `source` to its end, emitting and verifying checkpoints per `plan`.
+/// `after_write` runs after each counted write; when it returns `false`
+/// the loop stops early.
+fn feed<S: LineScheme + Copy, Src: WriteSource + ?Sized, R: Recorder>(
+    session: &mut StepSession<S>,
+    source: &mut Src,
+    rec: &mut R,
+    plan: &mut CheckpointPlan<'_>,
+    wants_spans: bool,
+    mut after_write: impl FnMut(&mut StepSession<S>) -> bool,
+) -> Result<(), RunError>
+where
+    S::State: StateCodec,
+{
+    let mut last_emitted: Option<u64> = None;
+    loop {
+        let pull_started = wants_spans.then(Instant::now);
+        let next = source.next_event()?;
+        if let Some(started) = pull_started {
+            rec.span_attach(Some("run"), "source", elapsed_ns(started), 1);
+        }
+        let Some(event) = next else { break };
+        if let SessionStep::Write { .. } = session.step_recorded(&event, rec) {
+            if !after_write(session) {
+                return Ok(());
             }
-            let Some(event) = next else { break };
-            let step = session.step_recorded(&event, rec);
-            if matches!(step, SessionStep::Write { .. })
-                && plan.every_writes > 0
-                && session.result().writes.is_multiple_of(plan.every_writes)
-            {
+            if plan.every_writes > 0 && session.result().writes.is_multiple_of(plan.every_writes) {
                 if let Some(sink) = plan.sink.as_mut() {
                     let cp_started = wants_spans.then(Instant::now);
                     sink(&session.checkpoint());
@@ -377,37 +430,91 @@ where
                     last_emitted = Some(session.events_consumed());
                 }
             }
-            if let Some(expected) = plan.verify {
-                if session.events_consumed() == expected.events_consumed {
-                    verify_checkpoint(expected, &session.checkpoint())?;
-                    plan.verify = None;
-                }
-            }
         }
         if let Some(expected) = plan.verify {
-            // The stream ended before reaching the checkpoint position.
-            return Err(RunError::CheckpointMismatch {
-                field: "events_consumed",
-                expected: expected.events_consumed,
-                found: session.events_consumed(),
-            });
-        }
-        if let Some(sink) = plan.sink {
-            if last_emitted != Some(session.events_consumed()) {
-                let cp_started = wants_spans.then(Instant::now);
-                sink(&session.checkpoint());
-                if let Some(started) = cp_started {
-                    rec.span_attach(Some("run"), "checkpoint", elapsed_ns(started), 1);
-                }
+            if session.events_consumed() == expected.events_consumed {
+                verify_checkpoint(expected, &session.checkpoint())?;
+                plan.verify = None;
             }
         }
-
-        let result = session.finish_recorded(rec)?;
-        if wants_spans {
-            rec.span_end();
-        }
-        Ok(result)
     }
+    if let Some(expected) = plan.verify {
+        // The stream ended before reaching the checkpoint position.
+        return Err(RunError::CheckpointMismatch {
+            field: "events_consumed",
+            expected: expected.events_consumed,
+            found: session.events_consumed(),
+        });
+    }
+    if let Some(sink) = plan.sink.as_mut() {
+        if last_emitted != Some(session.events_consumed()) {
+            let cp_started = wants_spans.then(Instant::now);
+            sink(&session.checkpoint());
+            if let Some(started) = cp_started {
+                rec.span_attach(Some("run"), "checkpoint", elapsed_ns(started), 1);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Runs [`feed`] while a scoped helper thread records `session`'s
+/// fault-free wear into `wear`. The loop hands the session's wear log
+/// over every [`WEAR_LOG_RECORDS`] counted writes, through a bounded
+/// queue that returns emptied logs for reuse, and once more at end of
+/// stream; the helper records the logs in the order it receives them,
+/// which is stream order. Returns `None`, having stepped nothing, if
+/// the helper cannot be started.
+///
+/// Only a panic ends the helper while the loop still holds the queue;
+/// the loop then stops, and the panic resumes here with its payload. A
+/// panic or error in the loop drops the queue, which ends the helper,
+/// so neither side waits on the other.
+fn feed_with_wear_helper<S: LineScheme + Copy, Src: WriteSource + ?Sized, R: Recorder>(
+    wear: &mut WearState,
+    session: &mut StepSession<S>,
+    source: &mut Src,
+    rec: &mut R,
+    plan: &mut CheckpointPlan<'_>,
+    wants_spans: bool,
+) -> Option<Result<(), RunError>>
+where
+    S::State: StateCodec,
+{
+    thread::scope(|scope| {
+        let (logs, full) = mpsc::sync_channel::<Vec<WearRecord>>(WEAR_LOGS_AHEAD);
+        let (spent, empty) = mpsc::channel();
+        let helper = thread::Builder::new()
+            .name("deuce-wear".into())
+            .spawn_scoped(scope, move || {
+                for mut log in full {
+                    for record in &log {
+                        record.record_into(wear);
+                    }
+                    log.clear();
+                    // The loop may have stopped taking logs back.
+                    let _ = spent.send(log);
+                }
+            })
+            .ok()?;
+        let hand_over = |session: &mut StepSession<S>| {
+            let empty = empty
+                .try_recv()
+                .unwrap_or_else(|_| Vec::with_capacity(WEAR_LOG_RECORDS));
+            logs.send(session.swap_wear_log(empty)).is_ok()
+        };
+        let fed = feed(session, source, rec, plan, wants_spans, |session| {
+            session.wear_log_len() < WEAR_LOG_RECORDS || hand_over(session)
+        });
+        if fed.is_ok() {
+            hand_over(session);
+        }
+        drop(logs);
+        if let Err(payload) = helper.join() {
+            std::panic::resume_unwind(payload);
+        }
+        Some(fed)
+    })
 }
 
 /// Compares a replayed fingerprint against the checkpoint, field by

@@ -454,9 +454,7 @@ mod tests {
         let (_, records) = read_manifest(&resume_path).unwrap();
         assert_eq!(records.len(), items.len(), "manifest now covers the grid");
 
-        for name in ["whole.jsonl", "shard0.jsonl", "shard1.jsonl", "resumed.jsonl"] {
-            std::fs::remove_file(dir.join(name)).unwrap();
-        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

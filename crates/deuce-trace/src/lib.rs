@@ -44,7 +44,7 @@ mod trace;
 mod value_model;
 
 pub use attack::{AttackKind, AttackTrace};
-pub use generator::{GeneratorSource, TraceConfig};
+pub use generator::{GeneratorSource, TraceConfig, HELPER_MIN_WRITES};
 pub use io::{
     open_source, read_trace, write_source_jsonl, write_source_to_file, write_trace,
     write_trace_jsonl, BinaryStreamSource, JsonlStreamSource, TraceIoError,

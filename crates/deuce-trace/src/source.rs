@@ -15,8 +15,8 @@
 //!   and streaming paths are the same code and bit-identical by
 //!   construction.
 //! - [`crate::GeneratorSource`] — a seeded benchmark generator yielding
-//!   events on demand ([`crate::TraceConfig::stream`]); `generate()` is
-//!   implemented on top of it.
+//!   events on demand ([`crate::TraceConfig::stream`]); a long stream
+//!   generates on a helper thread, in the same order.
 //! - [`crate::BinaryStreamSource`] / [`crate::JsonlStreamSource`] —
 //!   buffered file readers decoding one event at a time from disk.
 //!
@@ -44,7 +44,9 @@ pub trait WriteSource {
     /// # Errors
     ///
     /// File-backed sources return [`TraceIoError`] on I/O failure or
-    /// malformed input; in-RAM and generator sources never fail.
+    /// malformed input. In-RAM sources never fail; a generator source
+    /// fails only if its helper thread cannot be started
+    /// ([`crate::TraceConfig::stream`]).
     fn next_event(&mut self) -> Result<Option<TraceEvent>, TraceIoError>;
 
     /// Total events in the stream when known up front (progress

@@ -8,7 +8,7 @@
 //! If a change alters the generator on purpose, the failure message
 //! prints the full replacement table.
 
-use deuce_trace::{Benchmark, Op, TraceConfig, TraceEvent, WriteSource};
+use deuce_trace::{Benchmark, Op, TraceConfig, TraceEvent, WriteSource, HELPER_MIN_WRITES};
 
 /// `(lines per core, cores, seed)`: line counts from a single line to a
 /// 65,536-line working set (a power of two and not), every core count
@@ -217,17 +217,41 @@ fn stream_hash(benchmark: Benchmark, (lines, cores, seed): (usize, u8, u64)) -> 
         .seed(seed)
         .writes(WRITES)
         .stream();
+    events_hash(std::iter::from_fn(|| {
+        source.next_event().expect("generator sources do not fail")
+    }))
+}
+
+/// FNV-1a over every event's encoding, then the event count.
+fn events_hash(events: impl IntoIterator<Item = TraceEvent>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325;
-    let mut events = 0u64;
-    while let Some(event) = source
-        .next_event()
-        .expect("generator sources are infallible")
-    {
+    let mut count = 0u64;
+    for event in events {
         hash_event(&mut hash, &event);
-        events += 1;
+        count += 1;
     }
-    fnv1a(&mut hash, &events.to_le_bytes());
+    fnv1a(&mut hash, &count.to_le_bytes());
     hash
+}
+
+/// A stream long enough to generate on the helper thread yields the
+/// materialised trace event for event. The length is not a multiple of
+/// the cores, and the batches end mid-way through the profile's read
+/// runs.
+#[test]
+fn helper_stream_matches_generate() {
+    let config = TraceConfig::new(Benchmark::Mcf)
+        .lines(1_000)
+        .cores(3)
+        .seed(0x5eed)
+        .writes(HELPER_MIN_WRITES + 1_001);
+    let generated = config.generate();
+    assert_eq!(generated.write_count(), HELPER_MIN_WRITES + 1_001);
+    let mut source = config.stream();
+    let streamed = events_hash(std::iter::from_fn(|| {
+        source.next_event().expect("the helper thread starts")
+    }));
+    assert_eq!(streamed, events_hash(generated.events().iter().cloned()));
 }
 
 #[test]

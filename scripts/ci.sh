@@ -12,8 +12,19 @@ echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 DEUCE=target/release/deuce
 
-echo "==> cargo test -q --offline --workspace"
-cargo test -q --offline --workspace
+echo "==> cargo test -q --offline --workspace (fresh TMPDIR, no deuce-* entry may be left)"
+# Tests that write scratch files under the system temp dir must remove
+# them. Running the suite against a fresh TMPDIR makes a leak visible.
+TEST_TMP="$(mktemp -d)"
+trap 'rm -rf "$TEST_TMP"' EXIT
+TMPDIR="$TEST_TMP" cargo test -q --offline --workspace
+leaked="$(find "$TEST_TMP" -mindepth 1 -maxdepth 1 -name 'deuce-*' -printf '%f\n' | sort)"
+if [ -n "$leaked" ]; then
+    echo "FAIL: the workspace tests left these entries in TMPDIR:" >&2
+    echo "$leaked" >&2
+    exit 1
+fi
+rm -rf "$TEST_TMP"
 
 echo "==> AES differential suites, once per dispatch tier (FIPS-197 + randomized)"
 TIERS="$("$DEUCE" aes-backend | awk -F'\t' '$1 == "available" {print $2}')"
