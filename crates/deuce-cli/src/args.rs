@@ -1,5 +1,10 @@
 //! Command-line parsing (hand-rolled; the workspace stays
 //! dependency-light).
+//!
+//! Every flag is declared once, in `FLAGS`: its name, whether it
+//! takes a value, the subcommands that read it and the flag it only
+//! tunes. One loop parses every subcommand against that table, so a
+//! flag a subcommand does not read is refused, never ignored.
 
 use deuce_crypto::EpochInterval;
 use deuce_schemes::{SchemeConfig, SchemeKind, WordSize};
@@ -17,8 +22,8 @@ USAGE:
   deuce run     (--trace <file> | --benchmark <name>) --scheme <scheme>
                 [--epoch N] [--word-bytes N] [--writes N] [--lines N]
                 [--cores N] [--seed N] [--telemetry <file>] [fault flags]
-                [--stream] [--checkpoint <file>]
-                [--checkpoint-every N] [--from-checkpoint <file>]
+                [--checkpoint <file> [--checkpoint-every N]]
+                [--from-checkpoint <file>]
                 [--trace-out <file>] [--flight-recorder N]
                 [--store-file <path> [--resident-pages N]]
   deuce compare (--trace <file> | --benchmark <name>) [generation flags]
@@ -39,17 +44,22 @@ USAGE:
   deuce aes-backend
   deuce help
 
+  Each subcommand reads only the flags on its lines; any other flag is
+  a usage error, as is a tuning flag (shown nested) without the flag it
+  tunes. Generation flags (--benchmark --writes --lines --cores --seed)
+  cannot be given with --trace.
+
 STREAMING:
   gen writes the trace directly from the generator, so any --writes
   count runs in bounded memory; --format jsonl emits a line-oriented
   text dialect instead of the binary container (both stream, both are
-  accepted everywhere a trace file is). run --stream drives the
-  simulation from the trace source one event at a time — bit-identical
-  to the materialised run at O(1) trace memory. --checkpoint <file>
-  appends a progress fingerprint every --checkpoint-every writes
-  (default 1000000); --from-checkpoint <file> replays the stream and
-  verifies the run still matches the recorded fingerprint (a changed
-  trace, config, or binary is detected, not silently absorbed).
+  accepted everywhere a trace file is). run drives the simulation
+  from the trace file or the generator one event at a time, so trace
+  memory stays bounded at any length. --checkpoint <file> appends a
+  progress fingerprint every --checkpoint-every writes (default
+  1000000); --from-checkpoint <file> replays the stream and verifies
+  the run still matches the recorded fingerprint (a changed trace,
+  config, or binary is detected, not silently absorbed).
 
 SHARDING:
   sweep --manifest <file> records each finished grid cell as one
@@ -290,9 +300,6 @@ pub struct RunArgs {
     pub sample_every: u64,
     /// Online fault injection.
     pub faults: FaultArgs,
-    /// Drive the run from a streaming source instead of materialising
-    /// the trace (`--stream`, `run` only).
-    pub stream: bool,
     /// Append periodic run checkpoints to this file (`--checkpoint`).
     pub checkpoint: Option<String>,
     /// Counted writes between checkpoints (`--checkpoint-every`).
@@ -330,7 +337,6 @@ impl Default for RunArgs {
             telemetry: None,
             sample_every: 64,
             faults: FaultArgs::default(),
-            stream: false,
             checkpoint: None,
             checkpoint_every: 1_000_000,
             from_checkpoint: None,
@@ -368,6 +374,12 @@ pub struct WatchArgs {
     pub once: bool,
     /// Poll period in milliseconds (`--interval-ms`).
     pub interval_ms: u64,
+}
+
+impl Default for WatchArgs {
+    fn default() -> Self {
+        Self { paths: Vec::new(), once: false, interval_ms: 2000 }
+    }
 }
 
 /// `deuce serve` arguments.
@@ -459,7 +471,171 @@ pub enum Command {
     Help,
 }
 
-fn parse_scheme_kind(name: &str) -> Result<SchemeKind, CliError> {
+/// Every subcommand, with how many bare (non-flag) arguments it takes
+/// and, when it needs some, what they are.
+const SUBCOMMANDS: [(&str, usize, &str); 11] = [
+    ("gen", 0, ""),
+    ("stats", 1, "a trace file"),
+    ("run", 0, ""),
+    ("compare", 0, ""),
+    ("sweep", 0, ""),
+    ("merge", usize::MAX, "at least one manifest file"),
+    ("report", 1, "a telemetry file"),
+    ("watch", usize::MAX, "at least one checkpoint or manifest file"),
+    ("serve", 0, ""),
+    ("aes-backend", 0, ""),
+    ("help", 0, ""),
+];
+
+/// The values parsed so far. Each flag sets one field; the flags
+/// `serve` shares with `run` land in [`RunArgs`] and are copied over
+/// when a `serve` command is built. The scheme is resolved after the
+/// loop, so `--epoch` and `--word-bytes` may precede `--scheme`.
+#[derive(Default)]
+struct Draft {
+    run: RunArgs,
+    serve: ServeArgs,
+    watch: WatchArgs,
+    scheme: Option<SchemeKind>,
+    epoch: Option<EpochInterval>,
+    word_size: Option<WordSize>,
+}
+
+/// How a flag lands in the [`Draft`]: a switch sets a field, a path
+/// fills the field it names, and any other value is parsed and
+/// range-checked, or refused with what is wrong with it.
+#[derive(Clone, Copy)]
+enum Set {
+    Switch(fn(&mut Draft)),
+    Path(fn(&mut Draft) -> &mut Option<String>),
+    Value(fn(&mut Draft, &str) -> Result<(), String>),
+}
+
+use Set::{Path, Switch, Value};
+
+/// One row of [`FLAGS`].
+struct Flag {
+    name: &'static str,
+    /// The subcommands that read the flag; every other one refuses it.
+    commands: &'static [&'static str],
+    /// The flags this one only tunes. Given without any of them that
+    /// the subcommand reads, it is refused.
+    tunes: &'static [&'static str],
+    set: Set,
+}
+
+const fn flag(
+    name: &'static str,
+    commands: &'static [&'static str],
+    tunes: &'static [&'static str],
+    set: Set,
+) -> Flag {
+    Flag { name, commands, tunes, set }
+}
+
+// Subcommand lists that several rows of `FLAGS` share.
+const GENERATE: &[&str] = &["gen", "run", "compare", "sweep"];
+const WORKLOAD: &[&str] = &["gen", "run", "compare", "sweep", "serve"];
+const SIMULATE: &[&str] = &["run", "compare", "sweep"];
+const RECORD: &[&str] = &["run", "compare", "sweep", "serve"];
+const ONE_SCHEME: &[&str] = &["run", "serve"];
+const PAGED: &[&str] = &["run", "sweep", "serve"];
+const SERVE: &[&str] = &["serve"];
+
+/// The flags that shape a generated stream, which `--trace` replaces.
+const GENERATION_FLAGS: [&str; 5] = ["--benchmark", "--writes", "--lines", "--cores", "--seed"];
+
+/// Every flag, declared once: the one place its value is parsed and
+/// range-checked, and the one list of the subcommands that read it.
+#[rustfmt::skip]
+static FLAGS: &[Flag] = &[
+    flag("--benchmark", WORKLOAD, &[], Value(|d, v| {
+        Benchmark::from_name(v).map(|b| d.run.gen.benchmark = b).map_err(|e| e.to_string())
+    })),
+    flag("--writes", GENERATE, &[], Value(|d, v| number(v).map(|n| d.run.gen.writes = n))),
+    flag("--lines", WORKLOAD, &[], Value(|d, v| count(v).map(|n| d.run.gen.lines = n))),
+    flag("--cores", GENERATE, &[], Value(|d, v| count(v).map(|n| d.run.gen.cores = n))),
+    flag("--seed", WORKLOAD, &[], Value(|d, v| number(v).map(|n| d.run.gen.seed = n))),
+    flag("-o", &["gen"], &[], Path(|d| &mut d.run.gen.output)),
+    flag("--format", &["gen"], &[], Value(|d, v| {
+        d.run.gen.format = match v.to_ascii_lowercase().as_str() {
+            "bin" | "binary" => TraceFormat::Binary,
+            "jsonl" | "json" => TraceFormat::Jsonl,
+            _ => return Err(format!("must be bin or jsonl (got {v:?})")),
+        };
+        Ok(())
+    })),
+    flag("--trace", SIMULATE, &[], Path(|d| &mut d.run.trace_path)),
+    flag("--scheme", ONE_SCHEME, &[], Value(|d, v| {
+        parse_scheme_kind(v).map(|k| d.scheme = Some(k))
+    })),
+    flag("--epoch", ONE_SCHEME, &[], Value(|d, v| {
+        d.epoch = Some(EpochInterval::new(number(v)?).map_err(|e| e.to_string())?);
+        Ok(())
+    })),
+    flag("--word-bytes", ONE_SCHEME, &[], Value(|d, v| {
+        d.word_size = Some(WordSize::from_bytes(number(v)?).map_err(|e| e.to_string())?);
+        Ok(())
+    })),
+    flag("--telemetry", RECORD, &[], Path(|d| &mut d.run.telemetry)),
+    flag("--sample-every", SIMULATE, &["--telemetry"], Value(|d, v| {
+        count(v).map(|n| d.run.sample_every = n)
+    })),
+    flag("--faults", SIMULATE, &[], Switch(|d| d.run.faults.enabled = true)),
+    flag("--endurance-scale", SIMULATE, &["--faults"], Value(|d, v| {
+        let scale: f64 = number(v)?;
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err("must be a positive number".into());
+        }
+        d.run.faults.endurance_scale = scale;
+        Ok(())
+    })),
+    flag("--ecp-entries", SIMULATE, &["--faults"], Value(|d, v| {
+        number(v).map(|n| d.run.faults.ecp_entries = n)
+    })),
+    flag("--spare-lines", SIMULATE, &["--faults"], Value(|d, v| {
+        number(v).map(|n| d.run.faults.spare_lines = n)
+    })),
+    flag("--checkpoint", &["run"], &[], Path(|d| &mut d.run.checkpoint)),
+    flag("--checkpoint-every", &["run"], &["--checkpoint"], Value(|d, v| {
+        count(v).map(|n| d.run.checkpoint_every = n)
+    })),
+    flag("--from-checkpoint", &["run"], &[], Path(|d| &mut d.run.from_checkpoint)),
+    flag("--manifest", &["sweep"], &[], Path(|d| &mut d.run.manifest)),
+    flag("--shard", &["sweep"], &["--manifest"], Value(|d, v| {
+        ShardSpec::parse(v).map(|s| d.run.shard = Some(s))
+    })),
+    flag("--resume", &["sweep"], &["--manifest"], Switch(|d| d.run.resume = true)),
+    flag("--trace-out", &["run"], &[], Path(|d| &mut d.run.trace_out)),
+    flag("--flight-recorder", ONE_SCHEME, &[], Value(|d, v| {
+        count(v).map(|n| d.run.flight_recorder = Some(n))
+    })),
+    flag("--store-file", &["run", "sweep"], &[], Path(|d| &mut d.run.store_file)),
+    flag("--store-dir", SERVE, &[], Path(|d| &mut d.serve.store_dir)),
+    flag("--resident-pages", PAGED, &["--store-file", "--store-dir"], Value(|d, v| {
+        count(v).map(|n| d.run.resident_pages = Some(n))
+    })),
+    flag("--tenants", SERVE, &[], Value(|d, v| count(v).map(|n| d.serve.tenants = n))),
+    flag("--shards", SERVE, &[], Value(|d, v| count(v).map(|n| d.serve.shards = n))),
+    flag("--requests", SERVE, &[], Value(|d, v| count(v).map(|n| d.serve.requests = n))),
+    flag("--queue-depth", SERVE, &[], Value(|d, v| count(v).map(|n| d.serve.queue_depth = n))),
+    flag("--batch", SERVE, &[], Value(|d, v| count(v).map(|n| d.serve.batch = n))),
+    flag("--progress", SERVE, &[], Path(|d| &mut d.serve.progress)),
+    flag("--replay", SERVE, &[], Switch(|d| d.serve.replay = true)),
+    flag("--once", &["watch"], &[], Switch(|d| d.watch.once = true)),
+    flag("--interval-ms", &["watch"], &[], Value(|d, v| count(v).map(|n| d.watch.interval_ms = n))),
+];
+
+fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
+}
+
+/// Whether subcommand `sub` reads flag `name`.
+fn reads(sub: &str, name: &str) -> bool {
+    FLAGS.iter().any(|f| f.name == name && f.commands.contains(&sub))
+}
+
+fn parse_scheme_kind(name: &str) -> Result<SchemeKind, String> {
     Ok(match name.to_ascii_lowercase().as_str() {
         "nodcw" | "unencrypted-dcw" => SchemeKind::UnencryptedDcw,
         "nofnw" | "unencrypted-fnw" => SchemeKind::UnencryptedFnw,
@@ -471,485 +647,146 @@ fn parse_scheme_kind(name: &str) -> Result<SchemeKind, CliError> {
         "deucefnw" | "deuce+fnw" => SchemeKind::DeuceFnw,
         "bledeuce" | "ble+deuce" => SchemeKind::BleDeuce,
         "addrpad" => SchemeKind::AddrPad,
-        other => return Err(CliError::Usage(format!("unknown scheme {other:?}"))),
+        other => return Err(format!("unknown scheme {other:?}")),
     })
 }
 
+fn number<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("invalid number {s:?}"))
+}
+
+/// [`number`] for a count that must be at least 1.
+fn count<T: std::str::FromStr + From<u8> + PartialOrd>(s: &str) -> Result<T, String> {
+    let n: T = number(s)?;
+    if n < T::from(1) {
+        return Err("must be at least 1".into());
+    }
+    Ok(n)
+}
+
 impl Command {
-    /// Parses an argument list (without the program name).
+    /// Parses an argument list (without the program name) in one pass
+    /// over the flag table.
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::Usage`] on malformed input.
+    /// Returns [`CliError::Usage`] on malformed input: an unknown
+    /// subcommand or flag, a flag or bare argument the subcommand does
+    /// not take, a bad value, a tuning flag without the flag it tunes,
+    /// `--trace` with a generation flag, or a missing required flag.
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Self, CliError> {
         let mut args = argv.into_iter();
-        let subcommand = match args.next() {
-            None => return Ok(Command::Help),
-            Some(s) => s,
+        let Some(first) = args.next() else {
+            return Ok(Command::Help);
         };
+        let name = if matches!(first.as_str(), "--help" | "-h") { "help" } else { &first };
+        let &(sub, max_paths, wanted) = SUBCOMMANDS
+            .iter()
+            .find(|(s, ..)| *s == name)
+            .ok_or_else(|| usage(format!("unknown subcommand {name:?}")))?;
 
-        if subcommand == "merge" {
-            let manifests: Vec<String> = args.collect();
-            if manifests.is_empty() {
-                return Err(CliError::Usage("merge requires at least one manifest file".into()));
+        let mut draft = Draft::default();
+        let mut given: Vec<&str> = Vec::new();
+        let mut paths: Vec<String> = Vec::new();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with('-') {
+                paths.push(arg);
+                continue;
             }
-            if let Some(flag) = manifests.iter().find(|m| m.starts_with('-')) {
-                return Err(CliError::Usage(format!("merge takes no flags (got {flag:?})")));
+            let flag = FLAGS
+                .iter()
+                .find(|f| f.name == arg)
+                .ok_or_else(|| usage(format!("unknown flag {arg:?}")))?;
+            if !flag.commands.contains(&sub) {
+                return Err(usage(format!("{} does not apply to {sub}", flag.name)));
             }
-            return Ok(Command::Merge(MergeArgs { manifests }));
-        }
-
-        if subcommand == "watch" {
-            let mut paths = Vec::new();
-            let mut once = false;
-            let mut interval_ms: u64 = 2000;
-            let mut args = args;
-            while let Some(arg) = args.next() {
-                match arg.as_str() {
-                    "--once" => once = true,
-                    "--interval-ms" => {
-                        let v = args.next().ok_or_else(|| {
-                            CliError::Usage("flag --interval-ms requires a value".into())
-                        })?;
-                        interval_ms = parse_number(&v, "--interval-ms")?;
-                        if interval_ms == 0 {
-                            return Err(CliError::Usage(
-                                "--interval-ms must be at least 1".into(),
-                            ));
-                        }
-                    }
-                    flag if flag.starts_with('-') => {
-                        return Err(CliError::Usage(format!("unknown flag {flag:?}")));
-                    }
-                    path => paths.push(path.to_string()),
+            let mut value =
+                || args.next().ok_or_else(|| usage(format!("flag {} requires a value", flag.name)));
+            match flag.set {
+                Switch(set) => set(&mut draft),
+                Path(field) => *field(&mut draft) = Some(value()?),
+                Value(set) => {
+                    set(&mut draft, &value()?).map_err(|e| usage(format!("{}: {e}", flag.name)))?
                 }
             }
-            if paths.is_empty() {
-                return Err(CliError::Usage(
-                    "watch requires at least one checkpoint or manifest file".into(),
-                ));
-            }
-            return Ok(Command::Watch(WatchArgs { paths, once, interval_ms }));
+            given.push(flag.name);
         }
 
-        if subcommand == "serve" {
-            return Self::parse_serve(args);
+        let has = |name: &str| given.contains(&name);
+        if let Some(extra) = paths.get(max_paths) {
+            return Err(usage(format!("unexpected argument {extra:?} for {sub}")));
         }
-
-        if subcommand == "aes-backend" {
-            if let Some(extra) = args.next() {
-                return Err(CliError::Usage(format!(
-                    "aes-backend takes no arguments (got {extra:?})"
-                )));
-            }
-            return Ok(Command::AesBackend);
+        if paths.is_empty() && max_paths > 0 {
+            return Err(usage(format!("{sub} requires {wanted}")));
         }
-
-        let mut gen = GenArgs::default();
-        let mut benchmark_given = false;
-        let mut trace_path: Option<String> = None;
-        let mut positional: Option<String> = None;
-        let mut scheme_kind: Option<SchemeKind> = None;
-        let mut epoch: Option<u64> = None;
-        let mut word_bytes: Option<usize> = None;
-        let mut telemetry: Option<String> = None;
-        let mut sample_every: u64 = 64;
-        let mut faults = FaultArgs::default();
-        let mut fault_tuning: Option<&'static str> = None;
-        let mut stream = false;
-        let mut checkpoint: Option<String> = None;
-        let mut checkpoint_every: u64 = 1_000_000;
-        let mut from_checkpoint: Option<String> = None;
-        let mut shard: Option<ShardSpec> = None;
-        let mut manifest: Option<String> = None;
-        let mut resume = false;
-        let mut trace_out: Option<String> = None;
-        let mut flight_recorder: Option<usize> = None;
-        let mut store_file: Option<String> = None;
-        let mut resident_pages: Option<usize> = None;
-
-        while let Some(flag) = args.next() {
-            let mut value = |flag: &str| {
-                args.next()
-                    .ok_or_else(|| CliError::Usage(format!("flag {flag} requires a value")))
-            };
-            match flag.as_str() {
-                "--benchmark" => {
-                    let name = value("--benchmark")?;
-                    gen.benchmark = Benchmark::from_name(&name)
-                        .map_err(|e| CliError::Usage(e.to_string()))?;
-                    benchmark_given = true;
-                }
-                "--writes" => gen.writes = parse_number(&value("--writes")?, "--writes")?,
-                "--lines" => gen.lines = parse_count(&value("--lines")?, "--lines")?,
-                "--cores" => gen.cores = parse_count(&value("--cores")?, "--cores")?,
-                "--seed" => gen.seed = parse_number(&value("--seed")?, "--seed")?,
-                "-o" | "--output" => gen.output = Some(value("-o")?),
-                "--trace" => trace_path = Some(value("--trace")?),
-                "--scheme" => scheme_kind = Some(parse_scheme_kind(&value("--scheme")?)?),
-                "--epoch" => epoch = Some(parse_number(&value("--epoch")?, "--epoch")?),
-                "--word-bytes" => {
-                    word_bytes = Some(parse_number(&value("--word-bytes")?, "--word-bytes")?);
-                }
-                "--telemetry" => telemetry = Some(value("--telemetry")?),
-                "--faults" => faults.enabled = true,
-                "--endurance-scale" => {
-                    faults.endurance_scale =
-                        parse_number(&value("--endurance-scale")?, "--endurance-scale")?;
-                    if !(faults.endurance_scale.is_finite() && faults.endurance_scale > 0.0) {
-                        return Err(CliError::Usage(
-                            "--endurance-scale must be a positive number".into(),
-                        ));
-                    }
-                    fault_tuning = Some("--endurance-scale");
-                }
-                "--ecp-entries" => {
-                    faults.ecp_entries = parse_number(&value("--ecp-entries")?, "--ecp-entries")?;
-                    fault_tuning = Some("--ecp-entries");
-                }
-                "--spare-lines" => {
-                    faults.spare_lines = parse_number(&value("--spare-lines")?, "--spare-lines")?;
-                    fault_tuning = Some("--spare-lines");
-                }
-                "--sample-every" => {
-                    sample_every = parse_number(&value("--sample-every")?, "--sample-every")?;
-                    if sample_every == 0 {
-                        return Err(CliError::Usage(
-                            "--sample-every must be at least 1".into(),
-                        ));
-                    }
-                }
-                "--format" => {
-                    gen.format = match value("--format")?.to_ascii_lowercase().as_str() {
-                        "bin" | "binary" => TraceFormat::Binary,
-                        "jsonl" | "json" => TraceFormat::Jsonl,
-                        other => {
-                            return Err(CliError::Usage(format!(
-                                "--format must be bin or jsonl (got {other:?})"
-                            )))
-                        }
-                    };
-                }
-                "--stream" => stream = true,
-                "--checkpoint" => checkpoint = Some(value("--checkpoint")?),
-                "--checkpoint-every" => {
-                    checkpoint_every =
-                        parse_number(&value("--checkpoint-every")?, "--checkpoint-every")?;
-                    if checkpoint_every == 0 {
-                        return Err(CliError::Usage(
-                            "--checkpoint-every must be at least 1".into(),
-                        ));
-                    }
-                }
-                "--from-checkpoint" => from_checkpoint = Some(value("--from-checkpoint")?),
-                "--shard" => {
-                    shard = Some(ShardSpec::parse(&value("--shard")?).map_err(CliError::Usage)?);
-                }
-                "--manifest" => manifest = Some(value("--manifest")?),
-                "--resume" => resume = true,
-                "--trace-out" => trace_out = Some(value("--trace-out")?),
-                "--flight-recorder" => {
-                    let events: usize =
-                        parse_number(&value("--flight-recorder")?, "--flight-recorder")?;
-                    if events == 0 {
-                        return Err(CliError::Usage(
-                            "--flight-recorder must keep at least 1 event".into(),
-                        ));
-                    }
-                    flight_recorder = Some(events);
-                }
-                "--store-file" => store_file = Some(value("--store-file")?),
-                "--resident-pages" => {
-                    let pages: usize =
-                        parse_number(&value("--resident-pages")?, "--resident-pages")?;
-                    if pages == 0 {
-                        return Err(CliError::Usage(
-                            "--resident-pages must keep at least 1 page resident".into(),
-                        ));
-                    }
-                    resident_pages = Some(pages);
-                }
-                other if !other.starts_with('-') && positional.is_none() => {
-                    positional = Some(other.to_string());
-                }
-                other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
+        for flag in FLAGS.iter().filter(|f| has(f.name)) {
+            let tuned: Vec<&str> = flag.tunes.iter().copied().filter(|t| reads(sub, t)).collect();
+            if !tuned.is_empty() && !tuned.iter().any(|t| has(t)) {
+                return Err(usage(format!("{sub}: {} requires {}", flag.name, tuned.join(" or "))));
             }
         }
-
-        if let (Some(flag), false) = (fault_tuning, faults.enabled) {
-            return Err(CliError::Usage(format!("{flag} requires --faults")));
-        }
-        if resident_pages.is_some() && store_file.is_none() {
-            return Err(CliError::Usage(
-                "--resident-pages requires --store-file <path>".into(),
-            ));
+        if let Some(generation) = GENERATION_FLAGS.iter().find(|g| has("--trace") && has(g)) {
+            return Err(usage(format!(
+                "{sub}: --trace replays a saved stream, so {generation} cannot be given with it"
+            )));
         }
 
-        let scheme = match scheme_kind {
-            None => None,
-            Some(kind) => {
-                let mut config = SchemeConfig::new(kind);
-                if let Some(e) = epoch {
-                    config.epoch = EpochInterval::new(e)
-                        .map_err(|e| CliError::Usage(e.to_string()))?;
-                }
-                if let Some(w) = word_bytes {
-                    config.word_size = WordSize::from_bytes(w)
-                        .map_err(|e| CliError::Usage(e.to_string()))?;
-                }
-                Some(config)
-            }
+        let Draft { mut run, serve, watch, scheme, epoch, word_size } = draft;
+        let configure = |kind: SchemeKind| {
+            let mut config = SchemeConfig::new(kind);
+            config.epoch = epoch.unwrap_or(config.epoch);
+            config.word_size = word_size.unwrap_or(config.word_size);
+            config
         };
-
-        match subcommand.as_str() {
-            "gen" => {
-                if !benchmark_given {
-                    return Err(CliError::Usage("gen requires --benchmark".into()));
-                }
-                if store_file.is_some() {
-                    return Err(CliError::Usage(
-                        "--store-file applies to run and sweep, not gen".into(),
-                    ));
-                }
-                if gen.output.is_none() {
-                    return Err(CliError::Usage("gen requires -o <file>".into()));
-                }
-                Ok(Command::Gen(gen))
+        run.scheme = scheme.map(configure);
+        let refusal = match sub {
+            "gen" if !has("--benchmark") => Some("gen requires --benchmark".to_string()),
+            "gen" if !has("-o") => Some("gen requires -o <file>".into()),
+            "run" | "compare" | "sweep" if !has("--trace") && !has("--benchmark") => {
+                Some(format!("{sub} requires --trace <file> or --benchmark <name>"))
             }
-            "stats" => {
-                let trace_path = positional.or(trace_path).ok_or_else(|| {
-                    CliError::Usage("stats requires a trace file".into())
-                })?;
-                Ok(Command::Stats(StatsArgs { trace_path }))
+            "run" if run.scheme.is_none() => Some("run requires --scheme <scheme>".into()),
+            "run" if has("--checkpoint") && has("--from-checkpoint") => {
+                Some("run takes --checkpoint or --from-checkpoint, not both".into())
             }
-            "run" => {
-                if trace_path.is_none() && !benchmark_given {
-                    return Err(CliError::Usage(
-                        "run requires --trace <file> or --benchmark <name>".into(),
-                    ));
-                }
-                let scheme = scheme.ok_or_else(|| {
-                    CliError::Usage("run requires --scheme <scheme>".into())
-                })?;
-                if shard.is_some() || manifest.is_some() || resume {
-                    return Err(CliError::Usage(
-                        "--shard/--manifest/--resume apply to sweep, not run".into(),
-                    ));
-                }
-                if !stream && (checkpoint.is_some() || from_checkpoint.is_some()) {
-                    return Err(CliError::Usage(
-                        "--checkpoint and --from-checkpoint require --stream".into(),
-                    ));
-                }
-                if checkpoint.is_some() && from_checkpoint.is_some() {
-                    return Err(CliError::Usage(
-                        "--checkpoint and --from-checkpoint are mutually exclusive".into(),
-                    ));
-                }
-                Ok(Command::Run(RunArgs {
-                    trace_path,
-                    gen,
-                    scheme: Some(scheme),
-                    telemetry,
-                    sample_every,
-                    faults,
-                    stream,
-                    checkpoint,
-                    checkpoint_every,
-                    from_checkpoint,
-                    shard: None,
-                    manifest: None,
-                    resume: false,
-                    trace_out,
-                    flight_recorder,
-                    store_file,
-                    resident_pages,
-                }))
-            }
-            "compare" | "sweep" => {
-                if trace_path.is_none() && !benchmark_given {
-                    return Err(CliError::Usage(format!(
-                        "{subcommand} requires --trace <file> or --benchmark <name>"
-                    )));
-                }
-                if stream || checkpoint.is_some() || from_checkpoint.is_some() {
-                    return Err(CliError::Usage(format!(
-                        "--stream/--checkpoint/--from-checkpoint apply to run, not {subcommand}"
-                    )));
-                }
-                if subcommand == "compare" && (shard.is_some() || manifest.is_some() || resume) {
-                    return Err(CliError::Usage(
-                        "--shard/--manifest/--resume apply to sweep, not compare".into(),
-                    ));
-                }
-                if subcommand == "compare" && store_file.is_some() {
-                    return Err(CliError::Usage(
-                        "--store-file applies to run and sweep, not compare".into(),
-                    ));
-                }
-                if manifest.is_none() && (shard.is_some() || resume) {
-                    return Err(CliError::Usage(
-                        "--shard and --resume require --manifest <file>".into(),
-                    ));
-                }
-                if trace_out.is_some() || flight_recorder.is_some() {
-                    return Err(CliError::Usage(format!(
-                        "--trace-out/--flight-recorder apply to run, not {subcommand}"
-                    )));
-                }
-                if manifest.is_some() && telemetry.is_some() {
-                    return Err(CliError::Usage(
-                        "--manifest and --telemetry cannot be combined (shard output \
-                         is the manifest; merge the shards first, then re-run with \
-                         --telemetry if needed)"
-                            .into(),
-                    ));
-                }
-                let run_args = RunArgs {
-                    trace_path,
-                    gen,
-                    scheme,
-                    telemetry,
-                    sample_every,
-                    faults,
-                    stream: false,
-                    checkpoint: None,
-                    checkpoint_every,
-                    from_checkpoint: None,
-                    shard,
-                    manifest,
-                    resume,
-                    trace_out: None,
-                    flight_recorder: None,
-                    store_file,
-                    resident_pages,
-                };
-                Ok(if subcommand == "compare" {
-                    Command::Compare(run_args)
-                } else {
-                    Command::Sweep(run_args)
-                })
-            }
-            "report" => {
-                let telemetry_path = positional.or(telemetry).ok_or_else(|| {
-                    CliError::Usage("report requires a telemetry file".into())
-                })?;
-                Ok(Command::Report(ReportArgs { telemetry_path }))
-            }
-            "help" | "--help" | "-h" => Ok(Command::Help),
-            other => Err(CliError::Usage(format!("unknown subcommand {other:?}"))),
-        }
-    }
-
-    /// Parses the `serve` subcommand's flags.
-    fn parse_serve<I: Iterator<Item = String>>(mut args: I) -> Result<Self, CliError> {
-        let mut serve = ServeArgs::default();
-        let mut epoch: Option<u64> = None;
-        let mut word_bytes: Option<usize> = None;
-        while let Some(flag) = args.next() {
-            let mut value = |flag: &str| {
-                args.next()
-                    .ok_or_else(|| CliError::Usage(format!("flag {flag} requires a value")))
-            };
-            match flag.as_str() {
-                "--tenants" => serve.tenants = parse_number(&value("--tenants")?, "--tenants")?,
-                "--shards" => serve.shards = parse_number(&value("--shards")?, "--shards")?,
-                "--requests" => {
-                    serve.requests = parse_number(&value("--requests")?, "--requests")?;
-                }
-                "--queue-depth" => {
-                    serve.queue_depth = parse_number(&value("--queue-depth")?, "--queue-depth")?;
-                }
-                "--batch" => serve.batch = parse_number(&value("--batch")?, "--batch")?,
-                "--scheme" => {
-                    serve.scheme = SchemeConfig::new(parse_scheme_kind(&value("--scheme")?)?);
-                }
-                "--epoch" => epoch = Some(parse_number(&value("--epoch")?, "--epoch")?),
-                "--word-bytes" => {
-                    word_bytes = Some(parse_number(&value("--word-bytes")?, "--word-bytes")?);
-                }
-                "--benchmark" => {
-                    serve.benchmark = Benchmark::from_name(&value("--benchmark")?)
-                        .map_err(|e| CliError::Usage(e.to_string()))?;
-                }
-                "--lines" => serve.lines = parse_count(&value("--lines")?, "--lines")?,
-                "--seed" => serve.seed = parse_number(&value("--seed")?, "--seed")?,
-                "--telemetry" => serve.telemetry = Some(value("--telemetry")?),
-                "--progress" => serve.progress = Some(value("--progress")?),
-                "--flight-recorder" => {
-                    let events: usize =
-                        parse_number(&value("--flight-recorder")?, "--flight-recorder")?;
-                    if events == 0 {
-                        return Err(CliError::Usage(
-                            "--flight-recorder must keep at least 1 event".into(),
-                        ));
-                    }
-                    serve.flight_recorder = Some(events);
-                }
-                "--store-dir" => serve.store_dir = Some(value("--store-dir")?),
-                "--resident-pages" => {
-                    let pages: usize =
-                        parse_number(&value("--resident-pages")?, "--resident-pages")?;
-                    if pages == 0 {
-                        return Err(CliError::Usage(
-                            "--resident-pages must keep at least 1 page resident".into(),
-                        ));
-                    }
-                    serve.resident_pages = Some(pages);
-                }
-                "--replay" => serve.replay = true,
-                other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
-            }
-        }
-        if serve.tenants == 0 || serve.shards == 0 || serve.requests == 0 {
-            return Err(CliError::Usage(
-                "--tenants, --shards, and --requests must all be at least 1".into(),
-            ));
-        }
-        if serve.queue_depth == 0 || serve.batch == 0 {
-            return Err(CliError::Usage(
-                "--queue-depth and --batch must be at least 1".into(),
-            ));
-        }
-        if serve.batch > serve.queue_depth {
-            return Err(CliError::Usage(
-                "--batch cannot exceed --queue-depth (an oversized batch can \
-                 never be accepted)"
+            "sweep" if has("--manifest") && has("--telemetry") => Some(
+                "--manifest and --telemetry cannot be combined (shard output is the \
+                 manifest; merge the shards first, then re-run with --telemetry if needed)"
                     .into(),
-            ));
+            ),
+            "serve" if serve.batch > serve.queue_depth => Some(
+                "--batch cannot exceed --queue-depth (an oversized batch can never be accepted)"
+                    .into(),
+            ),
+            _ => None,
+        };
+        if let Some(msg) = refusal {
+            return Err(usage(msg));
         }
-        if serve.resident_pages.is_some() && serve.store_dir.is_none() {
-            return Err(CliError::Usage(
-                "--resident-pages requires --store-dir <dir>".into(),
-            ));
-        }
-        if let Some(e) = epoch {
-            serve.scheme.epoch =
-                EpochInterval::new(e).map_err(|e| CliError::Usage(e.to_string()))?;
-        }
-        if let Some(w) = word_bytes {
-            serve.scheme.word_size =
-                WordSize::from_bytes(w).map_err(|e| CliError::Usage(e.to_string()))?;
-        }
-        Ok(Command::Serve(serve))
-    }
-}
 
-fn parse_number<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
-    s.parse()
-        .map_err(|_| CliError::Usage(format!("{flag}: invalid number {s:?}")))
-}
-
-/// [`parse_number`] for a count that must be at least 1.
-fn parse_count<T: std::str::FromStr + From<u8> + PartialOrd>(
-    s: &str,
-    flag: &str,
-) -> Result<T, CliError> {
-    let n: T = parse_number(s, flag)?;
-    if n < T::from(1) {
-        return Err(CliError::Usage(format!("{flag} must be at least 1")));
+        Ok(match sub {
+            "gen" => Command::Gen(run.gen),
+            "stats" => Command::Stats(StatsArgs { trace_path: paths.remove(0) }),
+            "run" => Command::Run(run),
+            "compare" => Command::Compare(run),
+            "sweep" => Command::Sweep(run),
+            "merge" => Command::Merge(MergeArgs { manifests: paths }),
+            "report" => Command::Report(ReportArgs { telemetry_path: paths.remove(0) }),
+            "watch" => Command::Watch(WatchArgs { paths, ..watch }),
+            "serve" => Command::Serve(ServeArgs {
+                scheme: configure(scheme.unwrap_or(serve.scheme.kind)),
+                benchmark: run.gen.benchmark,
+                lines: run.gen.lines,
+                seed: run.gen.seed,
+                telemetry: run.telemetry,
+                flight_recorder: run.flight_recorder,
+                resident_pages: run.resident_pages,
+                ..serve
+            }),
+            "aes-backend" => Command::AesBackend,
+            _ => Command::Help,
+        })
     }
-    Ok(n)
 }
 
 #[cfg(test)]
@@ -1173,31 +1010,25 @@ mod tests {
     #[test]
     fn stream_and_checkpoint_flags_parse() {
         let cmd = parse(&[
-            "run", "--benchmark", "mcf", "--scheme", "deuce", "--stream", "--checkpoint",
+            "run", "--benchmark", "mcf", "--scheme", "deuce", "--checkpoint",
             "cp.jsonl", "--checkpoint-every", "500",
         ])
         .unwrap();
         match cmd {
             Command::Run(r) => {
-                assert!(r.stream);
                 assert_eq!(r.checkpoint.as_deref(), Some("cp.jsonl"));
                 assert_eq!(r.checkpoint_every, 500);
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Checkpointing needs the streaming driver; emit and verify are
-        // mutually exclusive.
+        // Emit and verify are mutually exclusive.
         assert!(matches!(
-            parse(&["run", "--benchmark", "mcf", "--scheme", "deuce", "--checkpoint", "c"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse(&["run", "--benchmark", "mcf", "--scheme", "deuce", "--stream",
+            parse(&["run", "--benchmark", "mcf", "--scheme", "deuce",
                     "--checkpoint", "a", "--from-checkpoint", "b"]),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            parse(&["run", "--benchmark", "mcf", "--scheme", "deuce", "--stream",
+            parse(&["run", "--benchmark", "mcf", "--scheme", "deuce",
                     "--checkpoint", "c", "--checkpoint-every", "0"]),
             Err(CliError::Usage(_))
         ));
@@ -1493,5 +1324,91 @@ mod tests {
     #[test]
     fn serve_zero_lines_is_a_usage_error() {
         assert_usage_names(&["serve", "--lines", "0"], "--lines");
+    }
+
+    /// Arguments each subcommand needs to parse, before a flag is added.
+    fn base_args(sub: &str) -> &'static [&'static str] {
+        match sub {
+            "gen" => &["--benchmark", "mcf", "-o", "t.trace"],
+            "stats" => &["t.trace"],
+            "run" => &["--benchmark", "mcf", "--scheme", "deuce"],
+            "compare" | "sweep" => &["--benchmark", "mcf"],
+            "merge" | "watch" => &["m.jsonl"],
+            "report" => &["t.jsonl"],
+            _ => &[],
+        }
+    }
+
+    #[test]
+    fn every_flag_a_subcommand_does_not_read_is_refused() {
+        let mut refused = 0;
+        for (sub, ..) in SUBCOMMANDS {
+            let base = [&[sub], base_args(sub)].concat();
+            assert!(parse(&base).is_ok(), "{base:?} must parse");
+            for flag in FLAGS.iter().filter(|f| !f.commands.contains(&sub)) {
+                let mut argv = [&base[..], &[flag.name]].concat();
+                if !matches!(flag.set, Set::Switch(_)) {
+                    argv.push("1");
+                }
+                match parse(&argv) {
+                    Err(CliError::Usage(msg)) => {
+                        assert!(msg.contains(flag.name) && msg.contains(sub), "{argv:?}: {msg}");
+                    }
+                    other => panic!("{argv:?} must be refused, got {other:?}"),
+                }
+                refused += 1;
+            }
+        }
+        assert!(refused > 300, "walked {refused} pairs");
+    }
+
+    #[test]
+    fn a_bare_argument_a_subcommand_does_not_take_is_refused() {
+        for (argv, bare) in [
+            (&["run", "t.bin", "--benchmark", "mcf", "--scheme", "deuce"][..], "t.bin"),
+            (&["gen", "foo", "--benchmark", "mcf", "-o", "t.trace"], "foo"),
+            (&["stats", "a.trace", "b.trace"], "b.trace"),
+        ] {
+            assert_usage_names(argv, bare);
+            assert_usage_names(argv, argv[0]);
+        }
+    }
+
+    #[test]
+    fn trace_with_a_generation_flag_is_refused() {
+        for (flag, value) in [("--benchmark", "mcf"), ("--writes", "500")] {
+            let argv = ["run", "--trace", "t.bin", "--scheme", "deuce", flag, value];
+            for named in [flag, "--trace", "run"] {
+                assert_usage_names(&argv, named);
+            }
+        }
+        assert_usage_names(&["sweep", "--trace", "t.bin", "--lines", "64"], "--lines");
+    }
+
+    #[test]
+    fn a_tuning_flag_without_the_flag_it_tunes_is_refused() {
+        let run = ["run", "--benchmark", "mcf", "--scheme", "deuce"];
+        for (tuning, tuned) in [
+            (["--sample-every", "16"], "--telemetry"),
+            (["--checkpoint-every", "100"], "--checkpoint"),
+            (["--resident-pages", "8"], "--store-file"),
+        ] {
+            let argv = [&run[..], &tuning].concat();
+            for named in [tuning[0], tuned, "run"] {
+                assert_usage_names(&argv, named);
+            }
+        }
+        assert_usage_names(&["serve", "--resident-pages", "8"], "--store-dir");
+    }
+
+    #[test]
+    fn removed_stream_flag_is_a_usage_error() {
+        for argv in [
+            &["run", "--benchmark", "mcf", "--scheme", "deuce", "--stream"][..],
+            &["compare", "--benchmark", "mcf", "--stream"],
+            &["sweep", "--benchmark", "mcf", "--stream"],
+        ] {
+            assert_usage_names(argv, "--stream");
+        }
     }
 }

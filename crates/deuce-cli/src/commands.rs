@@ -149,11 +149,6 @@ pub fn stats<W: Write>(args: &StatsArgs, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Builds the simulator configuration for one scheme, wiring in fault
-/// injection when `--faults` was given: wear tracking is auto-sized to
-/// `fault_lines`, the trace's write footprint (every written line needs
-/// a cell-array slot; see [`fault_lines`]), and the fault flags map
-/// onto [`FaultConfig`].
 /// Resident-page budget the page-file store defaults to when only
 /// `--store-file` is given.
 const DEFAULT_RESIDENT_PAGES: usize = 1024;
@@ -177,6 +172,11 @@ fn store_backend(args: &RunArgs, cell: Option<&str>) -> StoreBackend {
     }
 }
 
+/// Builds the simulator configuration for one scheme, wiring in fault
+/// injection when `--faults` was given: wear tracking is auto-sized to
+/// `fault_lines`, the trace's write footprint (every written line needs
+/// a cell-array slot; see [`fault_lines`]), and the fault flags map
+/// onto [`FaultConfig`].
 fn sim_config(args: &RunArgs, fault_lines: usize, scheme: SchemeConfig) -> SimConfig {
     let mut config =
         SimConfig::with_scheme(scheme).with_store_backend(store_backend(args, None));
@@ -265,28 +265,22 @@ fn write_run_outputs<W: Write>(
     Ok(result)
 }
 
-/// The trace's unique written-line count (0 when faults are off — the
-/// value is only used to size the wear cell array). The materialised
-/// path counts in RAM; the streaming path makes a bounded-memory
-/// pre-pass over a fresh source.
+/// The stream's unique written-line count (0 when faults are off — the
+/// value is only used to size the wear cell array), counted in a
+/// pre-pass over `trace` when the caller holds one, else over a fresh
+/// run source.
 fn fault_lines(args: &RunArgs, trace: Option<&Trace>) -> Result<usize, CliError> {
     if !args.faults.enabled {
         return Ok(0);
     }
+    let mut source: Box<dyn WriteSource + '_> = match trace {
+        Some(trace) => Box::new(TraceSource::new(trace)),
+        None => open_run_source(args)?,
+    };
     let mut lines = HashSet::new();
-    match trace {
-        Some(trace) => {
-            for event in trace.writes() {
-                lines.insert(event.line.value());
-            }
-        }
-        None => {
-            let mut source = open_run_source(args)?;
-            while let Some(event) = source.next_event()? {
-                if event.op == Op::Write {
-                    lines.insert(event.line.value());
-                }
-            }
+    while let Some(event) = source.next_event()? {
+        if event.op == Op::Write {
+            lines.insert(event.line.value());
         }
     }
     Ok(lines.len())
@@ -328,8 +322,8 @@ fn progress(label: &str, total: usize, shards: usize) -> SweepProgress {
         .live(std::io::stderr().is_terminal())
 }
 
-/// Drives one streaming run with the checkpoint mode the flags picked:
-/// plain, emitting (`--checkpoint`), or replay-verifying
+/// Drives one run from its source with the checkpoint mode the flags
+/// picked: plain, emitting (`--checkpoint`), or replay-verifying
 /// (`--from-checkpoint`).
 fn drive_stream<R: Recorder>(
     args: &RunArgs,
@@ -366,9 +360,15 @@ fn drive_stream<R: Recorder>(
     Ok(simulator.run_source_recorded(source, rec)?)
 }
 
-/// `deuce run --stream`: same simulation, driven from the source one
-/// event at a time — O(1) trace-resident memory at any trace length.
-fn run_streamed<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
+/// `deuce run`: simulate one scheme, driven from the trace file or the
+/// generator one event at a time — O(1) trace-resident memory at any
+/// trace length.
+///
+/// # Errors
+///
+/// Returns I/O or trace-format errors, and
+/// [`CliError::Checkpoint`] when a `--from-checkpoint` replay diverges.
+pub fn run<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     let scheme = args.scheme.expect("parser enforces --scheme for run");
     let lines = fault_lines(args, None)?;
     let simulator = Simulator::new(sim_config(args, lines, scheme));
@@ -398,44 +398,6 @@ fn run_streamed<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `deuce run`: simulate one scheme over the trace.
-///
-/// # Errors
-///
-/// Returns I/O or trace-format errors, and
-/// [`CliError::Checkpoint`] when a `--from-checkpoint` replay diverges.
-pub fn run<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
-    if args.stream {
-        return run_streamed(args, out);
-    }
-    let trace = load_or_generate(args)?;
-    let scheme = args.scheme.expect("parser enforces --scheme for run");
-    let lines = fault_lines(args, Some(&trace))?;
-    let simulator = Simulator::new(sim_config(args, lines, scheme));
-    writeln!(out, "scheme\t{}", scheme.kind)?;
-    // Drive through the fallible source entry points (the same code
-    // path as run_trace) so a page-file store error surfaces as a
-    // CliError instead of a panic.
-    let result = if wants_recorder(args) {
-        let mut recorder = build_recorder(args);
-        let outcome = simulator
-            .run_source_recorded(&mut TraceSource::new(&trace), &mut recorder)
-            .map_err(CliError::from);
-        write_run_outputs(args, scheme, outcome, recorder, out)?
-    } else {
-        simulator.run_source(&mut TraceSource::new(&trace))?
-    };
-    RunSummary::from(&result).write_to(out)?;
-    writeln!(out, "aes_backend\t{}", result.aes_backend)?;
-    if let Some(report) = &result.faults {
-        FaultSummary::from(report).write_to(out)?;
-    }
-    if let Some(stats) = result.store {
-        StoreSummary::from(stats).write_to(out)?;
-    }
-    Ok(())
-}
-
 /// `deuce compare`: simulate every scheme over the same trace and
 /// tabulate the headline metrics.
 ///
@@ -449,22 +411,13 @@ pub fn compare<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     writeln!(out, "scheme\t{METRIC_HEADER}\tmeta_bits{fault_header}")?;
     let sweep = ParallelSweep::new();
     let ticker = progress("compare", SchemeKind::ALL.len(), sweep.shards());
-    let collect = args.telemetry.is_some();
-    let results: Vec<(SchemeKind, SimResult, Option<TelemetryRecorder>)> = sweep.map_observed(
+    let results = sweep.map_observed(
         &SchemeKind::ALL,
-        |_, &kind| {
-            let simulator = Simulator::new(sim_config(args, lines, SchemeConfig::new(kind)));
-            if collect {
-                let mut recorder = TelemetryRecorder::new(telemetry_config(args));
-                let result = simulator.run_trace_recorded(&trace, &mut recorder);
-                (kind, result, Some(recorder))
-            } else {
-                (kind, simulator.run_trace(&trace), None)
-            }
-        },
+        |_, &kind| run_cell(args, sim_config(args, lines, SchemeConfig::new(kind)), &trace),
         Some(&ticker),
     );
-    for (kind, result, _) in &results {
+    let results = results.into_iter().collect::<Result<Vec<_>, RunError>>()?;
+    for (kind, (result, _)) in SchemeKind::ALL.iter().zip(&results) {
         let fault_cells = result.faults.as_ref().map_or_else(String::new, |f| {
             format!(
                 "\t{}\t{}",
@@ -482,13 +435,14 @@ pub fn compare<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     }
     // One dispatch tier per host: every scheme's engine resolves the
     // same backend, so a single row covers the whole table.
-    if let Some((_, first, _)) = results.first() {
+    if let Some((first, _)) = results.first() {
         writeln!(out, "aes_backend\t{}", first.aes_backend)?;
     }
     if let Some(path) = &args.telemetry {
-        let runs: Vec<(String, TelemetryRecorder)> = results
-            .into_iter()
-            .filter_map(|(kind, _, recorder)| recorder.map(|r| (kind.to_string(), r)))
+        let runs: Vec<(String, TelemetryRecorder)> = SchemeKind::ALL
+            .iter()
+            .zip(results)
+            .filter_map(|(kind, (_, recorder))| recorder.map(|r| (kind.to_string(), r)))
             .collect();
         write_telemetry(path, &runs)?;
         writeln!(out, "telemetry\t{path}")?;
@@ -513,6 +467,50 @@ fn sweep_scheme(word_size: WordSize, epoch: u64) -> SchemeConfig {
     SchemeConfig::new(SchemeKind::Deuce)
         .with_word_size(word_size)
         .with_epoch(EpochInterval::new(epoch).expect("power of two"))
+}
+
+/// A sweep cell's name in telemetry, manifests and derived page files.
+fn sweep_label(word_size: WordSize, epoch: u64) -> String {
+    format!("w{}e{epoch}", word_size.bytes())
+}
+
+/// Runs one simulation over the shared in-RAM trace (a `compare` or
+/// `sweep` cell), collecting telemetry when `--telemetry` asked for it.
+fn run_cell(
+    args: &RunArgs,
+    config: SimConfig,
+    trace: &Trace,
+) -> Result<(SimResult, Option<TelemetryRecorder>), RunError> {
+    let simulator = Simulator::new(config);
+    let mut source = TraceSource::new(trace);
+    if args.telemetry.is_none() {
+        return Ok((simulator.run_source(&mut source)?, None));
+    }
+    let mut recorder = TelemetryRecorder::new(telemetry_config(args));
+    let result = simulator.run_source_recorded(&mut source, &mut recorder)?;
+    Ok((result, Some(recorder)))
+}
+
+/// Runs one sweep grid cell and renders its table row. Parallel cells
+/// each own a derived page file.
+fn run_sweep_cell(
+    args: &RunArgs,
+    lines: usize,
+    trace: &Trace,
+    (word_size, epoch): (WordSize, u64),
+) -> Result<(String, SimResult, Option<TelemetryRecorder>), RunError> {
+    let scheme = sweep_scheme(word_size, epoch);
+    let config = sim_config(args, lines, scheme)
+        .with_store_backend(store_backend(args, Some(&sweep_label(word_size, epoch))));
+    let (result, recorder) = run_cell(args, config, trace)?;
+    let row = format!(
+        "{}\t{}\t{}\t{}",
+        word_size.bytes(),
+        epoch,
+        RunSummary::from(&result).metric_cells(),
+        scheme.metadata_bits(),
+    );
+    Ok((row, result, recorder))
 }
 
 /// The manifest header every shard of one sweep grid must agree on:
@@ -549,12 +547,15 @@ fn sweep_manifest_header(args: &RunArgs, cells: u64) -> ManifestHeader {
 /// recording each finished cell in the manifest. Stdout carries only a
 /// completion summary — the table comes from `deuce merge` once every
 /// shard is done.
-fn sweep_sharded<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
-    let trace = load_or_generate(args)?;
-    let lines = fault_lines(args, Some(&trace))?;
+fn sweep_sharded<W: Write>(
+    args: &RunArgs,
+    manifest_path: &str,
+    trace: &Trace,
+    lines: usize,
+    out: &mut W,
+) -> Result<(), CliError> {
     let grid = sweep_grid();
     let header = sweep_manifest_header(args, grid.len() as u64);
-    let manifest_path = args.manifest.as_deref().expect("caller checked --manifest");
     let shard = args.shard.unwrap_or(ShardSpec::WHOLE);
     let (writer, completed) = if args.resume {
         ManifestWriter::resume(manifest_path, &header)?
@@ -573,24 +574,12 @@ fn sweep_sharded<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> 
         &completed,
         &writer,
         |cell, &(word_size, epoch)| {
-            let scheme = sweep_scheme(word_size, epoch);
-            // Parallel cells each own a derived page file.
-            let config = sim_config(args, lines, scheme).with_store_backend(store_backend(
-                args,
-                Some(&format!("w{}e{epoch}", word_size.bytes())),
-            ));
-            let result = Simulator::new(config).run_source(&mut TraceSource::new(&trace))?;
+            let (row, result, _) = run_sweep_cell(args, lines, trace, (word_size, epoch))?;
             Ok::<_, CliError>(CellRecord {
                 cell: cell as u64,
-                label: format!("w{}e{epoch}", word_size.bytes()),
+                label: sweep_label(word_size, epoch),
                 writes: result.writes,
-                row: format!(
-                    "{}\t{}\t{}\t{}",
-                    word_size.bytes(),
-                    epoch,
-                    RunSummary::from(&result).metric_cells(),
-                    scheme.metadata_bits(),
-                ),
+                row,
             })
         },
         Some(&ticker),
@@ -611,55 +600,31 @@ fn sweep_sharded<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> 
 ///
 /// Returns I/O, trace-format, or manifest errors.
 pub fn sweep<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
-    if args.manifest.is_some() {
-        return sweep_sharded(args, out);
-    }
     let trace = load_or_generate(args)?;
     let lines = fault_lines(args, Some(&trace))?;
+    if let Some(path) = &args.manifest {
+        return sweep_sharded(args, path, &trace, lines, out);
+    }
     let grid = sweep_grid();
     // One shard per grid cell; rows come back in grid order.
     let runner = ParallelSweep::new();
     let ticker = progress("sweep", grid.len(), runner.shards());
-    let collect = args.telemetry.is_some();
     let rows = runner.map_observed(
         &grid,
-        |_, &(word_size, epoch)| {
-            let scheme = sweep_scheme(word_size, epoch);
-            // Parallel cells each own a derived page file.
-            let config = sim_config(args, lines, scheme).with_store_backend(store_backend(
-                args,
-                Some(&format!("w{}e{epoch}", word_size.bytes())),
-            ));
-            let simulator = Simulator::new(config);
-            let mut source = TraceSource::new(&trace);
-            if collect {
-                let mut recorder = TelemetryRecorder::new(telemetry_config(args));
-                let result = simulator.run_source_recorded(&mut source, &mut recorder)?;
-                Ok((scheme, result, Some(recorder)))
-            } else {
-                Ok((scheme, simulator.run_source(&mut source)?, None))
-            }
-        },
+        |_, &cell| run_sweep_cell(args, lines, &trace, cell),
         Some(&ticker),
     );
     let rows = rows.into_iter().collect::<Result<Vec<_>, RunError>>()?;
     writeln!(out, "word_bytes\tepoch\t{METRIC_HEADER}\tmeta_bits")?;
-    for ((word_size, epoch), (scheme, result, _)) in grid.iter().zip(&rows) {
-        writeln!(
-            out,
-            "{}\t{}\t{}\t{}",
-            word_size.bytes(),
-            epoch,
-            RunSummary::from(result).metric_cells(),
-            scheme.metadata_bits(),
-        )?;
+    for (row, ..) in &rows {
+        writeln!(out, "{row}")?;
     }
     if let Some(path) = &args.telemetry {
         let runs: Vec<(String, TelemetryRecorder)> = grid
             .iter()
             .zip(rows)
             .filter_map(|(&(word_size, epoch), (_, _, recorder))| {
-                recorder.map(|r| (format!("w{}e{epoch}", word_size.bytes()), r))
+                recorder.map(|r| (sweep_label(word_size, epoch), r))
             })
             .collect();
         write_telemetry(path, &runs)?;
@@ -1683,26 +1648,30 @@ mod tests {
     }
 
     #[test]
-    fn streamed_run_output_is_byte_identical() {
+    fn saved_and_generated_runs_are_byte_identical() {
+        let dir = std::env::temp_dir().join("deuce-cli-source-parity");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace_path = dir.join("t.trace").to_str().unwrap().to_string();
+        gen(&GenArgs { output: Some(trace_path.clone()), ..small_gen() }, &mut Vec::new()).unwrap();
+
+        // With --faults, both sources also feed the line-count pre-pass.
         for faults in [FaultArgs::default(), FaultArgs { enabled: true, ..FaultArgs::default() }] {
-            let args = RunArgs {
+            let generated = RunArgs {
                 gen: small_gen(),
                 scheme: Some(SchemeConfig::new(SchemeKind::Deuce)),
                 faults,
                 ..RunArgs::default()
             };
-            let mut materialised = Vec::new();
-            run(&args, &mut materialised).unwrap();
-            let streamed_args = RunArgs { stream: true, ..args };
-            let mut streamed = Vec::new();
-            run(&streamed_args, &mut streamed).unwrap();
-            assert_eq!(
-                String::from_utf8(streamed).unwrap(),
-                String::from_utf8(materialised).unwrap(),
-                "faults={}",
-                streamed_args.faults.enabled,
-            );
+            let saved = RunArgs { trace_path: Some(trace_path.clone()), ..generated.clone() };
+            let [from_generator, from_file] = [generated, saved].map(|args| {
+                let mut out = Vec::new();
+                run(&args, &mut out).unwrap();
+                String::from_utf8(out).unwrap()
+            });
+            assert_eq!(from_file, from_generator, "faults={}", faults.enabled);
         }
+
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1731,7 +1700,6 @@ mod tests {
                 let args = RunArgs {
                     trace_path: Some(path.clone()),
                     scheme: Some(SchemeConfig::new(SchemeKind::Deuce)),
-                    stream: true,
                     ..RunArgs::default()
                 };
                 let mut run_out = Vec::new();
@@ -1753,7 +1721,6 @@ mod tests {
         let emit_args = RunArgs {
             gen: small_gen(),
             scheme: Some(SchemeConfig::new(SchemeKind::Deuce)),
-            stream: true,
             checkpoint: Some(cp_path.clone()),
             checkpoint_every: 100,
             ..RunArgs::default()
@@ -1930,7 +1897,6 @@ mod tests {
         let args = RunArgs {
             trace_path: Some(trace_path),
             scheme: Some(SchemeConfig::new(SchemeKind::Deuce)),
-            stream: true,
             checkpoint: Some(cp_path.clone()),
             checkpoint_every: 100,
             ..RunArgs::default()

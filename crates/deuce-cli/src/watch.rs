@@ -2,7 +2,7 @@
 //! sweeps.
 //!
 //! Watch tails the three progress formats other subcommands already
-//! write: run checkpoint files (`run --stream --checkpoint`, JSONL
+//! write: run checkpoint files (`run --checkpoint`, JSONL
 //! `run_checkpoint` lines plus an optional `run_total` stream-length
 //! hint), sweep manifests (`sweep --manifest`, a header line plus
 //! one line per finished cell), and serve telemetry streams

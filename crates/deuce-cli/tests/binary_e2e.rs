@@ -68,35 +68,49 @@ fn full_pipeline_through_the_binary() {
 }
 
 #[test]
-fn streamed_run_matches_materialised_through_the_binary() {
+fn saved_trace_run_matches_generated_run_through_the_binary() {
     let dir = std::env::temp_dir().join("deuce-bin-stream-e2e");
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("s.jsonl");
     let trace_str = trace.to_str().unwrap();
+    let workload = ["--benchmark", "mcf", "--writes", "400", "--lines", "32"];
 
-    // JSONL gen, then the same run materialised and streamed.
+    // JSONL gen, then the same run over the saved file and straight
+    // from the generator.
     let output = deuce()
-        .args([
-            "gen", "--benchmark", "mcf", "--writes", "400", "--lines", "32", "--format", "jsonl",
-            "-o", trace_str,
-        ])
+        .arg("gen")
+        .args(workload)
+        .args(["--format", "jsonl", "-o", trace_str])
         .output()
         .expect("gen runs");
     assert!(output.status.success(), "{output:?}");
 
-    let materialised = deuce()
+    let saved = deuce()
         .args(["run", "--trace", trace_str, "--scheme", "deuce"])
         .output()
         .expect("run runs");
-    assert!(materialised.status.success());
-    let streamed = deuce()
-        .args(["run", "--trace", trace_str, "--scheme", "deuce", "--stream"])
-        .output()
-        .expect("run --stream runs");
-    assert!(streamed.status.success());
-    assert_eq!(streamed.stdout, materialised.stdout, "streaming must not change results");
+    assert!(saved.status.success());
+    let generated =
+        deuce().arg("run").args(workload).args(["--scheme", "deuce"]).output().expect("run runs");
+    assert!(generated.status.success());
+    assert_eq!(saved.stdout, generated.stdout, "the source must not change results");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // The reader is gone before the child starts, so its first write
+    // fails with a broken pipe on every run.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let output = deuce()
+        .args(["compare", "--benchmark", "mcf", "--writes", "300"])
+        .stdout(writer)
+        .output()
+        .expect("compare runs");
+    assert_eq!(output.status.code(), Some(0), "{output:?}");
+    assert!(output.stderr.is_empty(), "{}", String::from_utf8_lossy(&output.stderr));
 }
 
 #[test]
@@ -213,11 +227,11 @@ fn paged_store_kill_and_resume_through_the_binary() {
         .expect("gen runs");
     assert!(output.status.success(), "{output:?}");
 
-    // First process: a streamed paged run emitting checkpoints. Both
+    // First process: a paged run emitting checkpoints. Both
     // the page file and the checkpoint file outlive the process.
     let paged_flags = ["--store-file", pages.to_str().unwrap(), "--resident-pages", "1"];
     let first = deuce()
-        .args(["run", "--trace", trace_str, "--scheme", "deuce", "--stream"])
+        .args(["run", "--trace", trace_str, "--scheme", "deuce"])
         .args(paged_flags)
         .args(["--checkpoint", cp.to_str().unwrap(), "--checkpoint-every", "200"])
         .output()
@@ -232,7 +246,7 @@ fn paged_store_kill_and_resume_through_the_binary() {
     // over the same page-file path. Verification includes the flushed
     // page fingerprint, so the write-back history must recur exactly.
     let second = deuce()
-        .args(["run", "--trace", trace_str, "--scheme", "deuce", "--stream"])
+        .args(["run", "--trace", trace_str, "--scheme", "deuce"])
         .args(paged_flags)
         .args(["--from-checkpoint", cp.to_str().unwrap()])
         .output()
@@ -254,7 +268,7 @@ fn paged_store_kill_and_resume_through_the_binary() {
     // An arena replay of the same checkpoint must be rejected: the
     // checkpoint pins the paged store's flush state.
     let arena = deuce()
-        .args(["run", "--trace", trace_str, "--scheme", "deuce", "--stream"])
+        .args(["run", "--trace", trace_str, "--scheme", "deuce"])
         .args(["--from-checkpoint", cp.to_str().unwrap()])
         .output()
         .expect("arena resume runs");

@@ -398,23 +398,11 @@ fn write_event_jsonl<W: Write>(writer: &mut W, e: &TraceEvent) -> Result<(), Tra
     Ok(())
 }
 
-/// Serializes a trace as JSONL: a header object then one event object
-/// per line (`data` is 128 hex chars for writes, absent for reads).
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn write_trace_jsonl<W: Write>(mut writer: W, trace: &Trace) -> Result<(), TraceIoError> {
-    write_jsonl_header(&mut writer, core_count(trace.events()))?;
-    for e in trace.events() {
-        write_event_jsonl(&mut writer, e)?;
-    }
-    Ok(())
-}
-
-/// Streams a whole [`WriteSource`] to JSONL without materialising it
-/// (the JSONL header needs no event count, so no back-patching).
-/// Returns the number of events written.
+/// Streams a whole [`WriteSource`] to JSONL without materialising it:
+/// a header object, then one event object per line (`data` is 128 hex
+/// chars for writes, absent for reads). The header needs no event
+/// count, so nothing is back-patched. Returns the number of events
+/// written.
 ///
 /// # Errors
 ///
@@ -567,7 +555,7 @@ pub fn open_source<P: AsRef<Path>>(path: P) -> Result<Box<dyn WriteSource>, Trac
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Benchmark, TraceConfig};
+    use crate::{Benchmark, TraceConfig, TraceSource};
 
     #[test]
     fn roundtrip() {
@@ -582,7 +570,7 @@ mod tests {
     fn jsonl_roundtrip() {
         let trace = TraceConfig::new(Benchmark::Milc).writes(120).cores(3).seed(8).generate();
         let mut buf = Vec::new();
-        write_trace_jsonl(&mut buf, &trace).unwrap();
+        write_source_jsonl(&mut buf, &mut TraceSource::new(&trace)).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("{\"trace\":\"deuce\",\"version\":1,\"cores\":3}"));
         let mut source = JsonlStreamSource::from_reader(text.as_bytes()).unwrap();

@@ -47,7 +47,7 @@ pub use attack::{AttackKind, AttackTrace};
 pub use generator::{GeneratorSource, TraceConfig, HELPER_MIN_WRITES};
 pub use io::{
     open_source, read_trace, write_source_jsonl, write_source_to_file, write_trace,
-    write_trace_jsonl, BinaryStreamSource, JsonlStreamSource, TraceIoError,
+    BinaryStreamSource, JsonlStreamSource, TraceIoError,
 };
 pub use source::{core_count, TraceSource, WriteSource};
 pub use profiles::{Benchmark, BenchmarkProfile, FootprintDrift};

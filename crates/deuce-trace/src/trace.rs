@@ -115,78 +115,6 @@ impl FromIterator<TraceEvent> for Trace {
     }
 }
 
-impl Trace {
-    /// Returns the sub-trace of events issued by one core (rate mode
-    /// runs are per-core symmetric, so single-core slices are often all
-    /// an analysis needs).
-    #[must_use]
-    pub fn filter_core(&self, core: u8) -> Trace {
-        self.events
-            .iter()
-            .filter(|e| e.core == core)
-            .cloned()
-            .collect()
-    }
-
-    /// Returns the prefix containing the first `writes` writebacks (and
-    /// every read issued before the last of them) — useful for warmup
-    /// splits. Consumes `self` and truncates in place, so no event is
-    /// copied; use [`Trace::write_prefix`] to borrow instead.
-    #[must_use]
-    pub fn truncate_writes(mut self, writes: usize) -> Trace {
-        let keep = self.write_prefix_len(writes);
-        self.events.truncate(keep);
-        self
-    }
-
-    /// Borrowing variant of [`Trace::truncate_writes`]: the prefix slice
-    /// holding the first `writes` writebacks and the reads issued before
-    /// the next writeback.
-    #[must_use]
-    pub fn write_prefix(&self, writes: usize) -> &[TraceEvent] {
-        &self.events[..self.write_prefix_len(writes)]
-    }
-
-    /// Number of leading events covering the first `writes` writebacks
-    /// (reads between the last kept write and the next write included).
-    fn write_prefix_len(&self, writes: usize) -> usize {
-        let mut remaining = writes;
-        for (i, e) in self.events.iter().enumerate() {
-            if e.op == Op::Write {
-                if remaining == 0 {
-                    return i;
-                }
-                remaining -= 1;
-            }
-        }
-        self.events.len()
-    }
-
-    /// Merges two traces by interleaving on instruction count
-    /// (stable: ties keep `self` first). Cores must be disjoint for the
-    /// result to be meaningful; this is the caller's responsibility.
-    #[must_use]
-    pub fn merge(&self, other: &Trace) -> Trace {
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        let (mut a, mut b) = (self.events.iter().peekable(), other.events.iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if x.instr <= y.instr {
-                        out.push(a.next().expect("peeked").clone());
-                    } else {
-                        out.push(b.next().expect("peeked").clone());
-                    }
-                }
-                (Some(_), None) => out.extend(a.by_ref().cloned()),
-                (None, Some(_)) => out.extend(b.by_ref().cloned()),
-                (None, None) => break,
-            }
-        }
-        Trace::from_events(out)
-    }
-}
-
 impl Extend<TraceEvent> for Trace {
     fn extend<I: IntoIterator<Item = TraceEvent>>(&mut self, iter: I) {
         self.events.extend(iter);
@@ -210,48 +138,6 @@ mod tests {
         assert_eq!(t.writes().count(), 2);
         assert!(t.events()[0].data.is_none());
         assert_eq!(t.events()[1].data.unwrap()[0], 1);
-    }
-
-    #[test]
-    fn filter_core_selects_exactly_that_core() {
-        let mut t = Trace::default();
-        for i in 0..10u64 {
-            t.push(TraceEvent::write((i % 3) as u8, i * 10, LineAddr::new(i), [0u8; 64]));
-        }
-        let core1 = t.filter_core(1);
-        assert_eq!(core1.len(), 3);
-        assert!(core1.events().iter().all(|e| e.core == 1));
-    }
-
-    #[test]
-    fn truncate_writes_keeps_prefix() {
-        let mut t = Trace::default();
-        t.push(TraceEvent::read(0, 5, LineAddr::new(0)));
-        t.push(TraceEvent::write(0, 10, LineAddr::new(0), [1u8; 64]));
-        t.push(TraceEvent::read(0, 15, LineAddr::new(1)));
-        t.push(TraceEvent::write(0, 20, LineAddr::new(1), [2u8; 64]));
-        let head = t.clone().truncate_writes(1);
-        assert_eq!(head.write_count(), 1);
-        assert_eq!(head.len(), 3, "the read between the writes is kept");
-        assert_eq!(head.events(), t.write_prefix(1), "borrowing view agrees");
-        assert_eq!(t.clone().truncate_writes(0).write_count(), 0);
-        assert_eq!(t.write_prefix(0).len(), 1, "reads before the first write stay");
-        assert_eq!(t.clone().truncate_writes(99), t, "over-asking keeps everything");
-        assert_eq!(t.write_prefix(99).len(), t.len());
-    }
-
-    #[test]
-    fn merge_interleaves_by_instruction_count() {
-        let mut a = Trace::default();
-        a.push(TraceEvent::read(0, 10, LineAddr::new(0)));
-        a.push(TraceEvent::read(0, 30, LineAddr::new(0)));
-        let mut b = Trace::default();
-        b.push(TraceEvent::read(1, 20, LineAddr::new(1)));
-        b.push(TraceEvent::read(1, 40, LineAddr::new(1)));
-        let merged = a.merge(&b);
-        let instrs: Vec<u64> = merged.events().iter().map(|e| e.instr).collect();
-        assert_eq!(instrs, vec![10, 20, 30, 40]);
-        assert_eq!(merged.len(), 4);
     }
 
     #[test]
