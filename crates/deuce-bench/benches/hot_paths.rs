@@ -5,7 +5,7 @@ use deuce_bench::harness::{black_box, Harness, Throughput};
 
 use deuce_aes::{available_backends, Aes128, AesBackend};
 use deuce_crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
-use deuce_nvm::{write_slots, LineImage, MetaBits, SlotConfig};
+use deuce_nvm::{write_slots, CellArray, LineBytes, LineImage, MetaBits, SlotConfig};
 use deuce_schemes::{fnw_encode, DeuceLine, DeuceScheme, SchemeConfig, SchemeKind, SchemeLine, WordSize};
 use deuce_sim::{SimConfig, Simulator};
 use deuce_telemetry::{NullRecorder, TelemetryRecorder};
@@ -114,26 +114,49 @@ fn bench_pad_throughput(c: &mut Harness) {
     group.finish();
 }
 
+/// Rewrites a line's data for write number `i`.
+type NextData = fn(u64, &mut LineBytes);
+
+/// Changes one or two words per write, as most writebacks do.
+fn sparse_write(i: u64, data: &mut LineBytes) {
+    data[0] = i as u8;
+    data[17] = (i >> 8) as u8;
+}
+
+/// Changes every word, as a dense workload's writebacks do.
+fn dense_write(i: u64, data: &mut LineBytes) {
+    data.fill(i as u8);
+}
+
+/// One line's writes under each scheme; DEUCE also at its other word
+/// sizes, and with every word changing.
 fn bench_scheme_writes(c: &mut Harness) {
     let engine = OtpEngine::new(&SecretKey::from_seed(2));
     let mut group = c.benchmark_group("scheme_write");
     group.throughput(Throughput::Bytes(64));
-    for kind in [
+    let mut cases: Vec<(String, SchemeConfig, NextData)> = [
         SchemeKind::EncryptedDcw,
         SchemeKind::EncryptedFnw,
         SchemeKind::Deuce,
         SchemeKind::DynDeuce,
         SchemeKind::BleDeuce,
-    ] {
-        group.bench_function(kind.label(), |b| {
-            let mut line =
-                SchemeLine::new(&SchemeConfig::new(kind), &engine, LineAddr::new(1), &[0u8; 64]);
+    ]
+    .into_iter()
+    .map(|kind| (kind.label().to_string(), SchemeConfig::new(kind), sparse_write as NextData))
+    .collect();
+    for word_size in [WordSize::Bytes1, WordSize::Bytes4, WordSize::Bytes8] {
+        let config = SchemeConfig::new(SchemeKind::Deuce).with_word_size(word_size);
+        cases.push((format!("DEUCE_{}B", word_size.bytes()), config, sparse_write));
+    }
+    cases.push(("DEUCE_dense".to_string(), SchemeConfig::new(SchemeKind::Deuce), dense_write));
+    for (name, config, next) in cases {
+        group.bench_function(&name, |b| {
+            let mut line = SchemeLine::new(&config, &engine, LineAddr::new(1), &[0u8; 64]);
             let mut data = [0u8; 64];
             let mut i = 0u64;
             b.iter(|| {
                 i += 1;
-                data[0] = i as u8;
-                data[17] = (i >> 8) as u8;
+                next(i, &mut data);
                 line.write(&engine, black_box(&data))
             });
         });
@@ -177,6 +200,34 @@ fn bench_write_slots(c: &mut Harness) {
     c.bench_function("write_slot_packing", |b| {
         b.iter(|| write_slots(black_box(&old), black_box(&new), SlotConfig::PAPER));
     });
+}
+
+/// Wear recording of one write that flips one cell in every byte: on
+/// one line, whose count block stays cached, then on random lines of
+/// 2^17, whose count blocks mostly do not. The gap is the cost of
+/// reaching a cold count block.
+fn bench_record_write(c: &mut Harness) {
+    let old = LineImage::zeroed(32);
+    let new = LineImage::new([1; 64], MetaBits::new(32));
+    let bits = old.total_bits();
+    let mut group = c.benchmark_group("record_write");
+    group.bench_function("one_line", |b| {
+        let mut cells = CellArray::new(1, bits);
+        b.iter(|| cells.record_write(0, black_box(&old), black_box(&new), 0));
+    });
+    group.bench_function("random_lines_2^17", |b| {
+        const LINES: u64 = 1 << 17;
+        let mut cells = CellArray::new(LINES as usize, bits);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        b.iter(|| {
+            // xorshift64: a cheap, fixed sequence of lines.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            cells.record_write((x % LINES) as usize, black_box(&old), black_box(&new), 0)
+        });
+    });
+    group.finish();
 }
 
 fn bench_trace_generation(c: &mut Harness) {
@@ -262,6 +313,7 @@ fn main() {
     bench_deuce_read(&mut harness);
     bench_fnw_encode(&mut harness);
     bench_write_slots(&mut harness);
+    bench_record_write(&mut harness);
     bench_trace_generation(&mut harness);
     bench_start_gap(&mut harness);
     bench_telemetry_overhead(&mut harness);

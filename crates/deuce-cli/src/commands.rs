@@ -124,18 +124,18 @@ pub fn aes_backend<W: Write>(out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `deuce stats`: summarize a saved trace (either format).
+/// `deuce stats`: summarize a saved trace (either format) in one pass
+/// over the file, holding the latest value of each distinct line.
 ///
 /// # Errors
 ///
 /// Returns I/O or trace-format errors.
 pub fn stats<W: Write>(args: &StatsArgs, out: &mut W) -> Result<(), CliError> {
     let mut source = open_source(&args.trace_path)?;
-    let trace = Trace::from_source(&mut *source)?;
-    let stats = TraceStats::compute(&trace);
-    writeln!(out, "events\t{}", trace.len())?;
-    writeln!(out, "writes\t{}", trace.write_count())?;
-    writeln!(out, "reads\t{}", trace.read_count())?;
+    let stats = TraceStats::from_source(&mut *source)?;
+    writeln!(out, "events\t{}", stats.events)?;
+    writeln!(out, "writes\t{}", stats.writes)?;
+    writeln!(out, "reads\t{}", stats.reads)?;
     writeln!(out, "mpki\t{:.2}", stats.mpki)?;
     writeln!(out, "wbpki\t{:.2}", stats.wbpki)?;
     writeln!(out, "avg_words_modified\t{:.2}", stats.avg_words_modified)?;

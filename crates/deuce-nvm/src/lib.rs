@@ -41,7 +41,7 @@ pub use ecp::{ecp_storage_bits, line_lifetime_writes, FailureModel};
 pub use energy::EnergyParams;
 pub use geometry::{BankId, Geometry};
 pub use line_image::{FlipCount, LineImage, MetaBits};
-pub use slots::{region_flips, write_slots, SlotConfig};
+pub use slots::{region_flips, write_slots, InvalidSlotConfig, RegionFlips, SlotConfig};
 pub use timing::TimingParams;
 
 pub use deuce_crypto::{LineBytes, LINE_BITS, LINE_BYTES};

@@ -8,15 +8,35 @@
 //! flips does not always reduce slots (a 70-flip write still takes 2
 //! slots).
 
+use core::fmt;
+use core::ops::Deref;
+
 use crate::line_image::LineImage;
 
+/// The most regions a line's data bits divide into: one per 64-bit
+/// lane at the narrowest accepted region width.
+const MAX_REGIONS: usize = deuce_crypto::LINE_BITS / 64;
+
 /// Write-slot configuration (defaults follow §6.1 / Table 1).
+///
+/// A region is 64, 128, 256 or 512 bits wide: a line divides into at
+/// most eight whole regions, each a power-of-two run of 64-bit lanes,
+/// so [`write_slots`] counts with shifts and packs in fixed arrays.
+///
+/// # Examples
+///
+/// ```
+/// use deuce_nvm::SlotConfig;
+///
+/// let roomy = SlotConfig::new(128, 128).unwrap();
+/// assert_eq!(roomy.regions_for(512), 4);
+/// assert!(SlotConfig::new(192, 64).is_err()); // not a power of two
+/// assert!(SlotConfig::new(0, 64).is_err());
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotConfig {
-    /// Bits written per slot region (the device write width).
-    pub region_bits: u32,
-    /// Maximum cell flips a single slot's current budget can drive.
-    pub flips_per_slot: u32,
+    region_bits: u32,
+    flips_per_slot: u32,
 }
 
 impl SlotConfig {
@@ -25,6 +45,34 @@ impl SlotConfig {
         region_bits: 128,
         flips_per_slot: 64,
     };
+
+    /// A configuration of `region_bits`-wide regions whose slots can
+    /// each drive `flips_per_slot` cell flips.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InvalidSlotConfig`] unless `region_bits` is 64, 128, 256
+    /// or 512 and `flips_per_slot` is at least 1.
+    pub fn new(region_bits: u32, flips_per_slot: u32) -> Result<Self, InvalidSlotConfig> {
+        let widths = 64..=deuce_crypto::LINE_BITS as u32;
+        if region_bits.is_power_of_two() && widths.contains(&region_bits) && flips_per_slot > 0 {
+            Ok(Self { region_bits, flips_per_slot })
+        } else {
+            Err(InvalidSlotConfig { region_bits, flips_per_slot })
+        }
+    }
+
+    /// Bits written per slot region (the device write width).
+    #[must_use]
+    pub fn region_bits(&self) -> u32 {
+        self.region_bits
+    }
+
+    /// Maximum cell flips a single slot's current budget can drive.
+    #[must_use]
+    pub fn flips_per_slot(&self) -> u32 {
+        self.flips_per_slot
+    }
 
     /// Number of regions a line (data + metadata) divides into, rounding
     /// up so metadata bits occupy the tail region.
@@ -40,7 +88,45 @@ impl Default for SlotConfig {
     }
 }
 
-/// Flip counts per 128-bit region for a write of `new` over `old`.
+/// Error for a write-slot configuration outside the modelled range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InvalidSlotConfig {
+    /// The rejected region width in bits.
+    pub region_bits: u32,
+    /// The rejected per-slot flip budget.
+    pub flips_per_slot: u32,
+}
+
+impl fmt::Display for InvalidSlotConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "invalid write-slot configuration ({}-bit regions, {} flips per slot): regions must \
+             be 64, 128, 256 or 512 bits wide and a slot must flip at least one cell",
+            self.region_bits, self.flips_per_slot
+        )
+    }
+}
+
+impl std::error::Error for InvalidSlotConfig {}
+
+/// Flip counts of one write per data region, in region order (a slice
+/// of [`SlotConfig::regions_for`] the line's data bits).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegionFlips {
+    counts: [u32; MAX_REGIONS],
+    regions: usize,
+}
+
+impl Deref for RegionFlips {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.counts[..self.regions]
+    }
+}
+
+/// Flip counts per region for a write of `new` over `old`.
 ///
 /// Metadata bits are physically co-located with the data they describe
 /// (a flip/modified bit sits next to its word), so metadata bit `i` of a
@@ -51,34 +137,42 @@ impl Default for SlotConfig {
 ///
 /// Panics if the images disagree on total bits.
 #[must_use]
-pub fn region_flips(old: &LineImage, new: &LineImage, cfg: SlotConfig) -> Vec<u32> {
+pub fn region_flips(old: &LineImage, new: &LineImage, cfg: SlotConfig) -> RegionFlips {
     assert_eq!(old.total_bits(), new.total_bits(), "image size mismatch");
-    let data_bits = deuce_crypto::LINE_BITS as u32;
-    let regions = cfg.regions_for(data_bits);
-    let meta_bits = old.total_bits() - data_bits;
-    let mut flips = vec![0u32; regions as usize];
-    for (word_base, mut word) in old.changed_words(new) {
-        let last_bit = word_base + 63;
-        if last_bit < data_bits && word_base / cfg.region_bits == last_bit / cfg.region_bits {
-            // The whole XOR word falls inside one data region: a single
-            // popcount covers all 64 bits.
-            flips[(word_base / cfg.region_bits) as usize] += word.count_ones();
-        } else {
-            // Word straddles a region boundary, or holds metadata bits
-            // (each charged to the region of the word it describes).
-            while word != 0 {
-                let bit = word_base + word.trailing_zeros();
-                word &= word - 1;
-                let region = if bit < data_bits {
-                    bit / cfg.region_bits
-                } else {
-                    (bit - data_bits) * regions / meta_bits.max(1)
-                };
-                flips[region.min(regions - 1) as usize] += 1;
-            }
+    // A region is 2^shift lanes, so the line holds 2^(3 - shift)
+    // regions: fold neighbouring lanes' counts together `shift` times.
+    let shift = cfg.region_bits.trailing_zeros() - 6;
+    let (old_lanes, new_lanes) = (lanes(old), lanes(new));
+    let mut counts: [u32; MAX_REGIONS] =
+        core::array::from_fn(|i| (old_lanes[i] ^ new_lanes[i]).count_ones());
+    for _ in 0..shift {
+        counts = core::array::from_fn(|i| {
+            if i < MAX_REGIONS / 2 { counts[2 * i] + counts[2 * i + 1] } else { 0 }
+        });
+    }
+    // Metadata bit `i` of `m` goes to region `⌊i · R / m⌋`, so region
+    // `r` holds bits `⌈r · m / R⌉..⌈(r + 1) · m / R⌉`.
+    let regions = MAX_REGIONS as u32 >> shift;
+    let meta_bits = old.total_bits() - deuce_crypto::LINE_BITS as u32;
+    let meta = old.meta().raw() ^ new.meta().raw();
+    if meta != 0 {
+        let first_bit = |r: u32| (r * meta_bits + regions - 1) >> (3 - shift);
+        for (r, count) in (0..regions).zip(&mut counts) {
+            *count += (meta & below(first_bit(r + 1)) & !below(first_bit(r))).count_ones();
         }
     }
-    flips
+    RegionFlips { counts, regions: regions as usize }
+}
+
+/// The line's data as eight little-endian `u64` lanes.
+fn lanes(image: &LineImage) -> [u64; MAX_REGIONS] {
+    let lanes = image.data().as_chunks::<8>().0;
+    core::array::from_fn(|i| u64::from_le_bytes(lanes[i]))
+}
+
+/// The low `bits` bits set (`bits` ≤ 64).
+fn below(bits: u32) -> u64 {
+    1u64.checked_shl(bits).map_or(u64::MAX, |bit| bit - 1)
 }
 
 /// Number of write slots a write consumes: first-fit-decreasing packing of
@@ -90,24 +184,34 @@ pub fn region_flips(old: &LineImage, new: &LineImage, cfg: SlotConfig) -> Vec<u3
 /// command).
 #[must_use]
 pub fn write_slots(old: &LineImage, new: &LineImage, cfg: SlotConfig) -> u32 {
-    let mut flips = region_flips(old, new, cfg);
     // Internal FNW bounds each region's flips at half the region bits.
-    for f in &mut flips {
-        *f = (*f).min(cfg.flips_per_slot);
-    }
-    flips.retain(|&f| f > 0);
-    if flips.is_empty() {
-        return 1;
-    }
-    flips.sort_unstable_by(|a, b| b.cmp(a));
-    let mut bins: Vec<u32> = Vec::new();
-    for f in flips {
-        match bins.iter_mut().find(|remaining| **remaining >= f) {
-            Some(remaining) => *remaining -= f,
-            None => bins.push(cfg.flips_per_slot - f),
+    let mut loads = [0u32; MAX_REGIONS];
+    let mut regions = 0;
+    for &f in region_flips(old, new, cfg).iter() {
+        if f > 0 {
+            loads[regions] = f.min(cfg.flips_per_slot);
+            regions += 1;
         }
     }
-    bins.len() as u32
+    if regions == 0 {
+        return 1;
+    }
+    let loads = &mut loads[..regions];
+    loads.sort_unstable_by(|a, b| b.cmp(a));
+    // The budget left in each open slot; there are never more slots
+    // than regions.
+    let mut room = [0u32; MAX_REGIONS];
+    let mut slots = 0;
+    for &f in loads.iter() {
+        match room[..slots].iter_mut().find(|left| **left >= f) {
+            Some(left) => *left -= f,
+            None => {
+                room[slots] = cfg.flips_per_slot - f;
+                slots += 1;
+            }
+        }
+    }
+    slots as u32
 }
 
 #[cfg(test)]
@@ -175,11 +279,74 @@ mod tests {
         assert_eq!(flips[3], 1);
     }
 
-    /// Differential check: region flips from the word-level path must
-    /// equal a bit-at-a-time reference — including for a region width
-    /// that does not align to 64-bit word boundaries.
+    /// The `Vec`-based counting and packing the fixed-array versions
+    /// replaced, kept as the reference they are checked against.
+    mod reference {
+        use super::*;
+
+        pub(super) fn region_flips(old: &LineImage, new: &LineImage, cfg: SlotConfig) -> Vec<u32> {
+            assert_eq!(old.total_bits(), new.total_bits(), "image size mismatch");
+            let data_bits = deuce_crypto::LINE_BITS as u32;
+            let regions = cfg.regions_for(data_bits);
+            let meta_bits = old.total_bits() - data_bits;
+            let mut flips = vec![0u32; regions as usize];
+            for (word_base, mut word) in old.changed_words(new) {
+                let last_bit = word_base + 63;
+                if last_bit < data_bits && word_base / cfg.region_bits == last_bit / cfg.region_bits {
+                    flips[(word_base / cfg.region_bits) as usize] += word.count_ones();
+                } else {
+                    while word != 0 {
+                        let bit = word_base + word.trailing_zeros();
+                        word &= word - 1;
+                        let region = if bit < data_bits {
+                            bit / cfg.region_bits
+                        } else {
+                            (bit - data_bits) * regions / meta_bits.max(1)
+                        };
+                        flips[region.min(regions - 1) as usize] += 1;
+                    }
+                }
+            }
+            flips
+        }
+
+        pub(super) fn write_slots(old: &LineImage, new: &LineImage, cfg: SlotConfig) -> u32 {
+            let mut flips = region_flips(old, new, cfg);
+            for f in &mut flips {
+                *f = (*f).min(cfg.flips_per_slot);
+            }
+            flips.retain(|&f| f > 0);
+            if flips.is_empty() {
+                return 1;
+            }
+            flips.sort_unstable_by(|a, b| b.cmp(a));
+            let mut bins: Vec<u32> = Vec::new();
+            for f in flips {
+                match bins.iter_mut().find(|remaining| **remaining >= f) {
+                    Some(remaining) => *remaining -= f,
+                    None => bins.push(cfg.flips_per_slot - f),
+                }
+            }
+            bins.len() as u32
+        }
+    }
+
+    /// Every accepted configuration: each region width × a spread of
+    /// per-slot budgets.
+    fn accepted_configs() -> impl Iterator<Item = SlotConfig> {
+        [64, 128, 256, 512].into_iter().flat_map(|region_bits| {
+            [1, 32, 64, 128]
+                .into_iter()
+                .map(move |flips| SlotConfig::new(region_bits, flips).expect("accepted config"))
+        })
+    }
+
+    /// Differential check: the fixed-array counting and packing match
+    /// the `Vec` reference and a bit-at-a-time count, for every accepted
+    /// configuration, metadata of 0, 32 and 33 bits, and random images
+    /// from nearly unchanged to fully rewritten.
     #[test]
-    fn region_flips_match_bit_loop_reference() {
+    fn counting_and_packing_match_the_vec_reference() {
         let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             lcg = lcg
@@ -187,37 +354,65 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             lcg
         };
-        let configs = [
-            SlotConfig::PAPER,
-            SlotConfig { region_bits: 96, flips_per_slot: 48 }, // straddles words
-        ];
-        for cfg in configs {
-            let data_bits = deuce_crypto::LINE_BITS as u32;
+        let data_bits = deuce_crypto::LINE_BITS as u32;
+        for cfg in accepted_configs() {
             let regions = cfg.regions_for(data_bits);
-            for _ in 0..20 {
-                let mut old = LineImage::new([0u8; 64], MetaBits::new(32));
-                let mut new = old;
-                for b in old.data_mut().iter_mut() {
-                    *b = next() as u8;
-                }
-                for b in new.data_mut().iter_mut() {
-                    *b = next() as u8;
-                }
-                *old.meta_mut() = MetaBits::from_raw(next() & 0xFFFF_FFFF, 32);
-                *new.meta_mut() = MetaBits::from_raw(next() & 0xFFFF_FFFF, 32);
+            for meta_width in [0u32, 32, 33] {
+                let meta_mask = (1u64 << meta_width) - 1;
+                for round in 0..200 {
+                    let mut old = LineImage::new([0u8; 64], MetaBits::new(meta_width));
+                    for b in old.data_mut().iter_mut() {
+                        *b = next() as u8;
+                    }
+                    *old.meta_mut() = MetaBits::from_raw(next() & meta_mask, meta_width);
+                    // Rewrite one byte in 2^(round % 7): from a handful
+                    // of changed bits to a fully rewritten line.
+                    let mut new = old;
+                    let keep = (1u64 << (round % 7)) - 1;
+                    for b in new.data_mut().iter_mut() {
+                        if next() & keep == 0 {
+                            *b = next() as u8;
+                        }
+                    }
+                    if next() & keep == 0 {
+                        *new.meta_mut() = MetaBits::from_raw(next() & meta_mask, meta_width);
+                    }
 
-                let mut want = vec![0u32; regions as usize];
-                for bit in old.changed_bits(&new) {
-                    let region = if bit < data_bits {
-                        bit / cfg.region_bits
-                    } else {
-                        (bit - data_bits) * regions / 32
-                    };
-                    want[region.min(regions - 1) as usize] += 1;
+                    let mut bitwise = vec![0u32; regions as usize];
+                    for bit in old.changed_bits(&new) {
+                        let region = if bit < data_bits {
+                            bit / cfg.region_bits
+                        } else {
+                            (bit - data_bits) * regions / meta_width
+                        };
+                        bitwise[region as usize] += 1;
+                    }
+                    let what = format!("{cfg:?}, {meta_width} meta bits, round {round}");
+                    let flips = region_flips(&old, &new, cfg);
+                    assert_eq!(&flips[..], &reference::region_flips(&old, &new, cfg)[..], "{what}");
+                    assert_eq!(&flips[..], &bitwise[..], "{what}");
+                    assert_eq!(
+                        write_slots(&old, &new, cfg),
+                        reference::write_slots(&old, &new, cfg),
+                        "{what}"
+                    );
                 }
-                assert_eq!(region_flips(&old, &new, cfg), want, "region_bits {}", cfg.region_bits);
             }
         }
+    }
+
+    /// Region widths other than 64, 128, 256 and 512, and a budget of no
+    /// flips, cannot be built.
+    #[test]
+    fn out_of_range_configs_are_refused() {
+        for region_bits in [0, 1, 32, 63, 65, 96, 100, 192, 320, 448, 576, 1024, u32::MAX] {
+            let err = SlotConfig::new(region_bits, 64).expect_err("region width out of range");
+            assert_eq!(err.region_bits, region_bits);
+            assert!(err.to_string().contains(&format!("{region_bits}-bit regions")), "{err}");
+        }
+        assert!(SlotConfig::new(128, 0).is_err());
+        assert_eq!(SlotConfig::new(128, 64), Ok(SlotConfig::PAPER));
+        assert_eq!(accepted_configs().count(), 16);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn slot_count_bounds() {
         assert!(slots >= 1);
         assert!(slots <= 4);
         // A roomier budget can never need more slots.
-        let roomy = SlotConfig { region_bits: 128, flips_per_slot: 128 };
+        let roomy = SlotConfig::new(128, 128).expect("a valid slot config");
         assert!(write_slots(&old, &new, roomy) <= slots);
     }
 }

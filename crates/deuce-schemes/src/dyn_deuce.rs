@@ -12,7 +12,9 @@ use deuce_crypto::{EpochInterval, LineAddr, LineBytes, OtpEngine, Pad, VirtualCo
 use deuce_nvm::{LineImage, MetaBits};
 
 use crate::config::WordSize;
-use crate::core::{assert_counter_width, mark_modified_words, CtrState};
+use crate::core::{
+    assert_counter_width, dual_pad_read, mark_modified_words, reencrypt_marked_words, CtrState,
+};
 use crate::fnw::{fnw_decode, fnw_encode};
 use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
 use crate::WriteOutcome;
@@ -81,17 +83,10 @@ impl DynDeuceScheme {
         state: &DynDeuceState,
         data: &LineBytes,
     ) -> (LineBytes, MetaBits) {
-        let w = Self::WORD.bytes();
         let mut modified = Self::tracking_bits(state);
         mark_modified_words(&mut modified, Self::WORD, old, data);
         let mut candidate = *stored;
-        for word in 0..Self::WORD.words_per_line() {
-            if modified.get(word as u32) {
-                for (offset, i) in (word * w..(word + 1) * w).enumerate() {
-                    candidate[i] = data[i] ^ pad.word(word, w)[offset];
-                }
-            }
-        }
+        reencrypt_marked_words(&mut candidate, data, pad, &modified, Self::WORD);
         (candidate, MetaBits::from_raw(modified.raw(), 33)) // mode bit stays 0
     }
 
@@ -191,20 +186,8 @@ impl LineScheme for DynDeuceScheme {
             engine.line_pad(addr, v.lctr()).xor(&ciphertext)
         } else {
             let (pad_lctr, pad_tctr) = engine.line_pad_pair(addr, v.lctr(), v.tctr());
-            let w = Self::WORD.bytes();
             let tracking = Self::tracking_bits(line.state);
-            let mut out = [0u8; deuce_crypto::LINE_BYTES];
-            for word in 0..Self::WORD.words_per_line() {
-                let pad = if tracking.get(word as u32) {
-                    pad_lctr.word(word, w)
-                } else {
-                    pad_tctr.word(word, w)
-                };
-                for (offset, i) in (word * w..(word + 1) * w).enumerate() {
-                    out[i] = line.stored[i] ^ pad[offset];
-                }
-            }
-            out
+            dual_pad_read(line.stored, &tracking, &pad_lctr, &pad_tctr, Self::WORD)
         }
     }
 
@@ -258,7 +241,78 @@ impl DynDeuceLine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deuce_crypto::SecretKey;
+    use crate::core::tests::{reference, rewrite};
+    use deuce_crypto::{SecretKey, LINE_BYTES};
+    use deuce_rng::{DeuceRng, Rng};
+
+    /// DynDEUCE's DEUCE-mode candidate and read, as the per-word loops
+    /// they were before they called the shared kernels: the reference
+    /// the scheme is checked against.
+    fn reference_candidate(
+        pad: &Pad,
+        stored: &LineBytes,
+        old: &LineBytes,
+        state: &DynDeuceState,
+        data: &LineBytes,
+    ) -> (LineBytes, MetaBits) {
+        let w = 2;
+        let mut modified = DynDeuceScheme::tracking_bits(state);
+        reference::mark_modified_words(&mut modified, WordSize::Bytes2, old, data);
+        let mut candidate = *stored;
+        for word in 0..32 {
+            if modified.get(word as u32) {
+                for (offset, i) in (word * w..(word + 1) * w).enumerate() {
+                    candidate[i] = data[i] ^ pad.word(word, w)[offset];
+                }
+            }
+        }
+        (candidate, MetaBits::from_raw(modified.raw(), 33))
+    }
+
+    fn reference_read(stored: &LineBytes, tracking: &MetaBits, lead: &Pad, trail: &Pad) -> LineBytes {
+        let w = 2;
+        let mut out = [0u8; LINE_BYTES];
+        for word in 0..32 {
+            let pad = if tracking.get(word as u32) { lead.word(word, w) } else { trail.word(word, w) };
+            for (offset, i) in (word * w..(word + 1) * w).enumerate() {
+                out[i] = stored[i] ^ pad[offset];
+            }
+        }
+        out
+    }
+
+    /// The DEUCE-mode candidate and the DEUCE-mode read through the
+    /// shared kernels match the scheme's former private loops, for
+    /// sparse and dense changes and random sticky bits.
+    #[test]
+    fn candidate_and_read_match_the_per_word_reference() {
+        let scheme = DynDeuceScheme::new(EpochInterval::DEFAULT, 28);
+        let e = engine();
+        let addr = LineAddr::new(9);
+        let mut rng = DeuceRng::seed_from_u64(0x6479_6e64);
+        for round in 0..2000 {
+            let stored: LineBytes = rng.gen();
+            let old: LineBytes = rng.gen();
+            let data = rewrite(&mut rng, &old, [0, 1, 3, 8, LINE_BYTES][round % 5]);
+            let state = DynDeuceState {
+                ctr: CtrState::from_raw(rng.gen_range(1..1000)),
+                meta: rng.gen::<u64>() & rng.gen::<u64>() & 0xFFFF_FFFF,
+            };
+            let v = VirtualCounterPair::derive(state.ctr.value(), scheme.epoch);
+            let (pad, trail) = e.line_pad_pair(addr, v.lctr(), v.tctr());
+            assert_eq!(
+                scheme.deuce_candidate(&pad, &stored, &old, &state, &data),
+                reference_candidate(&pad, &stored, &old, &state, &data),
+                "round {round}: candidate"
+            );
+            let tracking = DynDeuceScheme::tracking_bits(&state);
+            assert_eq!(
+                scheme.read(&e, addr, LineRef { stored: &stored, state: &state }),
+                reference_read(&stored, &tracking, &pad, &trail),
+                "round {round}: read"
+            );
+        }
+    }
 
     fn engine() -> OtpEngine {
         OtpEngine::new(&SecretKey::from_seed(21))

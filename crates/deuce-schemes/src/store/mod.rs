@@ -21,6 +21,7 @@ pub use arena::ArenaBackend;
 pub use backend::{PageBackend, StateCodec, StorePageStats, SLOTS_PER_PAGE};
 pub use paged::{FilePageBackend, PageHeader};
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use deuce_crypto::{LineAddr, LineBytes, OtpEngine, LINE_BYTES};
@@ -106,13 +107,11 @@ impl<S: LineScheme, B: PageBackend<S>> LineStore<S, B> {
     /// scheme) and returns its slot. A no-op returning the existing slot
     /// if the line is already present.
     pub fn materialize(&mut self, engine: &OtpEngine, addr: LineAddr, initial: &LineBytes) -> u32 {
-        if let Some(&slot) = self.index.get(&addr.value()) {
-            return slot;
-        }
-        let (stored, state) = self.scheme.init(engine, addr, initial);
-        let slot = self.backend.push(&stored, state);
-        self.index.insert(addr.value(), slot);
-        slot
+        let Self { scheme, index, backend } = self;
+        *index.entry(addr.value()).or_insert_with(|| {
+            let (stored, state) = scheme.init(engine, addr, initial);
+            backend.push(&stored, state)
+        })
     }
 
     fn write_slot(
@@ -128,18 +127,24 @@ impl<S: LineScheme, B: PageBackend<S>> LineStore<S, B> {
 
     /// Simulator semantics: the first write to a line initialises it with
     /// the written data and is *not* counted (returns `None`); later
-    /// writes run the scheme state machine.
+    /// writes run the scheme state machine. The address is hashed once
+    /// either way.
     pub fn write_first_touch(
         &mut self,
         engine: &OtpEngine,
         addr: LineAddr,
         data: &LineBytes,
     ) -> Option<WriteOutcome> {
-        if let Some(&slot) = self.index.get(&addr.value()) {
-            Some(self.write_slot(engine, addr, slot, data))
-        } else {
-            let _ = self.materialize(engine, addr, data);
-            None
+        match self.index.entry(addr.value()) {
+            Entry::Occupied(entry) => {
+                let slot = *entry.get();
+                Some(self.write_slot(engine, addr, slot, data))
+            }
+            Entry::Vacant(entry) => {
+                let (stored, state) = self.scheme.init(engine, addr, data);
+                entry.insert(self.backend.push(&stored, state));
+                None
+            }
         }
     }
 

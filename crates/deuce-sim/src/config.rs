@@ -330,7 +330,7 @@ mod tests {
         let c = SimConfig::new(SchemeKind::Deuce);
         assert_eq!(c.timing.read_ns, 75);
         assert_eq!(c.timing.write_slot_ns, 150);
-        assert_eq!(c.slot.region_bits, 128);
+        assert_eq!(c.slot.region_bits(), 128);
         assert_eq!(c.geometry.total_banks(), 32);
         assert!((c.cpu.instr_per_ns - 16.0).abs() < 1e-12);
         assert!(c.wear.is_none());

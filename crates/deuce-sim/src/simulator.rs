@@ -544,6 +544,7 @@ fn verify_checkpoint(expected: &RunCheckpoint, found: &RunCheckpoint) -> Result<
 mod tests {
     use super::*;
     use crate::config::WearConfig;
+    use deuce_nvm::SlotConfig;
     use deuce_schemes::SchemeKind;
     use deuce_trace::{Benchmark, TraceConfig};
     use deuce_wear::HwlMode;
@@ -697,6 +698,33 @@ mod tests {
             }
             assert!(!pages.exists(), "a rejected config must not create its page file");
         }
+    }
+
+    /// A write-slot configuration reaches a session only through
+    /// `SlotConfig::new`, which refuses a region width of 0 (it used to
+    /// divide by zero at the first counted write) and every width but
+    /// 64, 128, 256 and 512. Each accepted width runs through a session
+    /// and a streamed run alike.
+    #[test]
+    fn slot_configs_outside_the_modelled_range_cannot_reach_a_session() {
+        assert!(SlotConfig::new(0, 64).is_err());
+        let t = trace(Benchmark::Mcf, 400);
+        let mut slots = Vec::new();
+        for region_bits in [64, 128, 256, 512] {
+            let mut config = SimConfig::new(SchemeKind::Deuce);
+            config.slot = SlotConfig::new(region_bits, 64).expect("accepted width");
+            let simulator = Simulator::new(config);
+            let streamed = simulator.run_source(&mut TraceSource::new(&t)).expect("streamed run");
+            let mut session = simulator.session(TraceSource::new(&t).cores()).expect("session");
+            for event in t.events() {
+                let _ = session.step(event);
+            }
+            let stepped = session.finish().expect("arena session cannot fail");
+            assert_eq!(stepped.total_slots, streamed.total_slots, "{region_bits}-bit regions");
+            slots.push(streamed.total_slots);
+        }
+        // One 512-bit region caps every write at one slot.
+        assert!(slots[0] > slots[3], "{slots:?}");
     }
 
     /// Stepping a session by hand must be bit-identical to the

@@ -3,6 +3,7 @@
 
 use std::collections::VecDeque;
 use std::io;
+use std::ops::{Deref, DerefMut};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::{self, JoinHandle};
 
@@ -178,6 +179,7 @@ impl TraceConfig {
             })
             .collect();
         Generator {
+            zipf: ZipfPick::new(self.lines, profile.line_zipf),
             profile,
             cores,
             pending: VecDeque::new(),
@@ -264,11 +266,13 @@ impl WriteSource for GeneratorSource {
     }
 }
 
-/// The generator proper: the profile, one generator per core, the
-/// events of the writeback being handed out, and the writeback counts.
+/// The generator proper: the profile, the line ranking every core
+/// shares, one generator per core, the events of the writeback being
+/// handed out, and the writeback counts.
 #[derive(Debug)]
 struct Generator {
     profile: BenchmarkProfile,
+    zipf: ZipfPick,
     cores: Vec<CoreGenerator>,
     pending: VecDeque<TraceEvent>,
     writes_emitted: usize,
@@ -283,7 +287,7 @@ impl Generator {
             return false;
         }
         let core = self.writes_emitted % self.cores.len();
-        self.cores[core].emit_writeback(&self.profile, out);
+        self.cores[core].emit_writeback(&self.profile, &self.zipf, out);
         self.writes_emitted += 1;
         true
     }
@@ -387,8 +391,62 @@ impl Drop for Helper {
 #[derive(Debug, Clone)]
 struct LineState {
     data: LineBytes,
-    hot: Vec<u8>,
+    hot: HotWords,
     writes: u64,
+}
+
+/// A line's hot words, held inline in draw order. They are distinct,
+/// so a line has at most [`WORDS`] of them.
+#[derive(Debug, Clone, Copy)]
+struct HotWords {
+    words: [u8; WORDS],
+    len: u8,
+}
+
+impl HotWords {
+    /// Copies of `words`, in order (`words` holds at most [`WORDS`]).
+    fn copied(words: &[u8]) -> Self {
+        let mut hot = Self { words: [0; WORDS], len: 0 };
+        words.iter().for_each(|&w| hot.push(w));
+        hot
+    }
+
+    fn push(&mut self, word: u8) {
+        self.words[usize::from(self.len)] = word;
+        self.len += 1;
+    }
+
+    /// Removes the word at `index`, keeping the others in order.
+    fn remove(&mut self, index: usize) {
+        self.words.copy_within(index + 1..usize::from(self.len), index);
+        self.len -= 1;
+    }
+
+    /// Drops repeats of a word from a sorted set, keeping the first.
+    fn dedup(&mut self) {
+        let mut kept = 0;
+        for i in 0..usize::from(self.len) {
+            if kept == 0 || self.words[i] != self.words[kept - 1] {
+                self.words[kept] = self.words[i];
+                kept += 1;
+            }
+        }
+        self.len = kept as u8;
+    }
+}
+
+impl Deref for HotWords {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.words[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for HotWords {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.words[..usize::from(self.len)]
+    }
 }
 
 /// One core's generator (rate mode: every core runs the same profile on
@@ -401,7 +459,6 @@ struct CoreGenerator {
     /// jitters per line.
     roles: [WordRole; WORDS],
     lines: Vec<LineState>,
-    zipf: ZipfPick,
     instr: u64,
     instr_per_write: f64,
     reads_per_write: f64,
@@ -431,8 +488,8 @@ impl CoreGenerator {
             .map(|_| {
                 let mut data = [0u8; LINE_BYTES];
                 rng.fill(&mut data);
-                let mut hot = template_hot.clone();
-                for w in &mut hot {
+                let mut hot = HotWords::copied(&template_hot);
+                for w in hot.iter_mut() {
                     if rng.gen_bool(LAYOUT_JITTER) {
                         // Jitter within the same 16-byte block.
                         let candidate = (*w / 8) * 8 + rng.gen_range(0..8u8);
@@ -456,7 +513,6 @@ impl CoreGenerator {
             rng,
             roles,
             lines: line_states,
-            zipf: ZipfPick::new(lines, profile.line_zipf),
             instr: 0,
             instr_per_write: 1000.0 / profile.wbpki,
             reads_per_write: profile.mpki / profile.wbpki,
@@ -465,29 +521,35 @@ impl CoreGenerator {
         }
     }
 
-    fn pick_line(&mut self) -> usize {
-        self.zipf.pick(self.rng.gen())
+    fn pick_line(&mut self, zipf: &ZipfPick) -> usize {
+        zipf.pick(self.rng.gen())
     }
 
     fn addr(&self, line: usize) -> LineAddr {
         LineAddr::new(u64::from(self.core) << 32 | line as u64)
     }
 
-    /// Emits one writeback (preceded by its share of reads) into `out`.
-    fn emit_writeback(&mut self, profile: &BenchmarkProfile, out: &mut VecDeque<TraceEvent>) {
+    /// Emits one writeback (preceded by its share of reads) into `out`;
+    /// `zipf` ranks the core's lines.
+    fn emit_writeback(
+        &mut self,
+        profile: &BenchmarkProfile,
+        zipf: &ZipfPick,
+        out: &mut VecDeque<TraceEvent>,
+    ) {
         self.instr += self.instr_per_write as u64;
 
         if self.include_reads {
             self.read_debt += self.reads_per_write;
             while self.read_debt >= 1.0 {
                 self.read_debt -= 1.0;
-                let line = self.pick_line();
+                let line = self.pick_line(zipf);
                 let addr = self.addr(line);
                 out.push_back(TraceEvent::read(self.core, self.instr, addr));
             }
         }
 
-        let line_idx = self.pick_line();
+        let line_idx = self.pick_line(zipf);
         let addr = self.addr(line_idx);
 
         // Split borrows: mutate the line state with a local RNG handle.
