@@ -8,7 +8,7 @@ use deuce_bench::harness::{black_box, BenchmarkId, Harness, Throughput};
 use deuce_crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
 use deuce_schemes::{SchemeConfig, SchemeKind, SchemeLine, WordSize};
 use deuce_sim::{SimConfig, Simulator};
-use deuce_trace::{Benchmark, TraceConfig};
+use deuce_trace::{Benchmark, TraceConfig, TraceSource};
 
 /// Design decision 1 (DESIGN.md §5): we count flips bit-exactly by XOR
 /// over the stored images. The alternative — the closed-form expectation
@@ -119,7 +119,7 @@ fn ablation_end_to_end(c: &mut Harness) {
     for kind in [SchemeKind::UnencryptedDcw, SchemeKind::Deuce, SchemeKind::DynDeuce] {
         group.bench_function(kind.label(), |b| {
             let sim = Simulator::new(SimConfig::new(kind));
-            b.iter(|| sim.run_trace(black_box(&trace)));
+            b.iter(|| sim.run_source(&mut TraceSource::new(black_box(&trace))));
         });
     }
     group.finish();

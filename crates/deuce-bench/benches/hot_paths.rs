@@ -7,9 +7,9 @@ use deuce_aes::{available_backends, Aes128, AesBackend};
 use deuce_crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
 use deuce_nvm::{write_slots, CellArray, LineBytes, LineImage, MetaBits, SlotConfig};
 use deuce_schemes::{fnw_encode, DeuceLine, DeuceScheme, SchemeConfig, SchemeKind, SchemeLine, WordSize};
-use deuce_sim::{SimConfig, Simulator};
+use deuce_sim::{Checkpoints, SimConfig, Simulator};
 use deuce_telemetry::{NullRecorder, TelemetryRecorder};
-use deuce_trace::{Benchmark, TraceConfig};
+use deuce_trace::{Benchmark, TraceConfig, TraceSource};
 use deuce_wear::StartGap;
 
 fn bench_aes_block(c: &mut Harness) {
@@ -205,8 +205,12 @@ fn bench_write_slots(c: &mut Harness) {
 /// Wear recording of one write that flips one cell in every byte: on
 /// one line, whose count block stays cached, then on random lines of
 /// 2^17, whose count blocks mostly do not. The gap is the cost of
-/// reaching a cold count block.
+/// reaching a cold count block. `random_lines_2^17` touches every
+/// line's count block before timing, so it times cache and TLB misses;
+/// `random_lines_2^17_fresh` starts from a fresh array, so it also
+/// times the page faults of first touches.
 fn bench_record_write(c: &mut Harness) {
+    const LINES: u64 = 1 << 17;
     let old = LineImage::zeroed(32);
     let new = LineImage::new([1; 64], MetaBits::new(32));
     let bits = old.total_bits();
@@ -215,18 +219,24 @@ fn bench_record_write(c: &mut Harness) {
         let mut cells = CellArray::new(1, bits);
         b.iter(|| cells.record_write(0, black_box(&old), black_box(&new), 0));
     });
-    group.bench_function("random_lines_2^17", |b| {
-        const LINES: u64 = 1 << 17;
-        let mut cells = CellArray::new(LINES as usize, bits);
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        b.iter(|| {
-            // xorshift64: a cheap, fixed sequence of lines.
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            cells.record_write((x % LINES) as usize, black_box(&old), black_box(&new), 0)
+    for (name, touched) in [("random_lines_2^17", true), ("random_lines_2^17_fresh", false)] {
+        group.bench_function(name, |b| {
+            let mut cells = CellArray::new(LINES as usize, bits);
+            if touched {
+                for line in 0..LINES as usize {
+                    cells.record_write(line, &old, &new, 0);
+                }
+            }
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            b.iter(|| {
+                // xorshift64: a cheap, fixed sequence of lines.
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                cells.record_write((x % LINES) as usize, black_box(&old), black_box(&new), 0)
+            });
         });
-    });
+    }
     group.finish();
 }
 
@@ -266,16 +276,18 @@ fn bench_telemetry_overhead(c: &mut Harness) {
     let sim = Simulator::new(SimConfig::with_scheme(SchemeConfig::new(SchemeKind::Deuce)));
     let mut group = c.benchmark_group("telemetry");
     group.throughput(Throughput::Elements(2_000));
-    group.bench_function("run_trace_plain", |b| {
-        b.iter(|| sim.run_trace(black_box(&trace)));
+    group.bench_function("run_source_plain", |b| {
+        b.iter(|| sim.run_source(&mut TraceSource::new(black_box(&trace))));
     });
-    group.bench_function("run_trace_null_recorder", |b| {
-        b.iter(|| sim.run_trace_recorded(black_box(&trace), &mut NullRecorder));
+    group.bench_function("run_null_recorder", |b| {
+        b.iter(|| {
+            sim.run(&mut TraceSource::new(black_box(&trace)), &mut NullRecorder, Checkpoints::Off)
+        });
     });
-    group.bench_function("run_trace_full_recorder", |b| {
+    group.bench_function("run_full_recorder", |b| {
         b.iter(|| {
             let mut rec = TelemetryRecorder::default();
-            sim.run_trace_recorded(black_box(&trace), &mut rec)
+            sim.run(&mut TraceSource::new(black_box(&trace)), &mut rec, Checkpoints::Off)
         });
     });
     group.finish();
@@ -290,7 +302,7 @@ fn bench_simulator_dispatch(c: &mut Harness) {
     group.throughput(Throughput::Elements(2_000));
     group.bench_function("dyn_any_scheme", |b| {
         let sim = Simulator::new(SimConfig::with_scheme(SchemeConfig::new(SchemeKind::Deuce)));
-        b.iter(|| sim.run_trace(black_box(&trace)));
+        b.iter(|| sim.run_source(&mut TraceSource::new(black_box(&trace))));
     });
     group.bench_function("monomorphised_deuce", |b| {
         let config = SimConfig::with_scheme(SchemeConfig::new(SchemeKind::Deuce));
@@ -299,7 +311,7 @@ fn bench_simulator_dispatch(c: &mut Harness) {
             config,
             DeuceScheme::new(s.word_size, s.epoch, s.counter_bits),
         );
-        b.iter(|| sim.run_trace(black_box(&trace)));
+        b.iter(|| sim.run_source(&mut TraceSource::new(black_box(&trace))));
     });
     group.finish();
 }

@@ -27,7 +27,7 @@ use std::io::IsTerminal;
 use deuce_schemes::SchemeConfig;
 use deuce_sim::telemetry::SweepProgress;
 use deuce_sim::{ParallelSweep, SimConfig, SimResult, Simulator};
-use deuce_trace::{Benchmark, Trace, TraceConfig};
+use deuce_trace::{Benchmark, Trace, TraceConfig, TraceSource};
 
 /// Common experiment parameters parsed from the command line.
 #[derive(Debug, Clone)]
@@ -189,19 +189,27 @@ where
     let shards = sweep.shards().min(benchmarks.len()).max(1);
     let progress = SweepProgress::new("benchmarks", benchmarks.len(), shards)
         .live(std::io::stderr().is_terminal());
-    sweep.map_observed(benchmarks, |_, &b| (b, f(b)), Some(&progress))
+    sweep.map(benchmarks, Some(&progress), |_, &b| (b, f(b)))
 }
 
 /// Runs one (scheme, trace) simulation.
 #[must_use]
 pub fn run_scheme(scheme: SchemeConfig, trace: &Trace) -> SimResult {
-    Simulator::new(SimConfig::with_scheme(scheme)).run_trace(trace)
+    run_config(SimConfig::with_scheme(scheme), trace)
 }
 
 /// Runs one simulation with a full custom config.
+///
+/// # Panics
+///
+/// Panics if the run fails, which no flag can cause: every config is
+/// built in code, and each wear config covers `lines × cores` lines,
+/// which bounds every address the generator writes.
 #[must_use]
 pub fn run_config(config: SimConfig, trace: &Trace) -> SimResult {
-    Simulator::new(config).run_trace(trace)
+    Simulator::new(config)
+        .run_source(&mut TraceSource::new(trace))
+        .expect("figure configs are built in code and cover every generated line")
 }
 
 /// Formats a fraction as a percentage with one decimal.

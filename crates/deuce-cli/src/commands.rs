@@ -15,9 +15,9 @@ use deuce_sim::telemetry::{
     NullRecorder, Recorder, SweepProgress, TelemetryConfig, TelemetryRecorder,
 };
 use deuce_sim::{
-    grid_fingerprint, merge_manifests, read_manifest, CellRecord, FaultConfig, FileStoreConfig,
-    ManifestHeader, ManifestWriter, ParallelSweep, RunCheckpoint, RunError, ShardSpec, SimConfig,
-    SimResult, Simulator, StoreBackend, WearConfig,
+    grid_fingerprint, merge_manifests, read_manifest, CellRecord, Checkpoints, FaultConfig,
+    FileStoreConfig, ManifestHeader, ManifestWriter, ParallelSweep, RunCheckpoint, RunError,
+    ShardSpec, SimConfig, SimResult, Simulator, StoreBackend, WearConfig,
 };
 use deuce_trace::{
     open_source, write_source_jsonl, write_source_to_file, Op, Trace, TraceConfig, TraceEvent,
@@ -331,33 +331,34 @@ fn drive_stream<R: Recorder>(
     source: &mut dyn WriteSource,
     rec: &mut R,
 ) -> Result<SimResult, CliError> {
-    if let Some(from_path) = &args.from_checkpoint {
-        let text = std::fs::read_to_string(from_path)?;
-        let from = RunCheckpoint::from_jsonl(&text)
-            .map_err(|e| CliError::Checkpoint(format!("{from_path}: {e}")))?;
-        return Ok(simulator.resume_source(source, rec, &from)?);
+    let from = args.from_checkpoint.as_deref().map(read_checkpoint).transpose()?;
+    let mut file = args.checkpoint.as_deref().map(File::create).transpose()?;
+    if let (Some(file), Some(total)) = (&mut file, source.len_hint()) {
+        // Lets `deuce watch` compute progress and an ETA; resume ignores
+        // non-checkpoint kinds.
+        writeln!(file, "{{\"type\":\"run_total\",\"events\":{total}}}")?;
     }
-    if let Some(cp_path) = &args.checkpoint {
-        let mut file = File::create(cp_path)?;
-        if let Some(total) = source.len_hint() {
-            // Lets `deuce watch` compute progress and an ETA; resume
-            // ignores non-checkpoint kinds.
-            writeln!(file, "{{\"type\":\"run_total\",\"events\":{total}}}")?;
+    let mut sink_err: Option<std::io::Error> = None;
+    let mut sink = |cp: &RunCheckpoint| {
+        if let (Some(file), true) = (&mut file, sink_err.is_none()) {
+            sink_err = file.write_all(cp.to_jsonl().as_bytes()).and_then(|()| file.flush()).err();
         }
-        let mut sink_err: Option<std::io::Error> = None;
-        let mut sink = |cp: &RunCheckpoint| {
-            if sink_err.is_none() {
-                sink_err = file.write_all(cp.to_jsonl().as_bytes()).and_then(|()| file.flush()).err();
-            }
-        };
-        let result =
-            simulator.run_source_checkpointed(source, rec, args.checkpoint_every, &mut sink)?;
-        if let Some(e) = sink_err {
-            return Err(e.into());
+    };
+    let checkpoints = match &from {
+        Some(from) => Checkpoints::Verify(from),
+        None if args.checkpoint.is_some() => {
+            Checkpoints::Emit { every_writes: args.checkpoint_every, sink: &mut sink }
         }
-        return Ok(result);
-    }
-    Ok(simulator.run_source_recorded(source, rec)?)
+        None => Checkpoints::Off,
+    };
+    let result = simulator.run(source, rec, checkpoints)?;
+    sink_err.map_or(Ok(result), |e| Err(e.into()))
+}
+
+/// Reads the checkpoint a `--from-checkpoint` run resumes from.
+fn read_checkpoint(path: &str) -> Result<RunCheckpoint, CliError> {
+    let text = std::fs::read_to_string(path)?;
+    RunCheckpoint::from_jsonl(&text).map_err(|e| CliError::Checkpoint(format!("{path}: {e}")))
 }
 
 /// `deuce run`: simulate one scheme, driven from the trace file or the
@@ -411,11 +412,9 @@ pub fn compare<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     writeln!(out, "scheme\t{METRIC_HEADER}\tmeta_bits{fault_header}")?;
     let sweep = ParallelSweep::new();
     let ticker = progress("compare", SchemeKind::ALL.len(), sweep.shards());
-    let results = sweep.map_observed(
-        &SchemeKind::ALL,
-        |_, &kind| run_cell(args, sim_config(args, lines, SchemeConfig::new(kind)), &trace),
-        Some(&ticker),
-    );
+    let results = sweep.map(&SchemeKind::ALL, Some(&ticker), |_, &kind| {
+        run_cell(args, sim_config(args, lines, SchemeConfig::new(kind)), &trace)
+    });
     let results = results.into_iter().collect::<Result<Vec<_>, RunError>>()?;
     for (kind, (result, _)) in SchemeKind::ALL.iter().zip(&results) {
         let fault_cells = result.faults.as_ref().map_or_else(String::new, |f| {
@@ -487,7 +486,7 @@ fn run_cell(
         return Ok((simulator.run_source(&mut source)?, None));
     }
     let mut recorder = TelemetryRecorder::new(telemetry_config(args));
-    let result = simulator.run_source_recorded(&mut source, &mut recorder)?;
+    let result = simulator.run(&mut source, &mut recorder, Checkpoints::Off)?;
     Ok((result, Some(recorder)))
 }
 
@@ -609,11 +608,8 @@ pub fn sweep<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     // One shard per grid cell; rows come back in grid order.
     let runner = ParallelSweep::new();
     let ticker = progress("sweep", grid.len(), runner.shards());
-    let rows = runner.map_observed(
-        &grid,
-        |_, &cell| run_sweep_cell(args, lines, &trace, cell),
-        Some(&ticker),
-    );
+    let rows =
+        runner.map(&grid, Some(&ticker), |_, &cell| run_sweep_cell(args, lines, &trace, cell));
     let rows = rows.into_iter().collect::<Result<Vec<_>, RunError>>()?;
     writeln!(out, "word_bytes\tepoch\t{METRIC_HEADER}\tmeta_bits")?;
     for (row, ..) in &rows {

@@ -23,13 +23,14 @@
 //! # Examples
 //!
 //! ```
-//! use deuce_sim::{SimConfig, Simulator};
+//! use deuce_sim::{RunError, SimConfig, Simulator};
 //! use deuce_schemes::SchemeKind;
 //! use deuce_trace::{Benchmark, TraceConfig};
 //!
-//! let trace = TraceConfig::new(Benchmark::Mcf).writes(2_000).generate();
-//! let result = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&trace);
+//! let mut stream = TraceConfig::new(Benchmark::Mcf).writes(2_000).stream();
+//! let result = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_source(&mut stream)?;
 //! assert!(result.flip_rate() > 0.0 && result.flip_rate() < 0.5);
+//! # Ok::<(), RunError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,7 +39,6 @@
 mod checkpoint;
 mod config;
 mod counter_cache;
-mod latency;
 mod manifest;
 mod result;
 mod session;
@@ -54,15 +54,14 @@ pub use config::{
 pub use counter_cache::{
     counter_line_addr, CounterCache, CounterCacheConfig, CounterTraffic, COUNTER_REGION,
 };
-pub use latency::{pad_latency_report, PadEngineOption, PadLatencyReport};
 pub use manifest::{
     grid_fingerprint, merge_manifests, read_manifest, CellRecord, ManifestError, ManifestHeader,
     ManifestWriter, ShardSpec,
 };
 pub use result::{FaultReport, SimResult};
 pub use session::{SessionStep, StepSession};
-pub use simulator::{RunError, Simulator};
-pub use sweep::{ParallelSweep, SweepCell};
+pub use simulator::{Checkpoints, RunError, Simulator};
+pub use sweep::ParallelSweep;
 pub use timing::MemoryTimingModel;
 
 pub use deuce_schemes::{SchemeConfig, SchemeKind, StorePageStats};

@@ -598,6 +598,10 @@ where
         }
         self.result.store = self.store.paging_stats();
         if R::ENABLED {
+            // A faulted run exports its fault section even if no cell died.
+            if self.result.faults.is_some() {
+                rec.fault_injection_active();
+            }
             if let Some(stats) = &self.result.store {
                 rec.store_totals(&StoreTelemetry {
                     page_faults: stats.page_faults,

@@ -1,17 +1,16 @@
-//! The simulator: streaming drivers over the memory controller.
+//! The simulator: the streaming loop over the memory controller.
 //!
 //! The controller itself — counter cache → scheme engine over a lazy
 //! line store → timing model → wear recording, and the per-event fold
 //! into a [`SimResult`] — is [`StepSession`] in [`crate::session`].
-//! This module opens sessions and supplies the loops that feed them.
+//! This module opens sessions and supplies the loop that feeds them.
 //!
-//! The driver is streaming: [`Simulator::run_source`] pulls events
-//! from any [`WriteSource`] — a seeded generator, a trace file reader,
-//! or an in-RAM [`Trace`] — so memory use is independent of stream
-//! length. [`Simulator::run_trace`] is the trivial in-RAM delegation
-//! and is bit-identical by construction. For callers that need to feed
-//! events one at a time (the `deuce-serve` front end), the same loop
-//! is exposed inside-out via [`Simulator::session`].
+//! Runs are streaming: [`Simulator::run`] pulls events from any
+//! [`WriteSource`] — a seeded generator, a trace file reader, or an
+//! in-RAM [`deuce_trace::Trace`] through [`deuce_trace::TraceSource`] —
+//! so memory use is independent of stream length. For callers that need
+//! to feed events one at a time (the `deuce-serve` front end), the same
+//! loop is exposed inside-out via [`Simulator::session`].
 //!
 //! A streamed run with wear tracking on and fault injection off records
 //! wear on a scoped helper thread: the loop hands the session's wear
@@ -27,7 +26,7 @@ use std::time::Instant;
 use deuce_crypto::{LineAddr, OtpEngine, SecretKey, LINE_BYTES};
 use deuce_schemes::{AnyScheme, ArenaBackend, FilePageBackend, LineScheme, StateCodec};
 use deuce_telemetry::{NullRecorder, Recorder};
-use deuce_trace::{Trace, TraceIoError, TraceSource, WriteSource};
+use deuce_trace::{TraceIoError, WriteSource};
 
 use crate::checkpoint::RunCheckpoint;
 use crate::config::{SimConfig, StoreBackend};
@@ -113,22 +112,22 @@ impl From<TraceIoError> for RunError {
     }
 }
 
-/// How [`Simulator`] treats checkpoints during one streaming run.
-struct CheckpointPlan<'a> {
-    /// Emit a checkpoint every this many counted writes (and one at
-    /// stream end). 0 disables periodic emission.
-    every_writes: u64,
-    /// Receives each emitted checkpoint.
-    sink: Option<&'a mut dyn FnMut(&RunCheckpoint)>,
-    /// Verify the replay against this checkpoint when the stream
-    /// reaches its position.
-    verify: Option<&'a RunCheckpoint>,
-}
-
-impl CheckpointPlan<'_> {
-    fn none() -> Self {
-        CheckpointPlan { every_writes: 0, sink: None, verify: None }
-    }
+/// What one [`Simulator::run`] does with checkpoints. Checkpoints are
+/// observation only: a run's result is bit-identical under every mode.
+pub enum Checkpoints<'a> {
+    /// No checkpoints.
+    Off,
+    /// Emit a [`RunCheckpoint`] into `sink` every `every_writes` counted
+    /// writes (0: none along the way), plus one at stream end.
+    Emit {
+        /// Counted writes between emitted checkpoints.
+        every_writes: u64,
+        /// Receives each emitted checkpoint.
+        sink: &'a mut dyn FnMut(&RunCheckpoint),
+    },
+    /// Resume by deterministic replay: when the stream reaches the
+    /// checkpoint's position, every counter must match it.
+    Verify(&'a RunCheckpoint),
 }
 
 /// Runs traces under one configuration.
@@ -186,126 +185,98 @@ where
         &self.config
     }
 
-    /// Drives a trace through the full stack and aggregates every metric.
+    /// Drives `source` through the full stack and aggregates every
+    /// metric. A 100M-write generator or file stream runs in
+    /// O(working set), not O(stream length).
     ///
-    /// # Panics
+    /// Structured telemetry streams into `rec` as the source plays:
+    /// per-write observations (figure-of-merit flips, slots, simulated
+    /// time, counter-cache traffic) plus end-of-run gauges. Recording
+    /// never changes the result — a run with any recorder is
+    /// bit-identical to one with [`NullRecorder`], which monomorphises
+    /// this back into the plain uninstrumented loop.
     ///
-    /// Panics with the [`RunError`]'s text where
-    /// [`run_source`](Self::run_source) would return one: the trace
-    /// touches more distinct lines than [`crate::WearConfig::lines`],
-    /// the configuration is rejected, or a configured page-file store
-    /// backend fails on I/O.
-    #[must_use]
-    pub fn run_trace(&self, trace: &Trace) -> SimResult {
-        self.run_trace_recorded(trace, &mut NullRecorder)
-    }
-
-    /// Like [`run_trace`](Self::run_trace), but streams structured
-    /// telemetry into `rec` as the trace plays: per-write observations
-    /// (figure-of-merit flips, slots, simulated time, counter-cache
-    /// traffic) plus end-of-run gauges. Recording never changes the
-    /// result — a run with any recorder is bit-identical to one with
-    /// [`NullRecorder`], which monomorphises this back into the plain
-    /// uninstrumented loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`run_trace`](Self::run_trace).
-    #[must_use]
-    pub fn run_trace_recorded<R: Recorder>(&self, trace: &Trace, rec: &mut R) -> SimResult {
-        let mut source = TraceSource::new(trace);
-        match self.drive(&mut source, rec, CheckpointPlan::none()) {
-            Ok(result) => result,
-            // In-RAM sources cannot fail, so the only errors left are a
-            // rejected configuration, wear capacity and the page-file
-            // store backend.
-            Err(e) => panic!("trace run failed: {e}"),
-        }
-    }
-
-    /// Drives any [`WriteSource`] through the full stack — the
-    /// bounded-memory entry point: a 100M-write generator or file
-    /// stream runs in O(working set), not O(stream length), and is
-    /// bit-identical to [`run_trace`](Self::run_trace) on the
-    /// materialised equivalent.
+    /// `checkpoints` picks the checkpoint mode. [`Checkpoints::Emit`]
+    /// hands the sink a [`RunCheckpoint`] along the way.
+    /// [`Checkpoints::Verify`] resumes from a checkpoint by
+    /// deterministic replay: it drives `source` from the beginning and,
+    /// when the stream reaches the checkpoint's position, checks that
+    /// every counter matches before continuing to the end. This trades
+    /// replay compute for guaranteed correctness — a changed config,
+    /// trace file, or binary is *detected*, never silently folded into
+    /// wrong results. (Skipping completed work wholesale is the manifest
+    /// layer's job, which resumes at whole-cell granularity.)
     ///
     /// # Errors
     ///
     /// Returns [`RunError::Trace`] when the source fails (I/O failure
     /// or malformed trace input), [`RunError::Config`] when the
     /// configuration is rejected, [`RunError::Store`] when the
-    /// page-file store backend fails, and [`RunError::WearCapacity`]
-    /// when the stream touches more distinct lines than
-    /// [`crate::WearConfig::lines`].
+    /// page-file store backend fails, [`RunError::WearCapacity`] when
+    /// the stream touches more distinct lines than
+    /// [`crate::WearConfig::lines`], and [`RunError::CheckpointMismatch`]
+    /// when a verified replay diverges from its checkpoint, a stream
+    /// that ends before the checkpoint's position included.
+    pub fn run<Src: WriteSource + ?Sized, R: Recorder>(
+        &self,
+        source: &mut Src,
+        rec: &mut R,
+        mut checkpoints: Checkpoints<'_>,
+    ) -> Result<SimResult, RunError> {
+        // Span tracing is double-gated: the `R::ENABLED` half vanishes
+        // under `NullRecorder`, the dynamic half keeps a telemetry-only
+        // run free of `Instant::now` pairs.
+        let wants_spans = R::ENABLED && rec.wants_spans();
+        if wants_spans {
+            rec.span_begin("run");
+        }
+
+        let mut session = StepSession::build(self, source.cores(), wants_spans)?;
+        let mut wear = session.offload_wear();
+        let fed = wear.as_mut().and_then(|wear| {
+            feed_with_wear_helper(wear, &mut session, source, rec, &mut checkpoints, wants_spans)
+        });
+        if let Some(wear) = wear {
+            session.restore_wear(wear);
+        }
+        match fed {
+            Some(fed) => fed?,
+            // No helper runs: wear, if tracked, records inline.
+            None => feed(&mut session, source, rec, &mut checkpoints, wants_spans, |_| true)?,
+        }
+
+        let result = session.finish_recorded(rec)?;
+        if wants_spans {
+            rec.span_end();
+        }
+        Ok(result)
+    }
+
+    /// [`run`](Self::run) without telemetry or checkpoints. Kept
+    /// because `perfbench/` calls it; it goes once perfbench calls `run`.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
     pub fn run_source<Src: WriteSource + ?Sized>(
         &self,
         source: &mut Src,
     ) -> Result<SimResult, RunError> {
-        self.drive(source, &mut NullRecorder, CheckpointPlan::none())
+        self.run(source, &mut NullRecorder, Checkpoints::Off)
     }
 
-    /// [`run_source`](Self::run_source) with telemetry recording (see
-    /// [`run_trace_recorded`](Self::run_trace_recorded)).
+    /// [`run`](Self::run) without checkpoints. Kept because
+    /// `perfbench/` calls it; it goes once perfbench calls `run`.
     ///
     /// # Errors
     ///
-    /// As [`run_source`](Self::run_source).
+    /// As [`run`](Self::run).
     pub fn run_source_recorded<Src: WriteSource + ?Sized, R: Recorder>(
         &self,
         source: &mut Src,
         rec: &mut R,
     ) -> Result<SimResult, RunError> {
-        self.drive(source, rec, CheckpointPlan::none())
-    }
-
-    /// [`run_source`](Self::run_source) emitting a [`RunCheckpoint`]
-    /// into `sink` every `every_writes` counted writes, plus one at
-    /// stream end. Checkpoints are observation only — the result is
-    /// bit-identical with and without them.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_source`](Self::run_source).
-    pub fn run_source_checkpointed<Src: WriteSource + ?Sized, R: Recorder>(
-        &self,
-        source: &mut Src,
-        rec: &mut R,
-        every_writes: u64,
-        sink: &mut dyn FnMut(&RunCheckpoint),
-    ) -> Result<SimResult, RunError> {
-        self.drive(
-            source,
-            rec,
-            CheckpointPlan { every_writes, sink: Some(sink), verify: None },
-        )
-    }
-
-    /// Resumes a run from a checkpoint by deterministic replay: drives
-    /// `source` from the beginning and, when the stream reaches the
-    /// checkpoint's position, verifies every counter matches before
-    /// continuing to the end. This trades replay compute for guaranteed
-    /// correctness — a changed config, trace file, or binary is
-    /// *detected*, never silently folded into wrong results. (Skipping
-    /// completed work wholesale is the manifest layer's job, which
-    /// resumes at whole-cell granularity.)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::CheckpointMismatch`] when the replay
-    /// diverges from `from` (including a stream shorter than the
-    /// checkpoint position), and otherwise as
-    /// [`run_source`](Self::run_source).
-    pub fn resume_source<Src: WriteSource + ?Sized, R: Recorder>(
-        &self,
-        source: &mut Src,
-        rec: &mut R,
-        from: &RunCheckpoint,
-    ) -> Result<SimResult, RunError> {
-        self.drive(
-            source,
-            rec,
-            CheckpointPlan { every_writes: 0, sink: None, verify: Some(from) },
-        )
+        self.run(source, rec, Checkpoints::Off)
     }
 
     /// Opens the configured store backend. A page file's blank state,
@@ -325,8 +296,8 @@ where
     /// Opens a step-at-a-time session: feed it
     /// [`deuce_trace::TraceEvent`]s in stream order and
     /// [`finish`](StepSession::finish) it for the [`SimResult`]. The
-    /// stepped run is bit-identical to
-    /// [`run_source`](Self::run_source) over the same event sequence.
+    /// stepped run is bit-identical to [`run`](Self::run) over the same
+    /// event sequence.
     /// `cores` is the stream's core count (what
     /// [`WriteSource::cores`] would report).
     ///
@@ -342,66 +313,17 @@ where
     pub fn session(&self, cores: usize) -> Result<StepSession<S>, RunError> {
         StepSession::build(self, cores, false)
     }
-
-    /// The one streaming drive all run entry points share: a
-    /// [`StepSession`] fed from `source` by [`feed`] until it runs dry,
-    /// with checkpoint emission/verification interleaved per the plan.
-    /// Fault-free wear records on a helper thread meanwhile
-    /// ([`feed_with_wear_helper`]).
-    fn drive<Src: WriteSource + ?Sized, R: Recorder>(
-        &self,
-        source: &mut Src,
-        rec: &mut R,
-        mut plan: CheckpointPlan<'_>,
-    ) -> Result<SimResult, RunError> {
-        // Span tracing is double-gated: the `R::ENABLED` half vanishes
-        // under `NullRecorder`, the dynamic half keeps a telemetry-only
-        // run free of `Instant::now` pairs.
-        let wants_spans = R::ENABLED && rec.wants_spans();
-        if wants_spans {
-            rec.span_begin("run");
-        }
-
-        let mut session = StepSession::build(self, source.cores(), wants_spans)?;
-        if R::ENABLED {
-            if session.result().faults.is_some() {
-                rec.fault_injection_active();
-            }
-            if matches!(self.config.store, StoreBackend::File(_)) {
-                rec.store_paging_active();
-            }
-        }
-
-        let mut wear = session.offload_wear();
-        let fed = wear.as_mut().and_then(|wear| {
-            feed_with_wear_helper(wear, &mut session, source, rec, &mut plan, wants_spans)
-        });
-        if let Some(wear) = wear {
-            session.restore_wear(wear);
-        }
-        match fed {
-            Some(fed) => fed?,
-            // No helper runs: wear, if tracked, records inline.
-            None => feed(&mut session, source, rec, &mut plan, wants_spans, |_| true)?,
-        }
-
-        let result = session.finish_recorded(rec)?;
-        if wants_spans {
-            rec.span_end();
-        }
-        Ok(result)
-    }
 }
 
 /// The event loop of every streamed run: steps `session` through
-/// `source` to its end, emitting and verifying checkpoints per `plan`.
-/// `after_write` runs after each counted write; when it returns `false`
-/// the loop stops early.
+/// `source` to its end, emitting and verifying checkpoints per
+/// `checkpoints`. `after_write` runs after each counted write; when it
+/// returns `false` the loop stops early.
 fn feed<S: LineScheme + Copy, Src: WriteSource + ?Sized, R: Recorder>(
     session: &mut StepSession<S>,
     source: &mut Src,
     rec: &mut R,
-    plan: &mut CheckpointPlan<'_>,
+    checkpoints: &mut Checkpoints<'_>,
     wants_spans: bool,
     mut after_write: impl FnMut(&mut StepSession<S>) -> bool,
 ) -> Result<(), RunError>
@@ -420,42 +342,50 @@ where
             if !after_write(session) {
                 return Ok(());
             }
-            if plan.every_writes > 0 && session.result().writes.is_multiple_of(plan.every_writes) {
-                if let Some(sink) = plan.sink.as_mut() {
-                    let cp_started = wants_spans.then(Instant::now);
-                    sink(&session.checkpoint());
-                    if let Some(started) = cp_started {
-                        rec.span_attach(Some("run"), "checkpoint", elapsed_ns(started), 1);
-                    }
+            if let Checkpoints::Emit { every_writes, sink } = checkpoints {
+                if *every_writes > 0 && session.result().writes.is_multiple_of(*every_writes) {
+                    emit(session, rec, sink, wants_spans);
                     last_emitted = Some(session.events_consumed());
                 }
             }
         }
-        if let Some(expected) = plan.verify {
+        if let Checkpoints::Verify(expected) = checkpoints {
             if session.events_consumed() == expected.events_consumed {
                 verify_checkpoint(expected, &session.checkpoint())?;
-                plan.verify = None;
+                *checkpoints = Checkpoints::Off;
             }
         }
     }
-    if let Some(expected) = plan.verify {
+    match checkpoints {
         // The stream ended before reaching the checkpoint position.
-        return Err(RunError::CheckpointMismatch {
+        Checkpoints::Verify(expected) => Err(RunError::CheckpointMismatch {
             field: "events_consumed",
             expected: expected.events_consumed,
             found: session.events_consumed(),
-        });
-    }
-    if let Some(sink) = plan.sink.as_mut() {
-        if last_emitted != Some(session.events_consumed()) {
-            let cp_started = wants_spans.then(Instant::now);
-            sink(&session.checkpoint());
-            if let Some(started) = cp_started {
-                rec.span_attach(Some("run"), "checkpoint", elapsed_ns(started), 1);
-            }
+        }),
+        Checkpoints::Emit { sink, .. } if last_emitted != Some(session.events_consumed()) => {
+            emit(session, rec, sink, wants_spans);
+            Ok(())
         }
+        _ => Ok(()),
     }
-    Ok(())
+}
+
+/// Hands `sink` the session's checkpoint, charging the time to a
+/// `checkpoint` span under `run`.
+fn emit<S: LineScheme + Copy, R: Recorder>(
+    session: &StepSession<S>,
+    rec: &mut R,
+    sink: &mut dyn FnMut(&RunCheckpoint),
+    wants_spans: bool,
+) where
+    S::State: StateCodec,
+{
+    let started = wants_spans.then(Instant::now);
+    sink(&session.checkpoint());
+    if let Some(started) = started {
+        rec.span_attach(Some("run"), "checkpoint", elapsed_ns(started), 1);
+    }
 }
 
 /// Runs [`feed`] while a scoped helper thread records `session`'s
@@ -475,7 +405,7 @@ fn feed_with_wear_helper<S: LineScheme + Copy, Src: WriteSource + ?Sized, R: Rec
     session: &mut StepSession<S>,
     source: &mut Src,
     rec: &mut R,
-    plan: &mut CheckpointPlan<'_>,
+    checkpoints: &mut Checkpoints<'_>,
     wants_spans: bool,
 ) -> Option<Result<(), RunError>>
 where
@@ -503,7 +433,7 @@ where
                 .unwrap_or_else(|_| Vec::with_capacity(WEAR_LOG_RECORDS));
             logs.send(session.swap_wear_log(empty)).is_ok()
         };
-        let fed = feed(session, source, rec, plan, wants_spans, |session| {
+        let fed = feed(session, source, rec, checkpoints, wants_spans, |session| {
             session.wear_log_len() < WEAR_LOG_RECORDS || hand_over(session)
         });
         if fed.is_ok() {
@@ -546,17 +476,21 @@ mod tests {
     use crate::config::WearConfig;
     use deuce_nvm::SlotConfig;
     use deuce_schemes::SchemeKind;
-    use deuce_trace::{Benchmark, TraceConfig};
+    use deuce_trace::{Benchmark, Trace, TraceConfig, TraceSource};
     use deuce_wear::HwlMode;
 
     fn trace(benchmark: Benchmark, writes: usize) -> Trace {
         TraceConfig::new(benchmark).lines(64).writes(writes).seed(11).generate()
     }
 
+    fn run(config: SimConfig, t: &Trace) -> Result<SimResult, RunError> {
+        Simulator::new(config).run_source(&mut TraceSource::new(t))
+    }
+
     #[test]
     fn encrypted_baseline_flips_half() {
         let t = trace(Benchmark::Mcf, 3000);
-        let r = Simulator::new(SimConfig::new(SchemeKind::EncryptedDcw)).run_trace(&t);
+        let r = run(SimConfig::new(SchemeKind::EncryptedDcw), &t).unwrap();
         assert!((r.flip_rate() - 0.5).abs() < 0.01, "rate {}", r.flip_rate());
         assert!(r.avg_slots_per_write() > 3.9, "slots {}", r.avg_slots_per_write());
     }
@@ -564,8 +498,8 @@ mod tests {
     #[test]
     fn deuce_beats_encrypted_on_sparse_workload() {
         let t = trace(Benchmark::Libquantum, 3000);
-        let enc = Simulator::new(SimConfig::new(SchemeKind::EncryptedDcw)).run_trace(&t);
-        let deuce = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&t);
+        let enc = run(SimConfig::new(SchemeKind::EncryptedDcw), &t).unwrap();
+        let deuce = run(SimConfig::new(SchemeKind::Deuce), &t).unwrap();
         assert!(deuce.flip_rate() < enc.flip_rate() / 2.0);
         assert!(deuce.avg_slots_per_write() < enc.avg_slots_per_write());
         assert!(deuce.exec_time_ns < enc.exec_time_ns);
@@ -574,8 +508,8 @@ mod tests {
     #[test]
     fn unencrypted_is_cheapest() {
         let t = trace(Benchmark::Omnetpp, 2000);
-        let plain = Simulator::new(SimConfig::new(SchemeKind::UnencryptedDcw)).run_trace(&t);
-        let deuce = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&t);
+        let plain = run(SimConfig::new(SchemeKind::UnencryptedDcw), &t).unwrap();
+        let deuce = run(SimConfig::new(SchemeKind::Deuce), &t).unwrap();
         assert!(plain.flip_rate() < deuce.flip_rate());
         assert_eq!(plain.counter_flips, 0);
     }
@@ -583,7 +517,7 @@ mod tests {
     #[test]
     fn first_write_per_line_is_not_counted() {
         let t = trace(Benchmark::Astar, 500);
-        let r = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&t);
+        let r = run(SimConfig::new(SchemeKind::Deuce), &t).unwrap();
         let distinct = t
             .writes()
             .map(|e| e.line.value())
@@ -597,7 +531,7 @@ mod tests {
         let t = trace(Benchmark::Libquantum, 2000);
         let cfg = SimConfig::new(SchemeKind::Deuce)
             .with_wear(WearConfig::with_hwl(64, HwlMode::Hashed).gap_interval(5));
-        let r = Simulator::new(cfg).run_trace(&t);
+        let r = run(cfg, &t).unwrap();
         let cells = r.cells.as_ref().expect("wear enabled");
         assert_eq!(cells.writes_recorded(), r.writes);
         assert!(r.wear_summary().unwrap().total_bit_writes > 0);
@@ -607,15 +541,15 @@ mod tests {
     #[test]
     fn hwl_levels_bit_positions() {
         let t = trace(Benchmark::Libquantum, 6000);
-        let no_hwl = Simulator::new(
-            SimConfig::new(SchemeKind::Deuce).with_wear(WearConfig::vertical_only(64)),
-        )
-        .run_trace(&t);
-        let hwl = Simulator::new(
+        let no_hwl =
+            run(SimConfig::new(SchemeKind::Deuce).with_wear(WearConfig::vertical_only(64)), &t)
+                .unwrap();
+        let hwl = run(
             SimConfig::new(SchemeKind::Deuce)
                 .with_wear(WearConfig::with_hwl(64, HwlMode::Hashed).gap_interval(2)),
+            &t,
         )
-        .run_trace(&t);
+        .unwrap();
         let skew_without = no_hwl.cells.as_ref().unwrap().wear_summary().max_over_avg();
         let life_no = no_hwl.lifetime(crate::LifetimePolicy::VerticalLeveled).unwrap();
         let life_hwl = hwl.lifetime(crate::LifetimePolicy::VerticalLeveled).unwrap();
@@ -629,7 +563,7 @@ mod tests {
     #[test]
     fn reads_contribute_to_time_and_energy() {
         let t = TraceConfig::new(Benchmark::Mcf).lines(64).writes(1000).seed(1).generate();
-        let r = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&t);
+        let r = run(SimConfig::new(SchemeKind::Deuce), &t).unwrap();
         assert!(r.reads > 0);
         assert!(r.exec_time_ns > 0.0);
         assert!(r.energy_pj() > 0.0);
@@ -637,11 +571,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wear-tracked lines")]
     fn wear_overflow_is_detected() {
         let t = trace(Benchmark::Mcf, 2000);
         let cfg = SimConfig::new(SchemeKind::Deuce).with_wear(WearConfig::vertical_only(2));
-        let _ = Simulator::new(cfg).run_trace(&t);
+        assert!(matches!(run(cfg, &t), Err(RunError::WearCapacity { lines: 2 })));
     }
 
     /// Configurations the controller cannot be built from are typed
@@ -734,7 +667,7 @@ mod tests {
     fn stepped_session_matches_streamed_run() {
         let t = trace(Benchmark::Libquantum, 1500);
         let simulator = Simulator::new(SimConfig::new(SchemeKind::Deuce));
-        let streamed = simulator.run_trace(&t);
+        let streamed = simulator.run_source(&mut TraceSource::new(&t)).unwrap();
         let cores = TraceSource::new(&t).cores();
         let mut session = simulator.session(cores).expect("arena session");
         // The session owns its engine and store, so it outlives the

@@ -8,28 +8,29 @@
 //!
 //! - results come back in input order, regardless of which thread
 //!   finished first;
-//! - each cell's randomness is derived only from its own seed (via
-//!   [`deuce_rng::derive_seed`] in [`ParallelSweep::run_seeded`]), never
-//!   from scheduling;
+//! - each cell's randomness comes only from its own inputs (its trace
+//!   seed), never from scheduling;
 //! - workers take a fixed round-robin slice of the grid, so the shard
 //!   assignment itself is deterministic too.
 //!
 //! ```
-//! use deuce_sim::{ParallelSweep, SimConfig, SweepCell};
+//! use deuce_sim::{ParallelSweep, RunError, SimConfig, Simulator};
 //! use deuce_schemes::SchemeKind;
 //! use deuce_trace::{Benchmark, TraceConfig};
 //!
-//! let cells: Vec<SweepCell> = [SchemeKind::Deuce, SchemeKind::EncryptedDcw]
+//! let cells: Vec<(TraceConfig, SimConfig)> = [SchemeKind::Deuce, SchemeKind::EncryptedDcw]
 //!     .into_iter()
-//!     .map(|kind| SweepCell {
-//!         label: kind.to_string(),
-//!         trace: TraceConfig::new(Benchmark::Mcf).writes(500),
-//!         config: SimConfig::new(kind),
-//!     })
+//!     .map(|kind| (TraceConfig::new(Benchmark::Mcf).writes(500), SimConfig::new(kind)))
 //!     .collect();
-//! let results = ParallelSweep::new().run(&cells);
+//! let results = ParallelSweep::new()
+//!     .map(&cells, None, |_, (trace, config)| {
+//!         Simulator::new(config.clone()).run_source(&mut trace.stream())
+//!     })
+//!     .into_iter()
+//!     .collect::<Result<Vec<_>, RunError>>()?;
 //! assert_eq!(results.len(), 2);
 //! assert!(results[0].flip_rate() < results[1].flip_rate(), "DEUCE beats full encryption");
+//! # Ok::<(), RunError>(())
 //! ```
 
 use std::collections::BTreeSet;
@@ -37,31 +38,9 @@ use std::io;
 use std::panic;
 use std::thread;
 
-use deuce_rng::derive_seed;
 use deuce_telemetry::SweepProgress;
-use deuce_trace::TraceConfig;
 
 use crate::manifest::{CellRecord, ManifestWriter, ShardSpec};
-use crate::{SimConfig, SimResult, Simulator};
-
-/// One cell of a sweep grid: a workload and a controller configuration.
-#[derive(Debug, Clone)]
-pub struct SweepCell {
-    /// Human-readable cell name (benchmark, scheme, parameter point…).
-    pub label: String,
-    /// Trace to generate for this cell.
-    pub trace: TraceConfig,
-    /// Simulator configuration for this cell.
-    pub config: SimConfig,
-}
-
-impl SweepCell {
-    /// Creates a cell.
-    #[must_use]
-    pub fn new(label: impl Into<String>, trace: TraceConfig, config: SimConfig) -> Self {
-        Self { label: label.into(), trace, config }
-    }
-}
 
 /// Deterministic sharded runner for independent simulations.
 #[derive(Debug, Clone, Copy)]
@@ -104,53 +83,30 @@ impl ParallelSweep {
     /// same `Vec` as a sequential loop (assuming `f` itself is a pure
     /// function of `(index, item)`).
     ///
-    /// # Panics
-    ///
-    /// Propagates a panic from `f`.
-    pub fn map<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> T + Sync,
-    {
-        self.map_observed(items, f, None)
-    }
-
-    /// Like [`map`](Self::map), with optional live progress: worker `k`
-    /// ticks shard `k` of `progress` after each completed item.
-    /// Progress is observation only — the returned `Vec` is
+    /// With `progress`, worker `k` ticks shard `k` after each completed
+    /// item. Progress is observation only — the returned `Vec` is
     /// bit-identical with and without it.
     ///
     /// # Panics
     ///
-    /// Propagates a panic from `f`.
-    pub fn map_observed<I, T, F>(
-        &self,
-        items: &[I],
-        f: F,
-        progress: Option<&SweepProgress>,
-    ) -> Vec<T>
+    /// Propagates a panic from `f`, with its original payload.
+    pub fn map<I, T, F>(&self, items: &[I], progress: Option<&SweepProgress>, f: F) -> Vec<T>
     where
         I: Sync,
         T: Send,
         F: Fn(usize, &I) -> T + Sync,
     {
-        self.map_observed_with(items, f, progress, |_| 0)
+        self.map_crediting(items, progress, f, |_| 0)
     }
 
-    /// Like [`map_observed`](Self::map_observed), additionally
-    /// crediting `writes_of(&value)` simulated writes to the worker's
-    /// shard after each item, so [`SweepProgress`] can report per-shard
-    /// throughput (writes/sec). Still observation only.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from `f`, with its original payload.
-    pub fn map_observed_with<I, T, F, W>(
+    /// [`map`](Self::map), additionally crediting `writes_of(&value)`
+    /// simulated writes to the worker's shard after each item, so
+    /// [`SweepProgress`] can report per-shard throughput (writes/sec).
+    fn map_crediting<I, T, F, W>(
         &self,
         items: &[I],
-        f: F,
         progress: Option<&SweepProgress>,
+        f: F,
         writes_of: W,
     ) -> Vec<T>
     where
@@ -252,53 +208,17 @@ impl ParallelSweep {
                 shard.owns(cell) && !completed.contains(&cell)
             })
             .collect();
-        let outcomes: Vec<Result<CellRecord, E>> = self.map_observed_with(
+        let outcomes: Vec<Result<CellRecord, E>> = self.map_crediting(
             &pending,
+            progress,
             |_, &(cell, item)| {
                 let record = f(cell, item)?;
                 writer.append(&record)?;
                 Ok(record)
             },
-            progress,
             |outcome| outcome.as_ref().map_or(0, |record| record.writes),
         );
         outcomes.into_iter().collect()
-    }
-
-    /// Runs every cell (generate its trace, simulate it), in cell
-    /// order. Each cell uses the seed already in its [`TraceConfig`].
-    #[must_use]
-    pub fn run(&self, cells: &[SweepCell]) -> Vec<SimResult> {
-        self.run_observed(cells, None)
-    }
-
-    /// Like [`run`](Self::run), with optional live progress reporting.
-    #[must_use]
-    pub fn run_observed(
-        &self,
-        cells: &[SweepCell],
-        progress: Option<&SweepProgress>,
-    ) -> Vec<SimResult> {
-        self.map_observed(
-            cells,
-            |_, cell| {
-                let trace = cell.trace.generate();
-                Simulator::new(cell.config.clone()).run_trace(&trace)
-            },
-            progress,
-        )
-    }
-
-    /// Like [`run`](Self::run), but re-seeds cell `i`'s trace with
-    /// `derive_seed(base_seed, i)` so every shard draws from its own
-    /// decorrelated stream while the whole sweep stays a pure function
-    /// of `base_seed`.
-    #[must_use]
-    pub fn run_seeded(&self, base_seed: u64, cells: &[SweepCell]) -> Vec<SimResult> {
-        self.map(cells, |i, cell| {
-            let trace = cell.trace.clone().seed(derive_seed(base_seed, i as u64)).generate();
-            Simulator::new(cell.config.clone()).run_trace(&trace)
-        })
     }
 }
 
@@ -309,21 +229,37 @@ mod tests {
     use deuce_schemes::{SchemeConfig, SchemeKind, WordSize};
     use deuce_trace::{Benchmark, TraceConfig};
 
-    fn grid() -> Vec<SweepCell> {
+    use crate::{RunError, SimConfig, SimResult, Simulator};
+
+    fn grid() -> Vec<(TraceConfig, SimConfig)> {
         let mut cells = Vec::new();
         for benchmark in [Benchmark::Mcf, Benchmark::Libquantum] {
-            for (kind, epoch) in [(SchemeKind::Deuce, 8), (SchemeKind::Deuce, 32)] {
-                let scheme = SchemeConfig::new(kind)
+            for epoch in [8, 32] {
+                let scheme = SchemeConfig::new(SchemeKind::Deuce)
                     .with_word_size(WordSize::Bytes2)
                     .with_epoch(EpochInterval::new(epoch).expect("power of two"));
-                cells.push(SweepCell::new(
-                    format!("{benchmark}/{kind}/e{epoch}"),
+                cells.push((
                     TraceConfig::new(benchmark).lines(64).writes(600).seed(9),
                     SimConfig::with_scheme(scheme),
                 ));
             }
         }
         cells
+    }
+
+    /// Runs every cell of `cells` through `sweep`, in cell order.
+    fn run(
+        sweep: ParallelSweep,
+        cells: &[(TraceConfig, SimConfig)],
+        progress: Option<&SweepProgress>,
+    ) -> Vec<SimResult> {
+        sweep
+            .map(cells, progress, |_, (trace, config)| {
+                Simulator::new(config.clone()).run_source(&mut trace.stream())
+            })
+            .into_iter()
+            .collect::<Result<_, RunError>>()
+            .expect("every cell runs")
     }
 
     fn fingerprint(results: &[SimResult]) -> Vec<(u64, u64, u64, u64, u64)> {
@@ -337,7 +273,7 @@ mod tests {
     fn map_preserves_input_order() {
         let items: Vec<usize> = (0..37).collect();
         for shards in [1, 2, 3, 8, 64] {
-            let out = ParallelSweep::with_shards(shards).map(&items, |i, &x| i * 100 + x);
+            let out = ParallelSweep::with_shards(shards).map(&items, None, |i, &x| i * 100 + x);
             let expected: Vec<usize> = items.iter().map(|&x| x * 101).collect();
             assert_eq!(out, expected, "{shards} shards");
         }
@@ -346,42 +282,20 @@ mod tests {
     #[test]
     fn parallel_run_is_bit_identical_to_sequential() {
         let cells = grid();
-        let sequential = fingerprint(&ParallelSweep::with_shards(1).run(&cells));
+        let sequential = fingerprint(&run(ParallelSweep::with_shards(1), &cells, None));
         for shards in [2, 4, 16] {
-            let parallel = fingerprint(&ParallelSweep::with_shards(shards).run(&cells));
+            let parallel = fingerprint(&run(ParallelSweep::with_shards(shards), &cells, None));
             assert_eq!(parallel, sequential, "{shards} shards");
         }
     }
 
     #[test]
-    fn seeded_run_is_deterministic_and_decorrelated() {
-        let cells: Vec<SweepCell> = (0..3)
-            .map(|i| {
-                SweepCell::new(
-                    format!("shard{i}"),
-                    TraceConfig::new(Benchmark::Mcf).lines(64).writes(600),
-                    SimConfig::new(SchemeKind::Deuce),
-                )
-            })
-            .collect();
-        let a = fingerprint(&ParallelSweep::with_shards(4).run_seeded(7, &cells));
-        let b = fingerprint(&ParallelSweep::with_shards(2).run_seeded(7, &cells));
-        assert_eq!(a, b, "same base seed, any sharding: same results");
-        // Identical configs, distinct derived seeds: the cells must not
-        // replay one another's trace.
-        assert_ne!(a[0], a[1]);
-        assert_ne!(a[1], a[2]);
-        let c = fingerprint(&ParallelSweep::with_shards(4).run_seeded(8, &cells));
-        assert_ne!(a, c, "different base seed: different sweep");
-    }
-
-    #[test]
     fn progress_counts_every_cell_without_changing_results() {
         let cells = grid();
-        let plain = fingerprint(&ParallelSweep::with_shards(3).run(&cells));
+        let sweep = ParallelSweep::with_shards(3);
+        let plain = fingerprint(&run(sweep, &cells, None));
         let progress = SweepProgress::new("test", cells.len(), 3);
-        let observed =
-            fingerprint(&ParallelSweep::with_shards(3).run_observed(&cells, Some(&progress)));
+        let observed = fingerprint(&run(sweep, &cells, Some(&progress)));
         assert_eq!(observed, plain, "progress must not perturb results");
         assert_eq!(progress.done(), cells.len());
         let per_shard: usize = (0..3).map(|s| progress.shard_done(s)).sum();
@@ -501,7 +415,7 @@ mod tests {
     fn a_cell_panic_reaches_the_caller_with_its_message() {
         let items: Vec<usize> = (0..8).collect();
         let payload = panic::catch_unwind(|| {
-            ParallelSweep::with_shards(2).map(&items, |_, &i| {
+            ParallelSweep::with_shards(2).map(&items, None, |_, &i| {
                 assert!(i != 5, "cell {i} failed on purpose");
                 i
             })
@@ -525,20 +439,19 @@ mod tests {
         if cores < 4 {
             return;
         }
-        let cells: Vec<SweepCell> = (0..cores.min(8))
+        let cells: Vec<(TraceConfig, SimConfig)> = (0..cores.min(8))
             .map(|i| {
-                SweepCell::new(
-                    format!("cell{i}"),
+                (
                     TraceConfig::new(Benchmark::Mcf).lines(256).writes(20_000).seed(i as u64),
                     SimConfig::new(SchemeKind::Deuce),
                 )
             })
             .collect();
         let t0 = std::time::Instant::now();
-        let sequential = ParallelSweep::with_shards(1).run(&cells);
+        let sequential = run(ParallelSweep::with_shards(1), &cells, None);
         let sequential_time = t0.elapsed();
         let t1 = std::time::Instant::now();
-        let parallel = ParallelSweep::new().run(&cells);
+        let parallel = run(ParallelSweep::new(), &cells, None);
         let parallel_time = t1.elapsed();
         assert_eq!(fingerprint(&sequential), fingerprint(&parallel));
         assert!(

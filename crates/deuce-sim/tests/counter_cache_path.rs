@@ -5,7 +5,7 @@
 
 use deuce_sim::{counter_line_addr, CounterCacheConfig, SimConfig, Simulator, COUNTER_REGION};
 use deuce_schemes::SchemeKind;
-use deuce_trace::{Benchmark, TraceConfig};
+use deuce_trace::{Benchmark, TraceConfig, TraceSource};
 
 fn trace(lines: usize, writes: usize) -> deuce_trace::Trace {
     TraceConfig::new(Benchmark::Mcf).lines(lines).writes(writes).seed(11).generate()
@@ -16,7 +16,7 @@ fn run(cache: Option<CounterCacheConfig>, lines: usize, writes: usize) -> deuce_
     if let Some(cache) = cache {
         config = config.with_counter_cache(cache);
     }
-    Simulator::new(config).run_trace(&trace(lines, writes))
+    Simulator::new(config).run_source(&mut TraceSource::new(&trace(lines, writes))).unwrap()
 }
 
 #[test]

@@ -5,9 +5,9 @@
 //! re-encryption — sequentially and under sharded parallel execution
 //! with bit-identical results.
 
-use deuce_sim::{FaultConfig, ParallelSweep, SimConfig, SimResult, Simulator, WearConfig};
+use deuce_sim::{FaultConfig, ParallelSweep, RunError, SimConfig, SimResult, Simulator, WearConfig};
 use deuce_schemes::SchemeKind;
-use deuce_trace::{LineAddr, Trace, TraceEvent};
+use deuce_trace::{LineAddr, Trace, TraceEvent, TraceSource};
 
 const LINES: u64 = 2;
 const WRITES_PER_LINE: usize = 4000;
@@ -45,6 +45,10 @@ fn faulty_config(kind: SchemeKind) -> SimConfig {
         .with_faults(FaultConfig::accelerated(2e-6).ecp_entries(2).spare_lines(1))
 }
 
+fn run(config: SimConfig, trace: &Trace) -> SimResult {
+    Simulator::new(config).run_source(&mut TraceSource::new(trace)).unwrap()
+}
+
 fn first_ue(result: &SimResult) -> Option<u64> {
     result.faults.as_ref().expect("faults enabled").first_uncorrectable_write
 }
@@ -52,8 +56,8 @@ fn first_ue(result: &SimResult) -> Option<u64> {
 #[test]
 fn deuce_outlives_full_line_reencryption() {
     let trace = hot_word_trace();
-    let enc = Simulator::new(faulty_config(SchemeKind::EncryptedDcw)).run_trace(&trace);
-    let deuce = Simulator::new(faulty_config(SchemeKind::Deuce)).run_trace(&trace);
+    let enc = run(faulty_config(SchemeKind::EncryptedDcw), &trace);
+    let deuce = run(faulty_config(SchemeKind::Deuce), &trace);
 
     let enc_faults = enc.faults.as_ref().expect("faults enabled");
     let deuce_faults = deuce.faults.as_ref().expect("faults enabled");
@@ -84,12 +88,12 @@ fn fault_reports_are_identical_under_parallel_sweep() {
         faulty_config(SchemeKind::Deuce),
         faulty_config(SchemeKind::UnencryptedDcw),
     ];
-    let run = |sweep: ParallelSweep| {
-        sweep.map(&configs, |_, cfg| Simulator::new(cfg.clone()).run_trace(&trace))
+    let sweep_with = |sweep: ParallelSweep| {
+        sweep.map(&configs, None, |_, cfg| run(cfg.clone(), &trace))
     };
-    let sequential = run(ParallelSweep::with_shards(1));
+    let sequential = sweep_with(ParallelSweep::with_shards(1));
     for shards in [2, 4] {
-        let parallel = run(ParallelSweep::with_shards(shards));
+        let parallel = sweep_with(ParallelSweep::with_shards(shards));
         for (seq, par) in sequential.iter().zip(&parallel) {
             assert_eq!(seq.writes, par.writes);
             assert_eq!(seq.data_flips, par.data_flips);
@@ -102,14 +106,15 @@ fn fault_reports_are_identical_under_parallel_sweep() {
 fn faults_default_off_and_reports_absent() {
     let trace = hot_word_trace();
     let cfg = SimConfig::new(SchemeKind::Deuce).with_wear(WearConfig::vertical_only(LINES as usize));
-    let r = Simulator::new(cfg).run_trace(&trace);
+    let r = run(cfg, &trace);
     assert!(r.faults.is_none(), "no fault report without fault injection");
     assert!(r.cells.is_some(), "wear tracking still on");
 }
 
 #[test]
-#[should_panic(expected = "fault injection requires wear tracking")]
 fn faults_without_wear_is_rejected() {
     let cfg = SimConfig::new(SchemeKind::Deuce).with_faults(FaultConfig::accelerated(1e-6));
-    let _ = Simulator::new(cfg).run_trace(&hot_word_trace());
+    let trace = hot_word_trace();
+    let err = Simulator::new(cfg).run_source(&mut TraceSource::new(&trace)).unwrap_err();
+    assert!(matches!(&err, RunError::Config(m) if m.contains("requires wear tracking")), "{err}");
 }

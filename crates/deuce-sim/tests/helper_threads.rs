@@ -14,8 +14,8 @@ use deuce_schemes::{
     SchemeConfig, SchemeKind, WriteOutcome,
 };
 use deuce_sim::{
-    CounterCacheConfig, FaultConfig, HwlMode, RunCheckpoint, RunError, SimConfig, SimResult,
-    Simulator, WearConfig,
+    Checkpoints, CounterCacheConfig, FaultConfig, HwlMode, RunCheckpoint, RunError, SimConfig,
+    SimResult, Simulator, WearConfig,
 };
 use deuce_telemetry::NullRecorder;
 use deuce_trace::{
@@ -185,17 +185,16 @@ fn resume_detects_a_mismatched_stream_with_wear_on_the_helper() {
     let workload = TraceConfig::new(Benchmark::Mcf).lines(48).cores(3).writes(3_000).seed(11);
     let simulator = Simulator::new(full_controller(144));
     let mut checkpoints: Vec<RunCheckpoint> = Vec::new();
-    let reference = simulator
-        .run_source_checkpointed(&mut workload.stream(), &mut NullRecorder, 600, &mut |cp| {
-            checkpoints.push(*cp);
-        })
-        .unwrap();
-    let mid = checkpoints[1];
-    let resumed = simulator.resume_source(&mut workload.stream(), &mut NullRecorder, &mid).unwrap();
+    let mut sink = |cp: &RunCheckpoint| checkpoints.push(*cp);
+    let emit = Checkpoints::Emit { every_writes: 600, sink: &mut sink };
+    let reference = simulator.run(&mut workload.stream(), &mut NullRecorder, emit).unwrap();
+    let verify = Checkpoints::Verify(&checkpoints[1]);
+    let resumed = simulator.run(&mut workload.stream(), &mut NullRecorder, verify).unwrap();
     assert_identical(&resumed, &reference);
 
     let other = workload.clone().seed(12);
-    let err = simulator.resume_source(&mut other.stream(), &mut NullRecorder, &mid).unwrap_err();
+    let verify = Checkpoints::Verify(&checkpoints[1]);
+    let err = simulator.run(&mut other.stream(), &mut NullRecorder, verify).unwrap_err();
     assert!(matches!(err, RunError::CheckpointMismatch { .. }), "{err:?}");
 }
 

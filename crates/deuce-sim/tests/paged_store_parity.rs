@@ -8,11 +8,12 @@
 //! file's write-back history, not just the run counters.
 
 use deuce_sim::{
-    FaultConfig, FileStoreConfig, RunError, SimConfig, SimResult, Simulator, StepSession,
-    StoreBackend, WearConfig,
+    Checkpoints, FaultConfig, FileStoreConfig, RunError, SimConfig, SimResult, Simulator,
+    StepSession, StoreBackend, WearConfig,
 };
 use deuce_schemes::{PageHeader, SchemeKind, SLOTS_PER_PAGE};
-use deuce_trace::{Benchmark, LineAddr, TraceConfig, TraceEvent, LINE_BYTES};
+use deuce_telemetry::NullRecorder;
+use deuce_trace::{Benchmark, LineAddr, Trace, TraceConfig, TraceEvent, TraceSource, LINE_BYTES};
 use std::path::{Path, PathBuf};
 
 fn workload() -> TraceConfig {
@@ -30,6 +31,10 @@ fn paged(config: SimConfig, tag: &str, resident_pages: usize) -> SimConfig {
         page_file(tag),
         resident_pages,
     )))
+}
+
+fn run(config: SimConfig, trace: &Trace) -> SimResult {
+    Simulator::new(config).run_source(&mut TraceSource::new(trace)).unwrap()
 }
 
 /// Every counter that feeds a paper figure, plus exact simulated time.
@@ -50,10 +55,9 @@ fn fingerprint(r: &SimResult) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
 fn paged_runs_match_arena_across_schemes_under_eviction() {
     let trace = workload().generate();
     for kind in SchemeKind::ALL {
-        let arena = Simulator::new(SimConfig::new(kind)).run_trace(&trace);
+        let arena = run(SimConfig::new(kind), &trace);
         let tag = format!("schemes-{kind}");
-        let paged_result =
-            Simulator::new(paged(SimConfig::new(kind), &tag, 1)).run_trace(&trace);
+        let paged_result = run(paged(SimConfig::new(kind), &tag, 1), &trace);
         assert_eq!(
             fingerprint(&paged_result),
             fingerprint(&arena),
@@ -75,7 +79,7 @@ fn paged_runs_match_arena_across_schemes_under_eviction() {
 fn residency_stays_flat_under_a_fixed_budget() {
     let trace = workload().generate();
     let tag = "budget";
-    let r = Simulator::new(paged(SimConfig::new(SchemeKind::Deuce), tag, 2)).run_trace(&trace);
+    let r = run(paged(SimConfig::new(SchemeKind::Deuce), tag, 2), &trace);
     let stats = r.store.expect("paged run");
     // 192 lines over a 2-page budget: peak residency is capped at the
     // budget even though the address space is 1.5× larger.
@@ -112,8 +116,8 @@ fn faulted_paged_run_reproduces_the_degradation_timeline() {
             Some(tag) => paged(base, tag, 1),
         }
     };
-    let arena = Simulator::new(config_for(None)).run_trace(&trace);
-    let paged_result = Simulator::new(config_for(Some("faults"))).run_trace(&trace);
+    let arena = run(config_for(None), &trace);
+    let paged_result = run(config_for(Some("faults")), &trace);
     assert_eq!(fingerprint(&paged_result), fingerprint(&arena));
     let arena_faults = arena.faults.as_ref().expect("faulted run reports");
     let paged_faults = paged_result.faults.as_ref().expect("faulted run reports");
@@ -134,14 +138,9 @@ fn checkpoints_carry_flush_state_and_resume_verifies_it() {
     let simulator = Simulator::new(paged(SimConfig::new(SchemeKind::Deuce), tag, 1));
 
     let mut checkpoints = Vec::new();
-    let reference = simulator
-        .run_source_checkpointed(
-            &mut config.stream(),
-            &mut deuce_telemetry::NullRecorder,
-            400,
-            &mut |cp| checkpoints.push(*cp),
-        )
-        .unwrap();
+    let mut sink = |cp: &_| checkpoints.push(*cp);
+    let emit = Checkpoints::Emit { every_writes: 400, sink: &mut sink };
+    let reference = simulator.run(&mut config.stream(), &mut NullRecorder, emit).unwrap();
     let last = checkpoints.last().unwrap();
     assert!(last.flushed_pages > 0, "evictions flushed pages before the final checkpoint");
     assert_ne!(last.flush_fp, 0, "fingerprint chains over flushed bytes");
@@ -153,17 +152,15 @@ fn checkpoints_carry_flush_state_and_resume_verifies_it() {
     // identical stream positions, so the flush state matches too.
     let mid = checkpoints[1];
     assert!(mid.flushed_pages > 0, "mid-stream checkpoint has flush history");
-    let resumed = simulator
-        .resume_source(&mut config.stream(), &mut deuce_telemetry::NullRecorder, &mid)
-        .unwrap();
+    let resumed =
+        simulator.run(&mut config.stream(), &mut NullRecorder, Checkpoints::Verify(&mid)).unwrap();
     assert_eq!(fingerprint(&resumed), fingerprint(&reference));
 
     // An arena resume against a paged checkpoint must fail on the flush
     // state even though every run counter matches.
     let arena = Simulator::new(SimConfig::new(SchemeKind::Deuce));
-    let err = arena
-        .resume_source(&mut config.stream(), &mut deuce_telemetry::NullRecorder, &mid)
-        .unwrap_err();
+    let err =
+        arena.run(&mut config.stream(), &mut NullRecorder, Checkpoints::Verify(&mid)).unwrap_err();
     match err {
         RunError::CheckpointMismatch { field, .. } => {
             assert!(

@@ -14,8 +14,8 @@ use deuce_schemes::{
     EncryptedDcwScheme, EncryptedFnwScheme, LineScheme, SchemeConfig, SchemeKind, SchemeLine,
     UnencryptedDcwScheme, UnencryptedFnwScheme, WordSize,
 };
-use deuce_sim::{ParallelSweep, SimConfig, SimResult, Simulator, SweepCell};
-use deuce_trace::{Benchmark, TraceConfig};
+use deuce_sim::{ParallelSweep, SimConfig, SimResult, Simulator};
+use deuce_trace::{Benchmark, TraceConfig, TraceSource};
 
 const FIXTURE: &str = include_str!("fixtures/scheme_parity.tsv");
 
@@ -146,8 +146,8 @@ fn result_fingerprint(r: &SimResult) -> String {
 /// Fingerprints one whole-simulator run for a kind.
 fn simulator_fingerprint(kind: SchemeKind) -> String {
     let trace = TraceConfig::new(Benchmark::Mcf).lines(64).writes(2_000).seed(9).generate();
-    let r = Simulator::new(SimConfig::new(kind)).run_trace(&trace);
-    result_fingerprint(&r)
+    let r = Simulator::new(SimConfig::new(kind)).run_source(&mut TraceSource::new(&trace));
+    result_fingerprint(&r.unwrap())
 }
 
 /// The same run, but through a `Simulator` monomorphised for the kind's
@@ -160,7 +160,8 @@ fn monomorphised_fingerprint(kind: SchemeKind) -> String {
     where
         S::State: deuce_schemes::StateCodec,
     {
-        Simulator::with_line_scheme(config, scheme).run_trace(trace)
+        let simulator = Simulator::with_line_scheme(config, scheme);
+        simulator.run_source(&mut TraceSource::new(trace)).unwrap()
     }
     let r = match kind {
         SchemeKind::UnencryptedDcw => run(config, UnencryptedDcwScheme, &trace),
@@ -230,27 +231,22 @@ fn monomorphised_simulator_matches_dyn_path() {
 /// bit-identical to a sequential loop for any shard count.
 #[test]
 fn all_kinds_sweep_is_shard_count_invariant() {
-    let cells: Vec<SweepCell> = SchemeKind::ALL
-        .into_iter()
-        .map(|kind| {
-            SweepCell::new(
-                kind.label(),
-                TraceConfig::new(Benchmark::Mcf).lines(64).writes(600).seed(9),
-                SimConfig::new(kind),
-            )
-        })
-        .collect();
-    let fingerprint = |results: &[deuce_sim::SimResult]| -> Vec<(u64, u64, u64, u64, u64)> {
-        results
-            .iter()
+    let workload = TraceConfig::new(Benchmark::Mcf).lines(64).writes(600).seed(9);
+    let fingerprint = |sweep: ParallelSweep| -> Vec<(u64, u64, u64, u64, u64)> {
+        sweep
+            .map(&SchemeKind::ALL, None, |_, &kind| {
+                Simulator::new(SimConfig::new(kind)).run_source(&mut workload.stream())
+            })
+            .into_iter()
             .map(|r| {
+                let r = r.expect("every kind runs");
                 (r.writes, r.data_flips, r.meta_flips, r.total_slots, r.exec_time_ns.to_bits())
             })
             .collect()
     };
-    let sequential = fingerprint(&ParallelSweep::with_shards(1).run(&cells));
+    let sequential = fingerprint(ParallelSweep::with_shards(1));
     for shards in [2, 3, 7, 16] {
-        let parallel = fingerprint(&ParallelSweep::with_shards(shards).run(&cells));
+        let parallel = fingerprint(ParallelSweep::with_shards(shards));
         assert_eq!(parallel, sequential, "{shards} shards");
     }
 }

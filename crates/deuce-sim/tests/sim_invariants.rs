@@ -2,8 +2,12 @@
 
 use deuce_rng::{DeuceRng, Rng};
 use deuce_schemes::{SchemeConfig, SchemeKind};
-use deuce_sim::{SimConfig, Simulator, WearConfig};
-use deuce_trace::{Benchmark, TraceConfig};
+use deuce_sim::{SimConfig, SimResult, Simulator, WearConfig};
+use deuce_trace::{Benchmark, Trace, TraceConfig, TraceSource};
+
+fn run(config: SimConfig, trace: &Trace) -> SimResult {
+    Simulator::new(config).run_source(&mut TraceSource::new(trace)).unwrap()
+}
 
 /// Aggregate invariants that must hold for any scheme and workload:
 /// bounded flip rate, slot bounds, time/energy positivity.
@@ -15,7 +19,7 @@ fn run_invariants() {
         let benchmark = Benchmark::ALL[rng.gen_range(0..Benchmark::ALL.len())];
         let seed: u64 = rng.gen();
         let trace = TraceConfig::new(benchmark).lines(32).writes(800).seed(seed).generate();
-        let result = Simulator::new(SimConfig::new(kind)).run_trace(&trace);
+        let result = run(SimConfig::new(kind), &trace);
         assert!(result.writes > 0);
         assert!(result.flip_rate() >= 0.0);
         assert!(result.flip_rate() <= (512.0 + 64.0) / 512.0);
@@ -33,8 +37,8 @@ fn metrics_grow_with_trace_length() {
     let short = TraceConfig::new(Benchmark::Lbm).lines(32).writes(500).seed(3).generate();
     let long = TraceConfig::new(Benchmark::Lbm).lines(32).writes(2_000).seed(3).generate();
     let sim = Simulator::new(SimConfig::new(SchemeKind::Deuce));
-    let a = sim.run_trace(&short);
-    let b = sim.run_trace(&long);
+    let a = sim.run_source(&mut TraceSource::new(&short)).unwrap();
+    let b = sim.run_source(&mut TraceSource::new(&long)).unwrap();
     assert!(b.writes > a.writes);
     assert!(b.data_flips > a.data_flips);
     assert!(b.exec_time_ns > a.exec_time_ns);
@@ -50,7 +54,7 @@ fn epoch_start_rate_is_plausible() {
         .writes(4_000)
         .seed(6)
         .generate();
-    let result = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&trace);
+    let result = run(SimConfig::new(SchemeKind::Deuce), &trace);
     let expected = result.writes as f64 / 32.0;
     let observed = result.epoch_starts as f64;
     assert!(
@@ -66,7 +70,7 @@ fn reads_are_scheme_independent() {
     let trace = TraceConfig::new(Benchmark::Mcf).lines(32).writes(1_000).seed(2).generate();
     let results: Vec<_> = [SchemeKind::EncryptedDcw, SchemeKind::Deuce, SchemeKind::UnencryptedFnw]
         .into_iter()
-        .map(|kind| Simulator::new(SimConfig::new(kind)).run_trace(&trace))
+        .map(|kind| run(SimConfig::new(kind), &trace))
         .collect();
     assert!(results.windows(2).all(|w| w[0].reads == w[1].reads));
     assert!(results.windows(2).all(|w| w[0].writes == w[1].writes));
@@ -77,7 +81,7 @@ fn reads_are_scheme_independent() {
 fn counter_flips_only_where_counters_exist() {
     let trace = TraceConfig::new(Benchmark::Astar).lines(32).writes(800).seed(1).generate();
     for kind in SchemeKind::ALL {
-        let result = Simulator::new(SimConfig::new(kind)).run_trace(&trace);
+        let result = run(SimConfig::new(kind), &trace);
         let has_counters = SchemeConfig::new(kind).counter_storage_bits() > 0;
         assert_eq!(
             result.counter_flips > 0,
@@ -99,8 +103,8 @@ fn metric_config_counter_accounting() {
     ] {
         let mut with = SimConfig::new(kind);
         with.metric.count_counter_bits = true;
-        let base = Simulator::new(SimConfig::new(kind)).run_trace(&trace);
-        let counted = Simulator::new(with).run_trace(&trace);
+        let base = run(SimConfig::new(kind), &trace);
+        let counted = run(with, &trace);
         assert_eq!(
             counted.flip_rate() > base.flip_rate(),
             should_grow,
@@ -113,11 +117,9 @@ fn metric_config_counter_accounting() {
 #[test]
 fn wear_tracking_is_observation_only() {
     let trace = TraceConfig::new(Benchmark::Wrf).lines(32).writes(800).seed(5).generate();
-    let plain = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&trace);
-    let tracked = Simulator::new(
-        SimConfig::new(SchemeKind::Deuce).with_wear(WearConfig::vertical_only(32)),
-    )
-    .run_trace(&trace);
+    let plain = run(SimConfig::new(SchemeKind::Deuce), &trace);
+    let wear = WearConfig::vertical_only(32);
+    let tracked = run(SimConfig::new(SchemeKind::Deuce).with_wear(wear), &trace);
     assert_eq!(plain.data_flips, tracked.data_flips);
     assert_eq!(plain.total_slots, tracked.total_slots);
     assert!((plain.exec_time_ns - tracked.exec_time_ns).abs() < 1e-9);
@@ -139,8 +141,7 @@ fn security_refresh_substrate_levels_wear() {
             None => WearConfig::vertical_only(32).gap_interval(2),
         };
         wear = wear.vertical_leveler(VerticalWl::SecurityRefresh);
-        Simulator::new(SimConfig::new(SchemeKind::Deuce).with_wear(wear))
-            .run_trace(&trace)
+        run(SimConfig::new(SchemeKind::Deuce).with_wear(wear), &trace)
             .lifetime(LifetimePolicy::VerticalLeveled)
             .expect("wear on")
     };

@@ -3,11 +3,15 @@
 //! acceptance criterion: stage self-times sum to the run total).
 
 use deuce_sim::telemetry::{TelemetryConfig, TelemetryRecorder};
-use deuce_sim::{FaultConfig, SchemeKind, SimConfig, Simulator, WearConfig};
-use deuce_trace::{Benchmark, TraceConfig};
+use deuce_sim::{Checkpoints, FaultConfig, SchemeKind, SimConfig, SimResult, Simulator, WearConfig};
+use deuce_trace::{Benchmark, Trace, TraceConfig, TraceSource};
 
 fn recorder() -> TelemetryRecorder {
     TelemetryRecorder::new(TelemetryConfig { sample_every: 64, energy_pj_per_flip: 0.0 })
+}
+
+fn run_recorded(simulator: &Simulator, trace: &Trace, rec: &mut TelemetryRecorder) -> SimResult {
+    simulator.run(&mut TraceSource::new(trace), rec, Checkpoints::Off).unwrap()
 }
 
 fn config() -> SimConfig {
@@ -23,7 +27,7 @@ fn self_times_partition_the_run_total() {
         TraceConfig::new(Benchmark::Libquantum).lines(64).writes(4000).seed(7).generate();
     let simulator = Simulator::new(config());
     let mut rec = recorder().with_spans();
-    let result = simulator.run_trace_recorded(&trace, &mut rec);
+    let result = run_recorded(&simulator, &trace, &mut rec);
 
     let spans = rec.spans().expect("span tracing enabled");
     let table = spans.self_times();
@@ -57,7 +61,7 @@ fn self_times_partition_the_run_total() {
     // Each run's session owns a fresh engine clone, so a reused
     // simulator reports that run's pads, not a running total.
     let mut again = recorder().with_spans();
-    let _ = simulator.run_trace_recorded(&trace, &mut again);
+    run_recorded(&simulator, &trace, &mut again);
     let again_table = again.spans().expect("span tracing enabled").self_times();
     let again_pad = again_table.iter().find(|s| s.name == "pad_generation").unwrap();
     assert_eq!(again_pad.count, pad.count, "pad totals are per run");
@@ -67,9 +71,9 @@ fn self_times_partition_the_run_total() {
 fn tracing_and_flight_recording_never_change_results() {
     let trace = TraceConfig::new(Benchmark::Mcf).lines(64).writes(3000).seed(3).generate();
     let sim = Simulator::new(config());
-    let plain = sim.run_trace(&trace);
+    let plain = sim.run_source(&mut TraceSource::new(&trace)).unwrap();
     let mut rec = recorder().with_spans().with_flight_recorder(16);
-    let traced = sim.run_trace_recorded(&trace, &mut rec);
+    let traced = run_recorded(&sim, &trace, &mut rec);
 
     assert_eq!(plain.writes, traced.writes);
     assert_eq!(plain.data_flips, traced.data_flips);
@@ -90,7 +94,7 @@ fn tracing_and_flight_recording_never_change_results() {
 fn chrome_export_covers_the_run() {
     let trace = TraceConfig::new(Benchmark::Astar).lines(32).writes(800).seed(9).generate();
     let mut rec = recorder().with_spans();
-    let _ = Simulator::new(config()).run_trace_recorded(&trace, &mut rec);
+    run_recorded(&Simulator::new(config()), &trace, &mut rec);
     let mut out = Vec::new();
     rec.spans().unwrap().write_chrome_trace(&mut out).unwrap();
     let text = String::from_utf8(out).unwrap();

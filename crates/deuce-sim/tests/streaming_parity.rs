@@ -1,19 +1,21 @@
 //! Streaming runs must be bit-identical to materialised runs.
 //!
-//! `Simulator::run_source` is the bounded-memory entry point: a
-//! generator or trace file is consumed one event at a time. Any
-//! divergence from `run_trace` on the materialised equivalent would
+//! `Simulator::run` is the bounded-memory entry point: a generator or
+//! trace file is consumed one event at a time. Any divergence from a
+//! run over the materialised equivalent (a `TraceSource`) would
 //! make large-trace results silently untrustworthy, so every scheme,
 //! every source kind, and the faulted configuration are checked here —
 //! as is the checkpoint layer (emit, replay-verify, divergence
 //! detection).
 
 use deuce_sim::{
-    FaultConfig, RunCheckpoint, RunError, SimConfig, SimResult, Simulator, WearConfig,
+    Checkpoints, FaultConfig, RunCheckpoint, RunError, SimConfig, SimResult, Simulator,
+    WearConfig,
 };
 use deuce_schemes::SchemeKind;
+use deuce_telemetry::NullRecorder;
 use deuce_trace::{open_source, write_source_jsonl, write_source_to_file, Trace, TraceConfig};
-use deuce_trace::{Benchmark, WriteSource};
+use deuce_trace::{Benchmark, TraceSource, WriteSource};
 use std::fs::File;
 use std::io::BufWriter;
 
@@ -57,7 +59,7 @@ fn generator_source_matches_materialised_trace_across_schemes() {
         SchemeKind::Ble,
     ] {
         let simulator = Simulator::new(SimConfig::new(kind));
-        let materialised = simulator.run_trace(&trace);
+        let materialised = simulator.run_source(&mut TraceSource::new(&trace)).unwrap();
         let streamed = simulator.run_source(&mut config.stream()).unwrap();
         assert_eq!(
             fingerprint(&streamed),
@@ -72,7 +74,7 @@ fn faulted_streaming_run_is_bit_identical() {
     let config = workload();
     let trace = config.generate();
     let simulator = Simulator::new(faulted_config(&trace, SchemeKind::Deuce));
-    let materialised = simulator.run_trace(&trace);
+    let materialised = simulator.run_source(&mut TraceSource::new(&trace)).unwrap();
     let streamed = simulator.run_source(&mut config.stream()).unwrap();
     assert_eq!(fingerprint(&streamed), fingerprint(&materialised));
     let faults = |r: &SimResult| {
@@ -88,7 +90,8 @@ fn file_sources_match_in_both_formats() {
     std::fs::create_dir_all(&dir).unwrap();
     let config = workload();
     let trace = config.generate();
-    let reference = fingerprint(&Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&trace));
+    let simulator = Simulator::new(SimConfig::new(SchemeKind::Deuce));
+    let reference = fingerprint(&simulator.run_source(&mut TraceSource::new(&trace)).unwrap());
 
     let bin = dir.join("t.trace");
     write_source_to_file(&bin, &mut config.stream()).unwrap();
@@ -98,8 +101,7 @@ fn file_sources_match_in_both_formats() {
 
     for path in [&bin, &jsonl] {
         let mut source = open_source(path).unwrap();
-        let result =
-            Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_source(&mut *source).unwrap();
+        let result = simulator.run_source(&mut *source).unwrap();
         assert_eq!(fingerprint(&result), reference, "{}", path.display());
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -112,14 +114,9 @@ fn checkpoints_emit_verify_and_detect_divergence() {
 
     // Emit: one checkpoint per 200 counted writes plus the final one.
     let mut checkpoints: Vec<RunCheckpoint> = Vec::new();
-    let reference = simulator
-        .run_source_checkpointed(
-            &mut config.stream(),
-            &mut deuce_telemetry::NullRecorder,
-            200,
-            &mut |cp| checkpoints.push(*cp),
-        )
-        .unwrap();
+    let mut sink = |cp: &_| checkpoints.push(*cp);
+    let emit = Checkpoints::Emit { every_writes: 200, sink: &mut sink };
+    let reference = simulator.run(&mut config.stream(), &mut NullRecorder, emit).unwrap();
     // Counted writes exclude first touches, so ~556 of the 700
     // writebacks count: two periodic checkpoints plus the final one.
     let expected = reference.writes / 200 + 1;
@@ -135,23 +132,18 @@ fn checkpoints_emit_verify_and_detect_divergence() {
 
     // Replay-verify from an intermediate checkpoint reproduces the run.
     let mid = checkpoints[1];
-    let resumed = simulator
-        .resume_source(&mut config.stream(), &mut deuce_telemetry::NullRecorder, &mid)
-        .unwrap();
+    let verify = || Checkpoints::Verify(&mid);
+    let resumed = simulator.run(&mut config.stream(), &mut NullRecorder, verify()).unwrap();
     assert_eq!(fingerprint(&resumed), fingerprint(&reference));
 
     // A different stream (changed seed) diverges and is reported.
     let other = workload().seed(12);
-    let err = simulator
-        .resume_source(&mut other.stream(), &mut deuce_telemetry::NullRecorder, &mid)
-        .unwrap_err();
+    let err = simulator.run(&mut other.stream(), &mut NullRecorder, verify()).unwrap_err();
     assert!(matches!(err, RunError::CheckpointMismatch { .. }), "{err:?}");
 
     // A stream shorter than the checkpoint position is also a mismatch.
     let short = workload().writes(50);
-    let err = simulator
-        .resume_source(&mut short.stream(), &mut deuce_telemetry::NullRecorder, &mid)
-        .unwrap_err();
+    let err = simulator.run(&mut short.stream(), &mut NullRecorder, verify()).unwrap_err();
     assert!(matches!(err, RunError::CheckpointMismatch { .. }), "{err:?}");
 }
 
@@ -160,18 +152,12 @@ fn checkpoint_jsonl_round_trip_feeds_resume() {
     let config = workload();
     let simulator = Simulator::new(SimConfig::new(SchemeKind::Deuce));
     let mut file_text = String::new();
-    let reference = simulator
-        .run_source_checkpointed(
-            &mut config.stream(),
-            &mut deuce_telemetry::NullRecorder,
-            250,
-            &mut |cp| file_text.push_str(&cp.to_jsonl()),
-        )
-        .unwrap();
+    let mut sink = |cp: &RunCheckpoint| file_text.push_str(&cp.to_jsonl());
+    let emit = Checkpoints::Emit { every_writes: 250, sink: &mut sink };
+    let reference = simulator.run(&mut config.stream(), &mut NullRecorder, emit).unwrap();
     let last = RunCheckpoint::from_jsonl(&file_text).unwrap();
-    let resumed = simulator
-        .resume_source(&mut config.stream(), &mut deuce_telemetry::NullRecorder, &last)
-        .unwrap();
+    let verify = Checkpoints::Verify(&last);
+    let resumed = simulator.run(&mut config.stream(), &mut NullRecorder, verify).unwrap();
     assert_eq!(fingerprint(&resumed), fingerprint(&reference));
 }
 

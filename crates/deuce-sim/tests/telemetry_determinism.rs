@@ -3,9 +3,11 @@
 //! uninstrumented run, sequentially and under sharded sweeps.
 
 use deuce_schemes::{SchemeConfig, SchemeKind, WordSize};
+use deuce_sim::telemetry::export::write_jsonl;
 use deuce_sim::telemetry::{Counter, Stage, SweepProgress, TelemetryRecorder};
 use deuce_sim::{
-    CounterCacheConfig, ParallelSweep, SimConfig, SimResult, Simulator, SweepCell, WearConfig,
+    Checkpoints, CounterCacheConfig, FaultConfig, FileStoreConfig, ParallelSweep, SimConfig,
+    SimResult, Simulator, StoreBackend, WearConfig,
 };
 use deuce_trace::{Benchmark, Op, TraceConfig, TraceSource, WriteSource};
 
@@ -34,12 +36,18 @@ fn trace() -> deuce_trace::Trace {
     TraceConfig::new(Benchmark::Mcf).lines(96).writes(2_500).seed(42).generate()
 }
 
+/// Runs `workload` under `config()`, recording into `rec`.
+fn run_recorded(workload: &TraceConfig, rec: &mut TelemetryRecorder) -> SimResult {
+    Simulator::new(config()).run(&mut workload.stream(), rec, Checkpoints::Off).unwrap()
+}
+
 #[test]
 fn recorded_sequential_run_is_bit_identical() {
     let trace = trace();
-    let plain = Simulator::new(config()).run_trace(&trace);
+    let plain = Simulator::new(config()).run_source(&mut TraceSource::new(&trace)).unwrap();
     let mut rec = TelemetryRecorder::default();
-    let recorded = Simulator::new(config()).run_trace_recorded(&trace, &mut rec);
+    let mut source = TraceSource::new(&trace);
+    let recorded = Simulator::new(config()).run(&mut source, &mut rec, Checkpoints::Off).unwrap();
     assert_eq!(fingerprint(&plain), fingerprint(&recorded));
     // And the recorder really observed the run.
     assert_eq!(rec.counter(Counter::Writes), plain.writes);
@@ -55,32 +63,21 @@ fn recorded_sequential_run_is_bit_identical() {
 
 #[test]
 fn recorded_sharded_sweep_is_bit_identical() {
-    let cells: Vec<SweepCell> = [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Astar]
+    let cells: Vec<TraceConfig> = [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Astar]
         .into_iter()
-        .map(|b| {
-            SweepCell::new(
-                b.to_string(),
-                TraceConfig::new(b).lines(64).writes(800).seed(7),
-                config(),
-            )
-        })
+        .map(|b| TraceConfig::new(b).lines(64).writes(800).seed(7))
         .collect();
-    let plain: Vec<_> =
-        ParallelSweep::with_shards(1).run(&cells).iter().map(fingerprint).collect();
+    let plain: Vec<_> = ParallelSweep::with_shards(1)
+        .map(&cells, None, |_, workload| {
+            fingerprint(&Simulator::new(config()).run_source(&mut workload.stream()).unwrap())
+        });
     for shards in [2, 4] {
         let progress = SweepProgress::new("determinism", cells.len(), shards);
         let recorded: Vec<_> = ParallelSweep::with_shards(shards)
-            .map_observed(
-                &cells,
-                |_, cell| {
-                    let mut rec = TelemetryRecorder::default();
-                    let trace = cell.trace.generate();
-                    let result =
-                        Simulator::new(cell.config.clone()).run_trace_recorded(&trace, &mut rec);
-                    (result, rec)
-                },
-                Some(&progress),
-            )
+            .map(&cells, Some(&progress), |_, workload| {
+                let mut rec = TelemetryRecorder::default();
+                (run_recorded(workload, &mut rec), rec)
+            })
             .iter()
             .map(|(result, _)| fingerprint(result))
             .collect();
@@ -91,33 +88,18 @@ fn recorded_sharded_sweep_is_bit_identical() {
 
 #[test]
 fn per_cell_recorders_are_deterministic_across_shardings() {
-    let cells: Vec<SweepCell> = (0..5)
-        .map(|i| {
-            SweepCell::new(
-                format!("cell{i}"),
-                TraceConfig::new(Benchmark::Omnetpp).lines(64).writes(600).seed(i),
-                config(),
+    let workload = TraceConfig::new(Benchmark::Omnetpp).lines(64).writes(600);
+    let cells: Vec<TraceConfig> = (0..5).map(|i| workload.clone().seed(i)).collect();
+    let observe = |shards: usize| -> Vec<(u64, u64, usize)> {
+        ParallelSweep::with_shards(shards).map(&cells, None, |_, workload| {
+            let mut rec = TelemetryRecorder::default();
+            run_recorded(workload, &mut rec);
+            (
+                rec.counter(Counter::DataFlips),
+                rec.counter(Counter::CounterAccesses),
+                rec.samples().len(),
             )
         })
-        .collect();
-    let observe = |shards: usize| -> Vec<(u64, u64, usize)> {
-        ParallelSweep::with_shards(shards)
-            .map_observed(
-                &cells,
-                |_, cell| {
-                    let mut rec = TelemetryRecorder::default();
-                    let trace = cell.trace.generate();
-                    let _ = Simulator::new(cell.config.clone()).run_trace_recorded(&trace, &mut rec);
-                    (
-                        rec.counter(Counter::DataFlips),
-                        rec.counter(Counter::CounterAccesses),
-                        rec.samples().len(),
-                    )
-                },
-                None,
-            )
-            .into_iter()
-            .collect()
     };
     let sequential = observe(1);
     assert_eq!(observe(3), sequential);
@@ -173,4 +155,59 @@ fn recorded_session_matches_plain_and_charges_every_stage() {
     assert_eq!(rec.stage_hist(Stage::Scheme).count(), plain.writes + first_touches);
     assert_eq!(rec.stage_hist(Stage::Timing).count(), plain.reads + plain.writes);
     assert_eq!(rec.stage_hist(Stage::Wear).count(), plain.writes);
+}
+
+/// The export without its wall-clock records (`profile`, `span`).
+fn deterministic_export(rec: &TelemetryRecorder) -> String {
+    let mut jsonl = Vec::new();
+    write_jsonl(&mut jsonl, "run", rec).unwrap();
+    let text = String::from_utf8(jsonl).unwrap();
+    let wall_clock = |line: &&str| {
+        line.contains("\"type\":\"profile\"") || line.contains("\"type\":\"span\"")
+    };
+    text.lines().filter(|line| !wall_clock(line)).collect::<Vec<_>>().join("\n")
+}
+
+/// A session stepped by hand exports the same telemetry as a streamed
+/// run over the same events: a faulted config (inline wear, fault
+/// section) and a paged one (wear on the streamed run's helper thread,
+/// store section) alike.
+#[test]
+fn stepped_session_exports_what_the_streamed_run_exports() {
+    let trace = TraceConfig::new(Benchmark::Mcf).lines(64).writes(1_500).seed(5).generate();
+    let wear = WearConfig::vertical_only(64);
+    let faulted = SimConfig::new(SchemeKind::EncryptedDcw)
+        .with_wear(wear)
+        .with_faults(FaultConfig::accelerated(2e-8).ecp_entries(1).spare_lines(2));
+    let page_file = |side: &str| {
+        let name = format!("deuce-telemetry-{side}-{}.pages", std::process::id());
+        std::env::temp_dir().join(name)
+    };
+    let paged = |side: &str| {
+        let store = StoreBackend::File(FileStoreConfig::new(page_file(side), 1));
+        config().with_wear(wear).with_store_backend(store)
+    };
+    for (streamed_config, stepped_config, section) in [
+        (faulted.clone(), faulted, "fault_lines_retired"),
+        (paged("streamed"), paged("stepped"), "store_page_faults"),
+    ] {
+        let mut streamed = TelemetryRecorder::default();
+        let streamed_result = Simulator::new(streamed_config)
+            .run(&mut TraceSource::new(&trace), &mut streamed, Checkpoints::Off)
+            .unwrap();
+        let mut stepped = TelemetryRecorder::default();
+        let cores = TraceSource::new(&trace).cores();
+        let mut session = Simulator::new(stepped_config).session(cores).unwrap();
+        for event in trace.events() {
+            session.step_recorded(event, &mut stepped);
+        }
+        let stepped_result = session.finish_recorded(&mut stepped).unwrap();
+        assert_eq!(fingerprint(&stepped_result), fingerprint(&streamed_result));
+        let export = deterministic_export(&streamed);
+        assert!(export.contains(section), "the export carries {section}");
+        assert_eq!(deterministic_export(&stepped), export);
+    }
+    for side in ["streamed", "stepped"] {
+        std::fs::remove_file(page_file(side)).unwrap();
+    }
 }

@@ -417,7 +417,6 @@ mod tests {
         );
 
         let mut r = sample_recorder();
-        r.store_paging_active();
         r.store_totals(&StoreTelemetry {
             page_faults: 20,
             page_evictions: 11,
@@ -490,7 +489,6 @@ mod tests {
             uncorrectable: true,
         });
         r.ecp_entries_used(1);
-        r.store_paging_active();
         r.store_totals(&crate::recorder::StoreTelemetry {
             page_faults: 40,
             page_evictions: 8,

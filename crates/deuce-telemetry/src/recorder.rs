@@ -296,11 +296,6 @@ pub trait Recorder {
         let _ = backend;
     }
 
-    /// Announces that the run pages its line store out of core, so
-    /// store-paging telemetry is collected (and exported) even if no
-    /// page ever faults.
-    fn store_paging_active(&mut self) {}
-
     /// Sets the run's end-of-run store-paging totals.
     fn store_totals(&mut self, totals: &StoreTelemetry) {
         let _ = totals;
@@ -577,10 +572,6 @@ impl Recorder for TelemetryRecorder {
         self.aes_backend = Some(backend);
     }
 
-    fn store_paging_active(&mut self) {
-        self.store.get_or_insert_with(StoreTelemetry::default);
-    }
-
     fn store_totals(&mut self, totals: &StoreTelemetry) {
         *self.store.get_or_insert_with(StoreTelemetry::default) = *totals;
     }
@@ -696,11 +687,11 @@ mod tests {
     }
 
     #[test]
-    fn store_telemetry_absent_until_announced() {
+    fn store_telemetry_absent_until_reported() {
         let mut r = TelemetryRecorder::default();
         assert!(r.store().is_none(), "arena-backed runs carry no store section");
-        r.store_paging_active();
-        assert_eq!(r.store(), Some(&StoreTelemetry::default()));
+        r.store_totals(&StoreTelemetry::default());
+        assert_eq!(r.store(), Some(&StoreTelemetry::default()), "all-zero totals still count");
         let totals = StoreTelemetry {
             page_faults: 12,
             page_evictions: 7,

@@ -11,7 +11,7 @@
 //! Three families of sources exist:
 //!
 //! - [`TraceSource`] — the trivial adapter over an in-RAM [`Trace`].
-//!   `Simulator::run_trace` delegates through it, so the materialised
+//!   The simulator runs an in-RAM trace through it, so the materialised
 //!   and streaming paths are the same code and bit-identical by
 //!   construction.
 //! - [`crate::GeneratorSource`] — a seeded benchmark generator yielding

@@ -10,10 +10,10 @@
 
 use deuce::cache::{AccessStream, Hierarchy, HierarchyConfig};
 use deuce::schemes::SchemeKind;
-use deuce::sim::{SimConfig, Simulator};
-use deuce::trace::{Trace, TraceStats};
+use deuce::sim::{RunError, SimConfig, Simulator};
+use deuce::trace::{Trace, TraceSource, TraceStats};
 
-fn main() {
+fn main() -> Result<(), RunError> {
     // 16k-line (1 MiB) working set over a scaled hierarchy whose last
     // level holds 2k lines: enough pressure for steady PCM traffic.
     let mut hierarchy = Hierarchy::new(&HierarchyConfig::scaled_paper(), 0);
@@ -49,7 +49,8 @@ fn main() {
     println!();
     println!("running the hierarchy-produced trace through the schemes:");
     for kind in [SchemeKind::EncryptedDcw, SchemeKind::Deuce, SchemeKind::DynDeuce] {
-        let result = Simulator::new(SimConfig::new(kind)).run_trace(&trace);
+        let simulator = Simulator::new(SimConfig::new(kind));
+        let result = simulator.run_source(&mut TraceSource::new(&trace))?;
         println!(
             "  {:<10} {:>5.1}% flips/write, {:.2} slots/write",
             kind.label(),
@@ -57,4 +58,5 @@ fn main() {
             result.avg_slots_per_write(),
         );
     }
+    Ok(())
 }

@@ -8,10 +8,10 @@
 
 use deuce::crypto::EpochInterval;
 use deuce::schemes::{SchemeConfig, SchemeKind, WordSize};
-use deuce::sim::{ParallelSweep, SimConfig, SweepCell};
+use deuce::sim::{ParallelSweep, RunError, SimConfig, Simulator};
 use deuce::trace::{Benchmark, TraceConfig};
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let word_sizes = [
         WordSize::Bytes1,
         WordSize::Bytes2,
@@ -32,15 +32,19 @@ fn main() {
                 let scheme = SchemeConfig::new(SchemeKind::Deuce)
                     .with_word_size(word_size)
                     .with_epoch(EpochInterval::new(epoch).expect("power of two"));
-                cells.push(SweepCell::new(
-                    format!("{benchmark}/{}B/e{epoch}", word_size.bytes()),
+                cells.push((
                     TraceConfig::new(benchmark).lines(128).writes(8_000).seed(3),
                     SimConfig::with_scheme(scheme),
                 ));
             }
         }
     }
-    let results = ParallelSweep::new().run(&cells);
+    let results = ParallelSweep::new()
+        .map(&cells, None, |_, (trace, config)| {
+            Simulator::new(config.clone()).run_source(&mut trace.stream())
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     let mut rows = results.iter();
 
     for benchmark in benchmarks {
@@ -69,4 +73,5 @@ fn main() {
     println!("  drifting ones (wrf rises past epoch 8–16, Fig. 9);");
     println!("- on dense writers (Gems) no setting helps much — that is");
     println!("  what DynDEUCE's FNW fallback is for (§4.6).");
+    Ok(())
 }

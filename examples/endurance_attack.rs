@@ -7,11 +7,11 @@
 //! ```
 
 use deuce::schemes::SchemeKind;
-use deuce::sim::{HwlMode, LifetimePolicy, SimConfig, Simulator, WearConfig};
-use deuce::trace::{AttackKind, AttackTrace, Benchmark, TraceConfig};
+use deuce::sim::{HwlMode, LifetimePolicy, RunError, SimConfig, Simulator, WearConfig};
+use deuce::trace::{AttackKind, AttackTrace, Benchmark, TraceConfig, TraceSource};
 use deuce::wear::{AttackDetector, WriteVerdict};
 
-fn main() {
+fn main() -> Result<(), RunError> {
     println!("== Part 1: what hammering does to lifetime ==\n");
     let attack = AttackTrace::new(AttackKind::SingleBit).writes(20_000).generate();
     for (name, hwl) in [("no HWL", None), ("HWL (hashed)", Some(HwlMode::Hashed))] {
@@ -20,7 +20,7 @@ fn main() {
             None => WearConfig::vertical_only(4),
         };
         let result = Simulator::new(SimConfig::new(SchemeKind::UnencryptedDcw).with_wear(wear))
-            .run_trace(&attack);
+            .run_source(&mut TraceSource::new(&attack))?;
         let lifetime = result.lifetime(LifetimePolicy::Raw).expect("wear on");
         println!(
             "single-bit hammering, {name:<13} lifetime metric {lifetime:>8.1} \
@@ -65,4 +65,5 @@ fn main() {
     println!("The detector keys on sustained per-line traffic share; benign");
     println!("Zipf skew stays under the threshold that any wear-out-capable");
     println!("attack must exceed.");
+    Ok(())
 }

@@ -7,8 +7,8 @@
 //! ```
 
 use deuce::schemes::SchemeKind;
-use deuce::sim::{HwlMode, LifetimePolicy, SimConfig, Simulator, WearConfig};
-use deuce::trace::{Benchmark, TraceConfig};
+use deuce::sim::{HwlMode, LifetimePolicy, RunError, SimConfig, Simulator, WearConfig};
+use deuce::trace::{Benchmark, TraceConfig, TraceSource};
 
 /// Representative PCM cell endurance (writes per cell).
 const CELL_ENDURANCE: f64 = 1e8;
@@ -17,7 +17,7 @@ const CELL_ENDURANCE: f64 = 1e8;
 /// the 5×10^8 lines of a 32 GB module gives each line ~0.2 writes/sec.
 const LINE_WRITES_PER_SEC: f64 = 0.2;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let lines = 64;
     let trace = TraceConfig::new(Benchmark::Mcf)
         .lines(lines)
@@ -45,7 +45,8 @@ fn main() {
             Some(mode) => WearConfig::with_hwl(lines, mode).gap_interval(2),
             None => WearConfig::vertical_only(lines),
         };
-        let result = Simulator::new(SimConfig::new(kind).with_wear(wear)).run_trace(&trace);
+        let config = SimConfig::new(kind).with_wear(wear);
+        let result = Simulator::new(config).run_source(&mut TraceSource::new(&trace))?;
         let metric = result
             .lifetime(LifetimePolicy::VerticalLeveled)
             .expect("wear tracking enabled");
@@ -74,4 +75,5 @@ fn main() {
     println!("§5.3); this short run completes only ~230 sweeps, so the");
     println!("hashed footnote-2 variant — which decorrelates rotation");
     println!("across lines — levels fully at simulation scale.");
+    Ok(())
 }

@@ -6,10 +6,10 @@
 //! ```
 
 use deuce::schemes::SchemeKind;
-use deuce::sim::{SimConfig, Simulator};
-use deuce::trace::{Benchmark, TraceConfig};
+use deuce::sim::{RunError, SimConfig, Simulator};
+use deuce::trace::{Benchmark, TraceConfig, TraceSource};
 
-fn main() {
+fn main() -> Result<(), RunError> {
     // A libquantum-like workload: sparse writes that keep hitting the
     // same few words of each line — the common case for writebacks.
     let trace = TraceConfig::new(Benchmark::Libquantum)
@@ -27,7 +27,8 @@ fn main() {
         SchemeKind::Deuce,
         SchemeKind::DynDeuce,
     ] {
-        let result = Simulator::new(SimConfig::new(kind)).run_trace(&trace);
+        let simulator = Simulator::new(SimConfig::new(kind));
+        let result = simulator.run_source(&mut TraceSource::new(&trace))?;
         println!(
             "{:<17} {:>9.1} {:>11.1}% {:>11.2}",
             kind.label(),
@@ -42,4 +43,5 @@ fn main() {
     println!("line (the avalanche effect); DEUCE re-encrypts only the");
     println!("words that changed since the epoch began, recovering most");
     println!("of the unencrypted write efficiency while staying secure.");
+    Ok(())
 }

@@ -7,10 +7,10 @@
 //! ```
 
 use deuce::schemes::{SchemeConfig, SchemeKind};
-use deuce::sim::{HwlMode, LifetimePolicy, SimConfig, Simulator, WearConfig};
-use deuce::trace::{Benchmark, TraceConfig};
+use deuce::sim::{HwlMode, LifetimePolicy, RunError, SimConfig, Simulator, WearConfig};
+use deuce::trace::{Benchmark, TraceConfig, TraceSource};
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let writes = 8_000;
     let lines = 64;
 
@@ -38,7 +38,7 @@ fn main() {
                 .seed(42)
                 .generate();
             total += Simulator::new(SimConfig::with_scheme(SchemeConfig::new(kind)))
-                .run_trace(&trace)
+                .run_source(&mut TraceSource::new(&trace))?
                 .flip_rate();
         }
         let measured = total / 12.0 * 100.0;
@@ -53,8 +53,9 @@ fn main() {
         .cores(8)
         .seed(42)
         .generate();
-    let enc = Simulator::new(SimConfig::new(SchemeKind::EncryptedDcw)).run_trace(&trace);
-    let deuce = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&trace);
+    let run = |kind| Simulator::new(SimConfig::new(kind)).run_source(&mut TraceSource::new(&trace));
+    let enc = run(SchemeKind::EncryptedDcw)?;
+    let deuce = run(SchemeKind::Deuce)?;
     println!(
         "write slots/write    paper 4.00 -> 2.64   measured {:.2} -> {:.2}",
         enc.avg_slots_per_write(),
@@ -75,17 +76,17 @@ fn main() {
             Some(mode) => WearConfig::with_hwl(lines, mode).gap_interval(2),
             None => WearConfig::vertical_only(lines),
         };
-        Simulator::new(SimConfig::new(kind).with_wear(wear))
-            .run_trace(&wear_trace)
-            .lifetime(LifetimePolicy::VerticalLeveled)
-            .expect("wear on")
+        let result = Simulator::new(SimConfig::new(kind).with_wear(wear))
+            .run_source(&mut TraceSource::new(&wear_trace))?;
+        Ok::<_, RunError>(result.lifetime(LifetimePolicy::VerticalLeveled).expect("wear on"))
     };
-    let baseline = lifetime(SchemeKind::EncryptedDcw, None);
+    let baseline = lifetime(SchemeKind::EncryptedDcw, None)?;
     println!(
         "lifetime vs encrypted: DEUCE paper 1.11x  measured {:.2}x; \
          DEUCE+HWL paper ~2x  measured {:.2}x (libq)",
-        lifetime(SchemeKind::Deuce, None) / baseline,
-        lifetime(SchemeKind::Deuce, Some(HwlMode::Hashed)) / baseline,
+        lifetime(SchemeKind::Deuce, None)? / baseline,
+        lifetime(SchemeKind::Deuce, Some(HwlMode::Hashed))? / baseline,
     );
     println!("\nFull per-figure tables: cargo run -p deuce-bench --bin fig10_scheme_comparison ...");
+    Ok(())
 }

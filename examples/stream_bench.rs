@@ -4,9 +4,9 @@
 //!
 //! Runs one DEUCE simulation over a synthetic Mcf workload of the given
 //! size and prints a single JSON object on stdout. The materialised mode
-//! generates the whole trace in RAM first and calls `run_trace`; the
-//! streaming mode drives `run_source` straight from the generator so the
-//! trace is never resident. Run each mode in its own process: peak
+//! generates the whole trace in RAM first and runs `run_source` over a
+//! `TraceSource`; the streaming mode drives `run_source` straight from
+//! the generator so the trace is never resident. Run each mode in its own process: peak
 //! resident memory is read from `VmHWM` in `/proc/self/status`, which is
 //! a per-process high-water mark.
 //!
@@ -16,7 +16,7 @@
 
 use deuce::schemes::SchemeKind;
 use deuce::sim::{SimConfig, SimResult, Simulator};
-use deuce::trace::{Benchmark, TraceConfig};
+use deuce::trace::{Benchmark, TraceConfig, TraceSource};
 use std::time::Instant;
 
 /// Per-process peak resident set in bytes (`VmHWM`), or 0 off-Linux.
@@ -47,14 +47,10 @@ fn main() {
     let simulator = Simulator::new(SimConfig::new(SchemeKind::Deuce));
     let start = Instant::now();
     let result: SimResult = match mode.as_str() {
-        "materialised" => {
-            let trace = workload(writes).generate();
-            simulator.run_trace(&trace)
-        }
-        _ => simulator
-            .run_source(&mut workload(writes).stream())
-            .expect("generator streams cannot fail"),
-    };
+        "materialised" => simulator.run_source(&mut TraceSource::new(&workload(writes).generate())),
+        _ => simulator.run_source(&mut workload(writes).stream()),
+    }
+    .expect("a plain DEUCE run over a generated workload cannot fail");
     let elapsed = start.elapsed().as_secs_f64();
 
     println!(

@@ -2,8 +2,9 @@
 # Materialised-vs-streaming benchmark: peak resident bytes and writes/sec.
 #
 # Runs the same DEUCE simulation twice — once with the whole trace
-# materialised in RAM (`run_trace`) and once streamed straight from the
-# generator (`run_source`) — each in its own process so `VmHWM` isolates
+# materialised in RAM (`run_source` over a `TraceSource`) and once
+# streamed straight from the generator (`run_source` over the generator
+# stream) — each in its own process so `VmHWM` isolates
 # the per-mode peak resident set. Asserts the two runs are bit-identical
 # before writing BENCH_stream.json.
 #
@@ -47,7 +48,7 @@ RSS_RATIO="$(awk -v a="$MAT_RSS" -v b="$STR_RSS" 'BEGIN{printf "%.2f", a/b}')"
 DATE="$(date +%F)"
 cat > BENCH_stream.json <<EOF
 {
-  "description": "Streaming-vs-materialised run of the DEUCE scheme over a synthetic Mcf workload (65536 lines, 4 cores, seed 7), $WRITES writebacks. 'materialised' generates the full trace in RAM and calls Simulator::run_trace; 'streaming' drives Simulator::run_source directly from the generator, so the trace is never resident. Each mode runs in its own process and reports its own VmHWM peak. Both runs were verified bit-identical (writes, reads, data/meta flips, exec_time_ns bit pattern) by scripts/bench_stream.sh before this file was written.",
+  "description": "Streaming-vs-materialised run of the DEUCE scheme over a synthetic Mcf workload (65536 lines, 4 cores, seed 7), $WRITES writebacks. 'materialised' generates the full trace in RAM and runs Simulator::run_source over a TraceSource; 'streaming' drives Simulator::run_source directly from the generator, so the trace is never resident. Each mode runs in its own process and reports its own VmHWM peak. Both runs were verified bit-identical (writes, reads, data/meta flips, exec_time_ns bit pattern) by scripts/bench_stream.sh before this file was written.",
   "date": "$DATE",
   "writes": $WRITES,
   "materialised": $MAT,

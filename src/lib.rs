@@ -45,20 +45,22 @@
 //! DEUCE on a libquantum-like workload:
 //!
 //! ```
-//! use deuce::schemes::{SchemeKind, SchemeConfig};
-//! use deuce::sim::{Simulator, SimConfig};
+//! use deuce::schemes::SchemeKind;
+//! use deuce::sim::{RunError, Simulator, SimConfig};
 //! use deuce::trace::{Benchmark, TraceConfig};
 //!
-//! let trace = TraceConfig::new(Benchmark::Libquantum)
+//! let workload = TraceConfig::new(Benchmark::Libquantum)
 //!     .lines(256)
 //!     .writes(20_000)
 //!     .seed(42);
+//! let run = |kind| Simulator::new(SimConfig::new(kind)).run_source(&mut workload.stream());
 //!
-//! let encrypted = Simulator::new(SimConfig::new(SchemeKind::EncryptedDcw)).run_trace(&trace.generate());
-//! let deuce = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&trace.generate());
+//! let encrypted = run(SchemeKind::EncryptedDcw)?;
+//! let deuce = run(SchemeKind::Deuce)?;
 //!
 //! assert!(encrypted.flip_rate() > 0.45); // avalanche: ~50% of bits flip
 //! assert!(deuce.flip_rate() < 0.30);     // DEUCE: ~24%
+//! # Ok::<(), RunError>(())
 //! ```
 
 pub use deuce_aes as aes;

@@ -2,9 +2,13 @@
 //! streams against the wear-leveling and detection defenses.
 
 use deuce::schemes::SchemeKind;
-use deuce::sim::{HwlMode, LifetimePolicy, SimConfig, Simulator, WearConfig};
-use deuce::trace::{AttackKind, AttackTrace, Benchmark, TraceConfig};
+use deuce::sim::{HwlMode, LifetimePolicy, SimConfig, SimResult, Simulator, WearConfig};
+use deuce::trace::{AttackKind, AttackTrace, Benchmark, Trace, TraceConfig, TraceSource};
 use deuce::wear::{AttackDetector, WriteVerdict};
+
+fn run(config: SimConfig, trace: &Trace) -> SimResult {
+    Simulator::new(config).run_source(&mut TraceSource::new(trace)).unwrap()
+}
 
 /// A single-bit hammering attack devastates un-leveled intra-line wear;
 /// HWL restores most of the lifetime.
@@ -17,8 +21,7 @@ fn hwl_defeats_single_bit_hammering() {
             Some(mode) => WearConfig::with_hwl(4, mode).gap_interval(2),
             None => WearConfig::vertical_only(4),
         };
-        Simulator::new(SimConfig::new(SchemeKind::UnencryptedDcw).with_wear(wear))
-            .run_trace(&trace)
+        run(SimConfig::new(SchemeKind::UnencryptedDcw).with_wear(wear), &trace)
             .lifetime(LifetimePolicy::Raw)
             .expect("wear on")
     };

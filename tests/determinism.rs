@@ -3,8 +3,12 @@
 //! number in EXPERIMENTS.md can be regenerated.
 
 use deuce::schemes::SchemeKind;
-use deuce::sim::{SimConfig, Simulator};
-use deuce::trace::{read_trace, write_trace, Benchmark, TraceConfig};
+use deuce::sim::{SimConfig, SimResult, Simulator};
+use deuce::trace::{read_trace, write_trace, Benchmark, Trace, TraceConfig, TraceSource};
+
+fn run(config: SimConfig, trace: &Trace) -> SimResult {
+    Simulator::new(config).run_source(&mut TraceSource::new(trace)).unwrap()
+}
 
 #[test]
 fn identical_seeds_reproduce_every_metric() {
@@ -15,7 +19,7 @@ fn identical_seeds_reproduce_every_metric() {
             .cores(2)
             .seed(77)
             .generate();
-        Simulator::new(SimConfig::new(SchemeKind::DynDeuce)).run_trace(&trace)
+        run(SimConfig::new(SchemeKind::DynDeuce), &trace)
     };
     let a = make();
     let b = make();
@@ -31,8 +35,8 @@ fn identical_seeds_reproduce_every_metric() {
 #[test]
 fn different_key_seeds_change_flips_but_not_correctness() {
     let trace = TraceConfig::new(Benchmark::Mcf).lines(32).writes(1_500).seed(3).generate();
-    let a = Simulator::new(SimConfig::new(SchemeKind::EncryptedDcw).key_seed(1)).run_trace(&trace);
-    let b = Simulator::new(SimConfig::new(SchemeKind::EncryptedDcw).key_seed(2)).run_trace(&trace);
+    let a = run(SimConfig::new(SchemeKind::EncryptedDcw).key_seed(1), &trace);
+    let b = run(SimConfig::new(SchemeKind::EncryptedDcw).key_seed(2), &trace);
     // Different pads, so exact flip counts differ...
     assert_ne!(a.data_flips, b.data_flips);
     // ...but both sit at the avalanche level.
@@ -52,8 +56,8 @@ fn trace_disk_roundtrip_preserves_simulation_results() {
     let reloaded = read_trace(buffer.as_slice()).expect("deserialize");
     assert_eq!(trace, reloaded);
 
-    let direct = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&trace);
-    let replayed = Simulator::new(SimConfig::new(SchemeKind::Deuce)).run_trace(&reloaded);
+    let direct = run(SimConfig::new(SchemeKind::Deuce), &trace);
+    let replayed = run(SimConfig::new(SchemeKind::Deuce), &reloaded);
     assert_eq!(direct.data_flips, replayed.data_flips);
     assert_eq!(direct.total_slots, replayed.total_slots);
 }

@@ -4,7 +4,7 @@
 
 use deuce::schemes::{SchemeConfig, SchemeKind};
 use deuce::sim::{SimConfig, SimResult, Simulator};
-use deuce::trace::{Benchmark, Trace, TraceConfig};
+use deuce::trace::{Benchmark, Trace, TraceConfig, TraceSource};
 
 fn trace(benchmark: Benchmark) -> Trace {
     TraceConfig::new(benchmark)
@@ -15,7 +15,8 @@ fn trace(benchmark: Benchmark) -> Trace {
 }
 
 fn run(kind: SchemeKind, trace: &Trace) -> SimResult {
-    Simulator::new(SimConfig::with_scheme(SchemeConfig::new(kind))).run_trace(trace)
+    let simulator = Simulator::new(SimConfig::with_scheme(SchemeConfig::new(kind)));
+    simulator.run_source(&mut TraceSource::new(trace)).unwrap()
 }
 
 /// §2.5: counter-mode encryption flips 50% of the bits regardless of

@@ -2,8 +2,8 @@
 //! (Figs. 12 and 14 mechanics).
 
 use deuce::schemes::SchemeKind;
-use deuce::sim::{HwlMode, LifetimePolicy, SimConfig, Simulator, WearConfig};
-use deuce::trace::{Benchmark, Trace, TraceConfig};
+use deuce::sim::{HwlMode, LifetimePolicy, SimConfig, SimResult, Simulator, WearConfig};
+use deuce::trace::{Benchmark, Trace, TraceConfig, TraceSource};
 
 const LINES: usize = 48;
 
@@ -15,13 +15,16 @@ fn trace(benchmark: Benchmark) -> Trace {
         .generate()
 }
 
+fn run(config: SimConfig, trace: &Trace) -> SimResult {
+    Simulator::new(config).run_source(&mut TraceSource::new(trace)).unwrap()
+}
+
 fn lifetime(kind: SchemeKind, trace: &Trace, hwl: Option<HwlMode>) -> f64 {
     let wear = match hwl {
         Some(mode) => WearConfig::with_hwl(LINES, mode).gap_interval(2),
         None => WearConfig::vertical_only(LINES),
     };
-    Simulator::new(SimConfig::new(kind).with_wear(wear))
-        .run_trace(trace)
+    run(SimConfig::new(kind).with_wear(wear), trace)
         .lifetime(LifetimePolicy::VerticalLeveled)
         .expect("wear tracking enabled")
 }
@@ -35,8 +38,7 @@ fn encryption_uniformizes_bit_positions() {
     // (vertical wear leveling spreads the per-line intensity, so the
     // position profile is what remains).
     let skew_of = |kind: SchemeKind| {
-        let totals = Simulator::new(SimConfig::new(kind).with_wear(WearConfig::vertical_only(LINES)))
-            .run_trace(&t)
+        let totals = run(SimConfig::new(kind).with_wear(WearConfig::vertical_only(LINES)), &t)
             .cells
             .expect("wear on")
             .position_totals();
@@ -73,7 +75,7 @@ fn hwl_unlocks_deuce_lifetime() {
 fn hwl_approaches_perfect_leveling() {
     let t = trace(Benchmark::Mcf);
     let wear = WearConfig::with_hwl(LINES, HwlMode::Hashed).gap_interval(2);
-    let result = Simulator::new(SimConfig::new(SchemeKind::Deuce).with_wear(wear)).run_trace(&t);
+    let result = run(SimConfig::new(SchemeKind::Deuce).with_wear(wear), &t);
     let leveled = result.lifetime(LifetimePolicy::VerticalLeveled).unwrap();
     let perfect = result.lifetime(LifetimePolicy::Perfect).unwrap();
     assert!(
@@ -98,10 +100,8 @@ fn both_hwl_modes_improve_over_none() {
 #[test]
 fn cell_counts_reconcile_with_flip_counts() {
     let t = trace(Benchmark::Zeusmp);
-    let result = Simulator::new(
-        SimConfig::new(SchemeKind::Deuce).with_wear(WearConfig::vertical_only(LINES)),
-    )
-    .run_trace(&t);
+    let config = SimConfig::new(SchemeKind::Deuce).with_wear(WearConfig::vertical_only(LINES));
+    let result = run(config, &t);
     let cells = result.cells.as_ref().unwrap();
     assert_eq!(
         cells.wear_summary().total_bit_writes,
