@@ -7,9 +7,9 @@ use deuce_aes::{available_backends, Aes128, AesBackend};
 use deuce_crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
 use deuce_nvm::{write_slots, CellArray, LineBytes, LineImage, MetaBits, SlotConfig};
 use deuce_schemes::{fnw_encode, DeuceLine, DeuceScheme, SchemeConfig, SchemeKind, SchemeLine, WordSize};
-use deuce_sim::{Checkpoints, SimConfig, Simulator};
+use deuce_sim::{Checkpoints, CounterCache, CounterCacheConfig, SimConfig, Simulator};
 use deuce_telemetry::{NullRecorder, TelemetryRecorder};
-use deuce_trace::{Benchmark, TraceConfig, TraceSource};
+use deuce_trace::{Benchmark, Op, TraceConfig, TraceSource, WriteSource};
 use deuce_wear::StartGap;
 
 fn bench_aes_block(c: &mut Harness) {
@@ -203,12 +203,12 @@ fn bench_write_slots(c: &mut Harness) {
 }
 
 /// Wear recording of one write that flips one cell in every byte: on
-/// one line, whose count block stays cached, then on random lines of
-/// 2^17, whose count blocks mostly do not. The gap is the cost of
-/// reaching a cold count block. `random_lines_2^17` touches every
-/// line's count block before timing, so it times cache and TLB misses;
-/// `random_lines_2^17_fresh` starts from a fresh array, so it also
-/// times the page faults of first touches.
+/// one line, whose planes stay cached, then on random lines of 2^17,
+/// whose planes mostly do not. The gap is the cost of reaching cold
+/// planes. `random_lines_2^17` writes every line once before timing, so
+/// each already holds a plane and the timing is mostly cache and TLB
+/// misses; `random_lines_2^17_fresh` starts from a fresh array, so it
+/// also times the first planes' page faults.
 fn bench_record_write(c: &mut Harness) {
     const LINES: u64 = 1 << 17;
     let old = LineImage::zeroed(32);
@@ -237,6 +237,30 @@ fn bench_record_write(c: &mut Harness) {
             });
         });
     }
+    group.finish();
+}
+
+/// One counter-cache access, replaying a fixed stream cyclically
+/// through the default 64-entry cache: the line addresses of mcf at
+/// mcf-full's shape (4 cores of 65,536 lines), reads and writes, 2^17
+/// writebacks. Most accesses miss, as on mcf-full.
+fn bench_counter_cache(c: &mut Harness) {
+    let mut group = c.benchmark_group("counter_cache");
+    group.bench_function("mcf_stream_64_entries", |b| {
+        let workload =
+            TraceConfig::new(Benchmark::Mcf).lines(65_536).cores(4).writes(1 << 17).seed(1);
+        let mut source = workload.stream();
+        let mut stream = Vec::new();
+        while let Some(event) = source.next_event().expect("the generator does not fail") {
+            stream.push((event.line.value(), event.op == Op::Write));
+        }
+        let mut cache = CounterCache::new(CounterCacheConfig::DEFAULT);
+        let mut accesses = stream.iter().cycle();
+        b.iter(|| {
+            let &(line, dirtying) = accesses.next().expect("the stream cycles");
+            cache.access(black_box(line), dirtying)
+        });
+    });
     group.finish();
 }
 
@@ -326,6 +350,7 @@ fn main() {
     bench_fnw_encode(&mut harness);
     bench_write_slots(&mut harness);
     bench_record_write(&mut harness);
+    bench_counter_cache(&mut harness);
     bench_trace_generation(&mut harness);
     bench_start_gap(&mut harness);
     bench_telemetry_overhead(&mut harness);

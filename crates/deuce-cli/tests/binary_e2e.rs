@@ -30,6 +30,20 @@ fn bad_flag_fails_with_message() {
     assert!(err.contains("bogus"));
 }
 
+/// The wear counters allocate nothing per line up front, so a spare
+/// pool of 2^32 - 1 lines costs nothing until a line retires into it.
+#[test]
+fn the_largest_spare_pool_runs() {
+    let output = deuce()
+        .args(["run", "--benchmark", "mcf", "--writes", "300", "--scheme", "deuce"])
+        .args(["--faults", "--spare-lines", "4294967295"])
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success(), "{output:?}");
+    let text = String::from_utf8(output.stdout).unwrap();
+    assert!(text.contains("\nfault_spare_lines_left\t4294967295\n"), "{text}");
+}
+
 #[test]
 fn full_pipeline_through_the_binary() {
     let dir = std::env::temp_dir().join("deuce-bin-e2e");

@@ -438,4 +438,51 @@ mod tests {
         // ...with repair the replacement bit restores it.
         assert_eq!(r.read_line(&cells, 0, &img, 10).unwrap(), img);
     }
+
+    /// One write under rotation 10 kills cells on both sides of the
+    /// wrap. The deaths come in ascending logical order — physical
+    /// order from the rotation up, then from cell 0 — and the ECP
+    /// entries go to the first of them: here cell 6, the last to die,
+    /// is the one left uncovered.
+    #[test]
+    fn deaths_across_the_wrap_come_in_logical_order() {
+        let faults = StuckAtFaults::new(
+            FailureModel {
+                mean_endurance: 1.0,
+                cv: 0.0,
+                seed: 0,
+            },
+            1.0,
+        );
+        let mut cells = CellArray::with_faults(1, 544, faults);
+        let mut r = EcpRepair::new(1, config(3, 0));
+        let zero = LineImage::zeroed(32);
+        let mut img = zero;
+        // Logical 0, 5, 533 and 540 land in physical 10, 15, 543 and 6.
+        for logical in [0, 5, 533, 540] {
+            img.set_bit(logical, true);
+        }
+        let deaths = cells.record_write(0, &zero, &img, 10);
+        assert_eq!(deaths, vec![10, 15, 543, 6]);
+        let physical: Vec<u32> = cells.dead_cells(0).iter().map(|d| d.physical_bit).collect();
+        assert_eq!(physical, deaths, "dead cells are kept in death order");
+        // The session hands the deaths to the repair layer in order.
+        let actions: Vec<RepairAction> = deaths.iter().map(|&cell| r.note_death(0, cell)).collect();
+        assert_eq!(
+            actions,
+            [
+                RepairAction::Corrected,
+                RepairAction::Corrected,
+                RepairAction::Corrected,
+                RepairAction::Uncorrectable,
+            ]
+        );
+        assert_eq!(r.entries_used(0), 3);
+        assert!(r.line_failed(0));
+        // The covered cells read back as intended; uncovered cell 6
+        // (logical 540) is stuck at 0, so the line is uncorrectable.
+        assert!(r.read_line(&cells, 0, &img, 10).is_err());
+        let repaired = |cell: u32| r.pointed[0].contains(&cell);
+        assert!([10, 15, 543].into_iter().all(repaired) && !repaired(6));
+    }
 }

@@ -36,7 +36,7 @@ mod line_image;
 mod slots;
 mod timing;
 
-pub use cells::{CellArray, DeadCell, StuckAtFaults, WearSummary};
+pub use cells::{CellArray, DeadCell, FlipMask, StuckAtFaults, WearSummary, MAX_LINE_BITS};
 pub use ecp::{ecp_storage_bits, line_lifetime_writes, FailureModel};
 pub use energy::EnergyParams;
 pub use geometry::{BankId, Geometry};

@@ -782,6 +782,7 @@ mod tests {
             config().with_counter_cache(CounterCacheConfig { entries: 0, counters_per_line: 16 }),
             config().with_counter_cache(CounterCacheConfig { entries: 4, counters_per_line: 0 }),
             config().with_wear(WearConfig::vertical_only(64).gap_interval(0)),
+            config().with_wear(WearConfig::vertical_only(0)),
         ];
         for bad in bad_configs {
             let err = ServiceBuilder::new()

@@ -24,8 +24,9 @@
 //! reads its state before [`StepSession::finish`]. A streamed run
 //! therefore moves the [`WearState`] to a helper thread
 //! ([`StepSession::offload_wear`]); the session then logs each counted
-//! write's [`WearRecord`] in stream order, and the helper records the
-//! logs in the same order, so the cell counts come out the same.
+//! write's [`WearRecord`] — its line and its flip mask — in stream
+//! order, and the helper records the logs in the same order, so the
+//! cell counts come out the same.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -33,7 +34,7 @@ use std::time::Instant;
 
 use deuce_crypto::{LineAddr, OtpEngine};
 use deuce_memctl::{EcpConfig, EcpRepair, RepairAction};
-use deuce_nvm::{write_slots, CellArray, LineImage, SlotConfig, StuckAtFaults};
+use deuce_nvm::{write_slots, CellArray, FlipMask, LineImage, SlotConfig, StuckAtFaults};
 use deuce_schemes::{
     ArenaBackend, FilePageBackend, LineBytes, LineMut, LineRef, LineScheme, LineStore, PageBackend,
     StateCodec, StorePageStats,
@@ -371,7 +372,8 @@ where
             Wear::Off => FaultEvents::default(),
             Wear::Inline(wear) => wear.record(line, &outcome.old_image, &outcome.new_image),
             Wear::Logged(log) => {
-                log.push(WearRecord { line, old: outcome.old_image, new: outcome.new_image });
+                let flips = FlipMask::between(&outcome.old_image, &outcome.new_image);
+                log.push(WearRecord { line, flips });
                 FaultEvents::default()
             }
         };
@@ -598,10 +600,6 @@ where
         }
         self.result.store = self.store.paging_stats();
         if R::ENABLED {
-            // A faulted run exports its fault section even if no cell died.
-            if self.result.faults.is_some() {
-                rec.fault_injection_active();
-            }
             if let Some(stats) = &self.result.store {
                 rec.store_totals(&StoreTelemetry {
                     page_faults: stats.page_faults,
@@ -637,6 +635,8 @@ where
                 report.spare_lines_left = repair.spares_left();
                 report.ecp_entries_used =
                     (0..repair.lines()).map(|l| repair.entries_used(l)).collect();
+                // One entry count per logical line: a faulted run
+                // exports its fault section even if no cell died.
                 if R::ENABLED {
                     for &entries in &report.ecp_entries_used {
                         rec.ecp_entries_used(u64::from(entries));
@@ -680,6 +680,8 @@ fn check(config: &SimConfig) -> Result<(), RunError> {
         "the counter cache needs at least one entry"
     } else if config.counter_cache.is_some_and(|c| c.counters_per_line == 0) {
         "the counter cache needs at least one counter per counter line"
+    } else if config.wear.is_some_and(|w| w.lines == 0) {
+        "wear tracking needs at least one line"
     } else if config.wear.is_some_and(|w| w.gap_interval == 0) {
         "the wear leveler's gap interval must be at least one write"
     } else {
@@ -768,19 +770,12 @@ enum Wear {
     Logged(Vec<WearRecord>),
 }
 
-/// One counted write's input to the wear stage.
+/// One counted write's input to fault-free wear: the line and the
+/// cells the write flipped.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WearRecord {
     line: LineAddr,
-    old: LineImage,
-    new: LineImage,
-}
-
-impl WearRecord {
-    /// Records this write into `wear`. Fault-free wear reports nothing.
-    pub(crate) fn record_into(&self, wear: &mut WearState) {
-        let _ = wear.record(self.line, &self.old, &self.new);
-    }
+    flips: FlipMask,
 }
 
 /// Stage 4: cell-array wear under the configured vertical and
@@ -837,13 +832,13 @@ impl WearState {
         }
     }
 
-    /// Records the bit flips from `old` to `new` against `addr`'s cells
-    /// and reports any cell deaths and repair activity the write
-    /// triggered. The first line past the configured count latches
-    /// `overflowed` and stops recording.
-    fn record(&mut self, addr: LineAddr, old: &LineImage, new: &LineImage) -> FaultEvents {
+    /// The dense index of `addr` and its current HWL rotation, or `None`
+    /// once the stream has touched more lines than configured: the first
+    /// line past the count latches `overflowed`, and nothing is recorded
+    /// after it.
+    fn place(&mut self, addr: LineAddr) -> Option<(usize, u32)> {
         if self.overflowed {
-            return FaultEvents::default();
+            return None;
         }
         let next = self.index_of.len();
         let index = match self.index_of.entry(addr.value()) {
@@ -851,10 +846,50 @@ impl WearState {
             Entry::Vacant(slot) if next < self.lines => *slot.insert(next),
             Entry::Vacant(_) => {
                 self.overflowed = true;
-                return FaultEvents::default();
+                return None;
             }
         };
-        let rotation = self.rotation(index, addr.value());
+        Some((index, self.rotation(index, addr.value())))
+    }
+
+    /// Advances the vertical leveler past one recorded write.
+    fn level(&mut self) {
+        match &mut self.vwl {
+            Leveler::StartGap(sg) => {
+                let _ = sg.record_write();
+            }
+            Leveler::SecurityRefresh(sr) => {
+                let _ = sr.record_write();
+            }
+        }
+    }
+
+    /// Records a log of fault-free writes, in stream order, in two
+    /// passes: first every record's placement (its index and rotation,
+    /// with the vertical leveler advancing after each, as recording
+    /// them one at a time would), then every record's counts. Counting
+    /// feeds nothing back into placement, so the result is the same;
+    /// splitting them lets successive records' index probes, and then
+    /// their plane walks, overlap in memory.
+    pub(crate) fn record_log(&mut self, log: &[WearRecord]) {
+        let mut placed = Vec::with_capacity(log.len());
+        for record in log {
+            let Some(place) = self.place(record.line) else { break };
+            self.level();
+            placed.push(place);
+        }
+        for (record, &(index, rotation)) in log.iter().zip(&placed) {
+            self.cells.record_flips(index, &record.flips, rotation);
+        }
+    }
+
+    /// Records the bit flips from `old` to `new` against `addr`'s cells
+    /// and reports any cell deaths and repair activity the write
+    /// triggered.
+    fn record(&mut self, addr: LineAddr, old: &LineImage, new: &LineImage) -> FaultEvents {
+        let Some((index, rotation)) = self.place(addr) else {
+            return FaultEvents::default();
+        };
         // Retired lines wear their spare, not their abandoned primary.
         let physical = self.repair.as_ref().map_or(index, |r| r.resolve(index));
         let deaths = self.cells.record_write(physical, old, new, rotation);
@@ -884,14 +919,7 @@ impl WearState {
                 self.repair_calls += 1;
             }
         }
-        match &mut self.vwl {
-            Leveler::StartGap(sg) => {
-                let _ = sg.record_write();
-            }
-            Leveler::SecurityRefresh(sr) => {
-                let _ = sr.record_write();
-            }
-        }
+        self.level();
         events
     }
 }

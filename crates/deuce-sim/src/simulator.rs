@@ -418,9 +418,7 @@ where
             .name("deuce-wear".into())
             .spawn_scoped(scope, move || {
                 for mut log in full {
-                    for record in &log {
-                        record.record_into(wear);
-                    }
+                    wear.record_log(&log);
                     log.clear();
                     // The loop may have stopped taking logs back.
                     let _ = spent.send(log);
@@ -601,6 +599,16 @@ mod tests {
                 SimConfig::new(SchemeKind::Deuce)
                     .with_counter_cache(CounterCacheConfig { entries: 4, counters_per_line: 0 }),
                 "at least one counter per counter line",
+            ),
+            (
+                SimConfig::new(SchemeKind::Deuce).with_wear(WearConfig::vertical_only(0)),
+                "wear tracking needs at least one line",
+            ),
+            (
+                SimConfig::new(SchemeKind::Deuce)
+                    .with_wear(WearConfig::vertical_only(0))
+                    .with_faults(FaultConfig::accelerated(1e-6)),
+                "wear tracking needs at least one line",
             ),
             (
                 SimConfig::new(SchemeKind::Deuce)

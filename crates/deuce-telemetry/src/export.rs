@@ -342,7 +342,6 @@ mod tests {
         // Fault-injecting run: counters, hist, retirement and
         // uncorrectable events all flow.
         let mut r = sample_recorder();
-        r.fault_injection_active();
         r.fault_observed(&FaultObservation {
             sim_ns: 500.0,
             write_index: 3,
@@ -471,7 +470,6 @@ mod tests {
     fn every_event_kind_round_trips_through_the_parser() {
         use crate::recorder::FaultObservation;
         let mut r = sample_recorder().with_spans();
-        r.fault_injection_active();
         r.fault_observed(&FaultObservation {
             sim_ns: 500.0,
             write_index: 3,

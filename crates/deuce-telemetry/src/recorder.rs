@@ -273,10 +273,6 @@ pub trait Recorder {
         let _ = obs;
     }
 
-    /// Announces that the run injects faults, so fault telemetry is
-    /// collected (and exported) even if no cell ever dies.
-    fn fault_injection_active(&mut self) {}
-
     /// Feeds one write's fault activity. Only called for writes where
     /// something fault-related happened.
     fn fault_observed(&mut self, obs: &FaultObservation) {
@@ -477,15 +473,16 @@ impl TelemetryRecorder {
         self.series.samples()
     }
 
-    /// Fault-injection telemetry, present only if the run announced
-    /// fault injection (or a fault event arrived).
+    /// Fault-injection telemetry, present only once a fault event or a
+    /// line's ECP entry count has arrived: a faulted run reports every
+    /// line's count at finish.
     #[must_use]
     pub fn faults(&self) -> Option<&FaultTelemetry> {
         self.faults.as_ref()
     }
 
-    /// Store-paging telemetry, present only if the run announced a
-    /// paged store (or totals arrived).
+    /// Store-paging telemetry, present only once store totals have
+    /// arrived (a paged run reports them at finish).
     #[must_use]
     pub fn store(&self) -> Option<&StoreTelemetry> {
         self.store.as_ref()
@@ -541,10 +538,6 @@ impl Recorder for TelemetryRecorder {
         if let Some(spans) = &mut self.spans {
             spans.observe_write(obs.sim_ns);
         }
-    }
-
-    fn fault_injection_active(&mut self) {
-        self.faults.get_or_insert_with(FaultTelemetry::default);
     }
 
     fn fault_observed(&mut self, obs: &FaultObservation) {
@@ -669,11 +662,13 @@ mod tests {
     }
 
     #[test]
-    fn fault_telemetry_absent_until_announced() {
+    fn fault_telemetry_absent_until_reported() {
         let mut r = TelemetryRecorder::default();
         assert!(r.faults().is_none(), "fault-free runs carry no fault section");
-        r.fault_injection_active();
-        let faults = r.faults().expect("announced");
+        // A faulted run reports every line's ECP entries in use at
+        // finish, so its section appears even if no cell died.
+        r.ecp_entries_used(0);
+        let faults = r.faults().expect("reported");
         assert_eq!(faults.cell_deaths, 0);
         assert!(faults.retirements.is_empty());
     }
