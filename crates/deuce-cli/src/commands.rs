@@ -31,7 +31,7 @@ use deuce_serve::{
 use crate::args::{
     CliError, GenArgs, MergeArgs, ReportArgs, RunArgs, ServeArgs, StatsArgs, TraceFormat,
 };
-use crate::format::{FaultSummary, RunSummary, StoreSummary, METRIC_HEADER};
+use crate::format::{write_fault_rows, write_store_rows, RunSummary, METRIC_HEADER};
 
 fn trace_config(gen: &GenArgs) -> TraceConfig {
     TraceConfig::new(gen.benchmark)
@@ -385,10 +385,10 @@ pub fn run<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     RunSummary::from(&result).write_to(out)?;
     writeln!(out, "aes_backend\t{}", result.aes_backend)?;
     if let Some(report) = &result.faults {
-        FaultSummary::from(report).write_to(out)?;
+        write_fault_rows(out, report)?;
     }
-    if let Some(stats) = result.store {
-        StoreSummary::from(stats).write_to(out)?;
+    if let Some(stats) = &result.store {
+        write_store_rows(out, stats)?;
     }
     if let Some(path) = &args.checkpoint {
         writeln!(out, "checkpoint\t{path}")?;
@@ -710,7 +710,8 @@ fn render_hist<W: Write>(
     }
     let peak = buckets.iter().map(|&(_, _, count)| count).max().unwrap_or(1).max(1);
     for &(lo, hi, count) in buckets {
-        let bar = "#".repeat(((count * 40).div_ceil(peak)) as usize);
+        // In u128: `count * 40` overflows u64 past 4.6e17.
+        let bar = "#".repeat((u128::from(count) * 40).div_ceil(u128::from(peak)) as usize);
         writeln!(out, "  [{lo:>6}, {hi:>6})  {count:>8}  {bar}")?;
     }
     Ok(())
@@ -1020,8 +1021,8 @@ fn write_tenant_block<W: Write>(
     writeln!(out, "fingerprint\t{fingerprint:016x}")?;
     writeln!(out, "degraded\t{degraded}")?;
     RunSummary::from(result).write_to(out)?;
-    if let Some(stats) = result.store {
-        StoreSummary::from(stats).write_to(out)?;
+    if let Some(stats) = &result.store {
+        write_store_rows(out, stats)?;
     }
     Ok(())
 }
@@ -1830,6 +1831,18 @@ mod tests {
         assert!(!std::path::Path::new(&dump_path).exists());
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn report_bars_stay_exact_for_huge_counts() {
+        // `count * 40` overflows u64 for these counts; the largest
+        // bucket still draws the full 40-character bar.
+        let mut out = Vec::new();
+        let buckets = [(0, 1, 1_000_000_000_000_000_000), (1, 2, 500_000_000_000_000_000)];
+        render_hist(&mut out, "huge", &buckets).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let bars: Vec<usize> = text.lines().skip(1).map(|l| l.matches('#').count()).collect();
+        assert_eq!(bars, [40, 20], "{text}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::io::{self, Write};
 
-use deuce_sim::{FaultReport, SimResult, StorePageStats};
+use deuce_sim::{store_totals, FaultReport, SimResult, StorePageStats};
 
 /// Tab-separated header matching [`RunSummary::metric_cells`], shared
 /// by the `compare` and `sweep` tables.
@@ -92,106 +92,35 @@ impl RunSummary {
     }
 }
 
-/// The degradation headline of one fault-injecting run, printed as
-/// `fault_*` rows after the [`RunSummary`] block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultSummary {
-    /// Cells that permanently failed during the run.
-    pub cell_deaths: u64,
-    /// ECP correction entries consumed.
-    pub ecp_entries_consumed: u64,
-    /// Lines retired to the spare pool.
-    pub lines_retired: u64,
-    /// Writes that found no correction resources left.
-    pub uncorrectable_writes: u64,
-    /// Write index of the first retirement, if any.
-    pub first_retirement_write: Option<u64>,
-    /// Write index of the first uncorrectable write, if any.
-    pub first_uncorrectable_write: Option<u64>,
-    /// Spare lines still unused at end of run.
-    pub spare_lines_left: u32,
+/// Writes a fault-injecting run's `fault_*` rows, printed after the
+/// [`RunSummary`] block.
+///
+/// # Errors
+///
+/// Returns I/O errors from the writer.
+pub fn write_fault_rows<W: Write>(out: &mut W, report: &FaultReport) -> io::Result<()> {
+    let opt = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |w| w.to_string());
+    writeln!(out, "fault_cell_deaths\t{}", report.cell_deaths)?;
+    writeln!(out, "fault_ecp_entries_consumed\t{}", report.ecp_entries_consumed)?;
+    writeln!(out, "fault_lines_retired\t{}", report.lines_retired)?;
+    writeln!(out, "fault_uncorrectable_writes\t{}", report.uncorrectable_writes)?;
+    writeln!(out, "fault_first_retirement_write\t{}", opt(report.first_retirement_write))?;
+    writeln!(out, "fault_first_uncorrectable_write\t{}", opt(report.first_uncorrectable_write))?;
+    writeln!(out, "fault_spare_lines_left\t{}", report.spare_lines_left)
 }
 
-impl From<&FaultReport> for FaultSummary {
-    fn from(report: &FaultReport) -> Self {
-        Self {
-            cell_deaths: report.cell_deaths,
-            ecp_entries_consumed: report.ecp_entries_consumed,
-            lines_retired: report.lines_retired,
-            uncorrectable_writes: report.uncorrectable_writes,
-            first_retirement_write: report.first_retirement_write,
-            first_uncorrectable_write: report.first_uncorrectable_write,
-            spare_lines_left: report.spare_lines_left,
-        }
+/// Writes a page-file-backed run's `store_*` rows, printed after the
+/// [`RunSummary`] block (only such runs have them, so in-RAM output is
+/// unchanged).
+///
+/// # Errors
+///
+/// Returns I/O errors from the writer.
+pub fn write_store_rows<W: Write>(out: &mut W, stats: &StorePageStats) -> io::Result<()> {
+    for (key, value) in store_totals(stats) {
+        writeln!(out, "store_{key}\t{value}")?;
     }
-}
-
-impl FaultSummary {
-    /// Writes the `fault_*` rows of the `deuce run` summary block.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        let opt = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |w| w.to_string());
-        writeln!(out, "fault_cell_deaths\t{}", self.cell_deaths)?;
-        writeln!(out, "fault_ecp_entries_consumed\t{}", self.ecp_entries_consumed)?;
-        writeln!(out, "fault_lines_retired\t{}", self.lines_retired)?;
-        writeln!(out, "fault_uncorrectable_writes\t{}", self.uncorrectable_writes)?;
-        writeln!(out, "fault_first_retirement_write\t{}", opt(self.first_retirement_write))?;
-        writeln!(
-            out,
-            "fault_first_uncorrectable_write\t{}",
-            opt(self.first_uncorrectable_write)
-        )?;
-        writeln!(out, "fault_spare_lines_left\t{}", self.spare_lines_left)?;
-        Ok(())
-    }
-}
-
-/// The residency headline of a page-file-backed run, printed as
-/// `store_*` rows after the [`RunSummary`] block (only when
-/// `--store-file` is on, so in-RAM output is unchanged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreSummary {
-    /// Page loads that missed the resident cache.
-    pub page_faults: u64,
-    /// Resident pages displaced by the LRU budget.
-    pub page_evictions: u64,
-    /// Dirty pages written back to the page file.
-    pub pages_flushed: u64,
-    /// Resident line-store bytes at end of run.
-    pub resident_bytes: u64,
-    /// Peak resident line-store bytes over the run.
-    pub peak_resident_bytes: u64,
-}
-
-impl From<StorePageStats> for StoreSummary {
-    fn from(stats: StorePageStats) -> Self {
-        Self {
-            page_faults: stats.page_faults,
-            page_evictions: stats.page_evictions,
-            pages_flushed: stats.pages_flushed,
-            resident_bytes: stats.resident_bytes,
-            peak_resident_bytes: stats.peak_resident_bytes,
-        }
-    }
-}
-
-impl StoreSummary {
-    /// Writes the `store_*` rows of the `deuce run` summary block.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        writeln!(out, "store_page_faults\t{}", self.page_faults)?;
-        writeln!(out, "store_page_evictions\t{}", self.page_evictions)?;
-        writeln!(out, "store_pages_flushed\t{}", self.pages_flushed)?;
-        writeln!(out, "store_resident_bytes\t{}", self.resident_bytes)?;
-        writeln!(out, "store_peak_resident_bytes\t{}", self.peak_resident_bytes)?;
-        Ok(())
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -240,7 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_summary_renders_every_row() {
+    fn fault_rows_render_every_row() {
         let report = FaultReport {
             cell_deaths: 12,
             ecp_entries_consumed: 9,
@@ -252,7 +181,7 @@ mod tests {
             ecp_entries_used: vec![1, 0, 6],
         };
         let mut out = Vec::new();
-        FaultSummary::from(&report).write_to(&mut out).unwrap();
+        write_fault_rows(&mut out, &report).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("fault_cell_deaths\t12"));
         assert!(text.contains("fault_first_retirement_write\t400"));
@@ -261,7 +190,7 @@ mod tests {
     }
 
     #[test]
-    fn store_summary_renders_every_row() {
+    fn store_rows_render_every_row() {
         let stats = StorePageStats {
             page_faults: 40,
             page_evictions: 36,
@@ -270,7 +199,7 @@ mod tests {
             peak_resident_bytes: 9_216,
         };
         let mut out = Vec::new();
-        StoreSummary::from(stats).write_to(&mut out).unwrap();
+        write_store_rows(&mut out, &stats).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("store_page_faults\t40"));
         assert!(text.contains("store_page_evictions\t36"));

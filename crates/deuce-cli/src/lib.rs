@@ -28,7 +28,7 @@ pub use args::{
 };
 pub use commands::{aes_backend, compare, gen, merge, report, run, serve, stats, sweep};
 pub use watch::watch;
-pub use format::{FaultSummary, RunSummary, METRIC_HEADER};
+pub use format::{RunSummary, METRIC_HEADER};
 
 /// Entry point shared by the binary and tests.
 ///

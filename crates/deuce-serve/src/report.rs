@@ -4,9 +4,7 @@
 use std::time::Duration;
 
 use deuce_sim::SimResult;
-use deuce_telemetry::{
-    Counter, FlightRecorder, Histogram, Recorder, TelemetryConfig, TelemetryRecorder,
-};
+use deuce_telemetry::{FlightRecorder, Histogram, Recorder, TelemetryConfig, TelemetryRecorder};
 
 /// Point-in-time progress snapshot from [`ServeHandle::stats`].
 ///
@@ -131,27 +129,17 @@ impl ServeReport {
     }
 }
 
-/// Builds the aggregate recorder: tenant-summed counters, and the
-/// serve layer's wall-time spans in the same span table the simulator
-/// uses (so `deuce report` shows `serve` next to `run`).
+/// Builds the aggregate recorder: every counter summed over the tenants,
+/// through the same [`SimResult::record_counters`] a finishing session
+/// uses, and the serve layer's wall-time spans in the same span table
+/// the simulator uses (so `deuce report` shows `serve` next to `run`).
 pub(crate) fn build_recorder(
     tenants: &[TenantReport],
     shards: &[ShardReport],
 ) -> TelemetryRecorder {
     let mut recorder = TelemetryRecorder::new(TelemetryConfig::default()).with_spans();
-    for tenant in tenants {
-        let Ok(result) = &tenant.result else { continue };
-        let first_touches = tenant
-            .requests_applied
-            .saturating_sub(result.reads + result.writes);
-        recorder.add(Counter::Reads, result.reads);
-        recorder.add(Counter::Writes, result.writes);
-        recorder.add(Counter::FirstTouches, first_touches);
-        recorder.add(Counter::DataFlips, result.data_flips);
-        recorder.add(Counter::MetaFlips, result.meta_flips);
-        recorder.add(Counter::CounterFlips, result.counter_flips);
-        recorder.add(Counter::EpochStarts, result.epoch_starts);
-        recorder.add(Counter::SlotsTotal, result.total_slots);
+    for result in tenants.iter().filter_map(|t| t.result.as_ref().ok()) {
+        result.record_counters(&mut recorder);
     }
     let drained: u64 = shards.iter().map(|s| s.drained).sum();
     let batches: u64 = shards.iter().map(|s| s.batches).sum();
@@ -167,6 +155,7 @@ pub(crate) fn build_recorder(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deuce_telemetry::Counter;
 
     #[test]
     fn recorder_sums_counters_and_exposes_serve_spans() {
@@ -178,6 +167,7 @@ mod tests {
                 result: Ok(SimResult {
                     reads: 4,
                     writes: 6,
+                    first_touches: 2,
                     data_flips: 40,
                     ..SimResult::default()
                 }),

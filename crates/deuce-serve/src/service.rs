@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use deuce_schemes::AnyScheme;
 use deuce_sim::{SessionStep, SimConfig, Simulator, StepSession};
-use deuce_telemetry::{FlightEvent, FlightRecorder, Histogram, Recorder};
+use deuce_telemetry::{FlightRecorder, Histogram, Recorder, WriteEvent};
 
 use crate::report::{build_recorder, ServeReport, ServeStats, ShardReport, TenantReport};
 use crate::request::{request_event, Request};
@@ -144,12 +144,8 @@ impl TenantCore {
 struct FlightRing(FlightRecorder);
 
 impl Recorder for FlightRing {
-    fn wants_flight(&self) -> bool {
-        true
-    }
-
-    fn flight_observed(&mut self, event: FlightEvent) {
-        self.0.record(event);
+    fn write_observed(&mut self, event: &WriteEvent) {
+        self.0.record(*event);
     }
 }
 

@@ -58,7 +58,7 @@ pub use manifest::{
     grid_fingerprint, merge_manifests, read_manifest, CellRecord, ManifestError, ManifestHeader,
     ManifestWriter, ShardSpec,
 };
-pub use result::{FaultReport, SimResult};
+pub use result::{store_totals, FaultReport, SimResult};
 pub use session::{SessionStep, StepSession};
 pub use simulator::{Checkpoints, RunError, Simulator};
 pub use sweep::ParallelSweep;

@@ -3,6 +3,7 @@
 use deuce_crypto::AesBackend;
 use deuce_nvm::{CellArray, EnergyParams, WearSummary};
 use deuce_schemes::StorePageStats;
+use deuce_telemetry::{Counter, Recorder};
 use deuce_wear::{relative_lifetime, LifetimePolicy};
 
 /// What online fault injection observed over a run: the graceful-
@@ -48,6 +49,9 @@ pub struct SimResult {
     pub writes: u64,
     /// Reads serviced.
     pub reads: u64,
+    /// Initial placements: each line's first write, not counted in
+    /// `writes`. Filled in at finish.
+    pub first_touches: u64,
     /// Data-bit flips across all counted writes.
     pub data_flips: u64,
     /// Metadata-bit flips across all counted writes.
@@ -69,6 +73,9 @@ pub struct SimResult {
     pub cells: Option<CellArray>,
     /// Metadata bits per line of the simulated scheme.
     pub metadata_bits: u32,
+    /// Counter-cache accesses, one per request, when the counter-cache
+    /// model is enabled.
+    pub counter_cache_accesses: u64,
     /// Counter-cache misses (extra counter-line reads), when the
     /// counter-cache model is enabled.
     pub counter_cache_misses: u64,
@@ -104,6 +111,7 @@ impl Default for SimResult {
         Self {
             writes: 0,
             reads: 0,
+            first_touches: 0,
             data_flips: 0,
             meta_flips: 0,
             counter_flips: 0,
@@ -114,6 +122,7 @@ impl Default for SimResult {
             energy_params: EnergyParams::PAPER,
             cells: None,
             metadata_bits: 0,
+            counter_cache_accesses: 0,
             counter_cache_misses: 0,
             counter_cache_writebacks: 0,
             counter_cache_hit_ratio: 0.0,
@@ -128,6 +137,34 @@ impl Default for SimResult {
 }
 
 impl SimResult {
+    /// The run total a telemetry [`Counter`] names: every counter is a
+    /// field of the result.
+    #[must_use]
+    pub fn counter(&self, counter: Counter) -> u64 {
+        match counter {
+            Counter::Reads => self.reads,
+            Counter::Writes => self.writes,
+            Counter::FirstTouches => self.first_touches,
+            Counter::DataFlips => self.data_flips,
+            Counter::MetaFlips => self.meta_flips,
+            Counter::CounterFlips => self.counter_flips,
+            Counter::EpochStarts => self.epoch_starts,
+            Counter::SlotsTotal => self.total_slots,
+            Counter::CounterAccesses => self.counter_cache_accesses,
+            Counter::CounterFills => self.counter_cache_misses,
+            Counter::CounterWritebacks => self.counter_cache_writebacks,
+        }
+    }
+
+    /// Adds every [`Counter`] to `rec`: the one way a run's totals reach
+    /// a recorder, from a finishing session and from an aggregate over
+    /// several runs alike.
+    pub fn record_counters<R: Recorder>(&self, rec: &mut R) {
+        for counter in Counter::ALL {
+            rec.add(counter, self.counter(counter));
+        }
+    }
+
     /// Total bit flips counted by the figure of merit.
     #[must_use]
     pub fn metric_flips(&self) -> u64 {
@@ -234,6 +271,19 @@ impl SimResult {
             policy,
         ))
     }
+}
+
+/// A paged run's five store totals, named once for the telemetry
+/// `store` section (`store_<key>`) and `deuce run`'s `store_*` rows.
+#[must_use]
+pub fn store_totals(stats: &StorePageStats) -> [(&'static str, u64); 5] {
+    [
+        ("page_faults", stats.page_faults),
+        ("page_evictions", stats.page_evictions),
+        ("pages_flushed", stats.pages_flushed),
+        ("resident_bytes", stats.resident_bytes),
+        ("peak_resident_bytes", stats.peak_resident_bytes),
+    ]
 }
 
 #[cfg(test)]

@@ -39,17 +39,14 @@ use deuce_schemes::{
     ArenaBackend, FilePageBackend, LineBytes, LineMut, LineRef, LineScheme, LineStore, PageBackend,
     StateCodec, StorePageStats,
 };
-use deuce_telemetry::{
-    Counter, FaultObservation, FlightEvent, Gauge, NullRecorder, Recorder, Stage, StoreTelemetry,
-    WriteObservation,
-};
+use deuce_telemetry::{Gauge, Histogram, NullRecorder, Recorder, Stage, WriteEvent};
 use deuce_trace::{Op, TraceEvent};
 use deuce_wear::{HorizontalWearLeveler, HwlMode, SecurityRefresh, StartGap};
 
 use crate::checkpoint::RunCheckpoint;
 use crate::config::{SimConfig, VerticalWl};
 use crate::counter_cache::CounterCache;
-use crate::result::{FaultReport, SimResult};
+use crate::result::{store_totals, FaultReport, SimResult};
 use crate::simulator::{RunError, Simulator};
 use crate::timing::MemoryTimingModel;
 
@@ -310,10 +307,11 @@ where
     }
 
     /// [`step`](Self::step) with telemetry recording: per-stage wall
-    /// time, flip/slot counters, counter-cache traffic and per-write
-    /// observations flow into `rec`. With [`NullRecorder`] this
-    /// monomorphises to the bare step — recording never changes the
-    /// result.
+    /// time, counter-cache residency, and one [`WriteEvent`] per write
+    /// (first touches included) flow into `rec`; the run's totals reach
+    /// it once, at [`finish_recorded`](Self::finish_recorded). With
+    /// [`NullRecorder`] this monomorphises to the bare step — recording
+    /// never changes the result.
     ///
     /// # Panics
     ///
@@ -333,9 +331,6 @@ where
         let Some(data) = data else {
             self.timing.read(core, instr, line);
             charge::<R>(rec, Stage::Timing, clock);
-            if R::ENABLED {
-                rec.add(Counter::Reads, 1);
-            }
             self.result.reads += 1;
             return SessionStep::Read;
         };
@@ -343,24 +338,7 @@ where
         let Some(outcome) = self.store.write_first_touch(&self.engine, line, data) else {
             charge::<R>(rec, Stage::Scheme, clock);
             if R::ENABLED {
-                rec.add(Counter::FirstTouches, 1);
-                // Not a counted write, but a post-mortem wants to see
-                // initial placements too.
-                if rec.wants_flight() {
-                    rec.flight_observed(FlightEvent {
-                        write_index: 0,
-                        addr: line.value(),
-                        action: "first_touch",
-                        flips: 0,
-                        slots: 0,
-                        epoch_started: false,
-                        sim_ns: self.timing.exec_time_ns(),
-                        cell_deaths: 0,
-                        ecp_consumed: 0,
-                        retired: false,
-                        uncorrectable: false,
-                    });
-                }
+                rec.write_observed(&self.touch_event(line));
             }
             return SessionStep::FirstTouch;
         };
@@ -378,14 +356,6 @@ where
             }
         };
         charge::<R>(rec, Stage::Wear, clock);
-        if R::ENABLED {
-            rec.add(Counter::Writes, 1);
-            rec.add(Counter::DataFlips, u64::from(outcome.flips.data));
-            rec.add(Counter::MetaFlips, u64::from(outcome.flips.meta));
-            rec.add(Counter::CounterFlips, u64::from(outcome.counter_flips));
-            rec.add(Counter::EpochStarts, u64::from(outcome.epoch_started));
-            rec.add(Counter::SlotsTotal, u64::from(slots));
-        }
 
         let result = &mut self.result;
         result.writes += 1;
@@ -396,51 +366,43 @@ where
         result.total_slots += u64::from(slots);
         if faults.any() {
             fold_faults(result, &faults);
-            if R::ENABLED {
-                rec.fault_observed(&FaultObservation {
-                    sim_ns: self.timing.exec_time_ns(),
-                    write_index: result.writes,
-                    cell_deaths: faults.cell_deaths,
-                    ecp_consumed: faults.ecp_consumed,
-                    retired: faults.retired,
-                    uncorrectable: faults.uncorrectable,
-                });
-            }
         }
         let mut flips = u64::from(outcome.flips.data) + u64::from(outcome.flips.meta);
         if result.counters_in_metric {
             flips += u64::from(outcome.counter_flips);
         }
         if R::ENABLED {
-            let (hits, misses) = self.counters.as_ref().map_or((0, 0), |c| (c.hits(), c.misses()));
-            rec.write_observed(&WriteObservation {
-                sim_ns: self.timing.exec_time_ns(),
+            rec.write_observed(&WriteEvent {
+                write_index: self.result.writes,
                 flips,
                 slots,
-                cache_hits: hits,
-                cache_misses: misses,
+                epoch_started: outcome.epoch_started,
+                cell_deaths: faults.cell_deaths,
+                ecp_consumed: faults.ecp_consumed,
+                retired: faults.retired,
+                uncorrectable: faults.uncorrectable,
+                ..self.touch_event(line)
             });
-            if rec.wants_flight() {
-                rec.flight_observed(FlightEvent {
-                    write_index: result.writes,
-                    addr: line.value(),
-                    action: "write",
-                    flips,
-                    slots,
-                    epoch_started: outcome.epoch_started,
-                    sim_ns: self.timing.exec_time_ns(),
-                    cell_deaths: faults.cell_deaths,
-                    ecp_consumed: faults.ecp_consumed,
-                    retired: faults.retired,
-                    uncorrectable: faults.uncorrectable,
-                });
-            }
         }
         SessionStep::Write {
             flips,
             slots,
             epoch_started: outcome.epoch_started,
             uncorrectable: faults.uncorrectable,
+        }
+    }
+
+    /// The event of a first touch of `line` at this point of the run:
+    /// a counted write's event is this plus the write's outcome.
+    fn touch_event(&self, line: LineAddr) -> WriteEvent {
+        let (cache_hits, cache_misses) =
+            self.counters.as_ref().map_or((0, 0), |c| (c.hits(), c.misses()));
+        WriteEvent {
+            addr: line.value(),
+            sim_ns: self.timing.exec_time_ns(),
+            cache_hits,
+            cache_misses,
+            ..WriteEvent::default()
         }
     }
 
@@ -461,13 +423,6 @@ where
         };
         let traffic = counters.access(line.value(), dirtying);
         if R::ENABLED {
-            rec.add(Counter::CounterAccesses, 1);
-            if traffic.fill {
-                rec.add(Counter::CounterFills, 1);
-            }
-            if traffic.writeback {
-                rec.add(Counter::CounterWritebacks, 1);
-            }
             rec.residency(counters.occupancy());
         }
         let counter_line = counters.counter_line(line);
@@ -535,8 +490,8 @@ where
         )
     }
 
-    /// The running result (end-of-run fields like `exec_time_ns` are
-    /// only filled in by [`finish`](Self::finish)).
+    /// The running result (end-of-run fields like `exec_time_ns` and
+    /// `first_touches` are only filled in by [`finish`](Self::finish)).
     #[must_use]
     pub fn result(&self) -> &SimResult {
         &self.result
@@ -580,9 +535,10 @@ where
         self.finish_recorded(&mut NullRecorder)
     }
 
-    /// [`finish`](Self::finish) with telemetry recording: emits the
-    /// end-of-run store/wear/cache totals, gauges, and span attachments
-    /// into `rec`. (The caller owns the enclosing `"run"` span, if any.)
+    /// [`finish`](Self::finish) with telemetry recording: hands `rec`
+    /// the finished result's totals — every counter, the fault and store
+    /// sections, the AES tier and the gauges — and the span attachments.
+    /// (The caller owns the enclosing `"run"` span, if any.)
     ///
     /// # Errors
     ///
@@ -591,6 +547,8 @@ where
         let wants_spans = R::ENABLED && rec.wants_spans();
         self.result.exec_time_ns = self.timing.exec_time_ns();
         self.result.line_store_bytes = self.store.resident_bytes();
+        // Every first touch materialised one line.
+        self.result.first_touches = self.store.len() as u64;
         // End-of-run flush of dirty resident pages (no-op for the
         // arena), then collect paging statistics and surface any I/O
         // error the backend latched mid-run.
@@ -599,17 +557,6 @@ where
             return Err(RunError::Store(error));
         }
         self.result.store = self.store.paging_stats();
-        if R::ENABLED {
-            if let Some(stats) = &self.result.store {
-                rec.store_totals(&StoreTelemetry {
-                    page_faults: stats.page_faults,
-                    page_evictions: stats.page_evictions,
-                    pages_flushed: stats.pages_flushed,
-                    resident_bytes: stats.resident_bytes,
-                    peak_resident_bytes: stats.peak_resident_bytes,
-                });
-            }
-        }
         let wear = match self.wear {
             Wear::Off => None,
             Wear::Inline(wear) => Some(*wear),
@@ -635,28 +582,17 @@ where
                 report.spare_lines_left = repair.spares_left();
                 report.ecp_entries_used =
                     (0..repair.lines()).map(|l| repair.entries_used(l)).collect();
-                // One entry count per logical line: a faulted run
-                // exports its fault section even if no cell died.
-                if R::ENABLED {
-                    for &entries in &report.ecp_entries_used {
-                        rec.ecp_entries_used(u64::from(entries));
-                    }
-                }
             }
             self.result.cells = Some(wear.cells);
         }
         if let Some(cache) = &self.counters {
+            self.result.counter_cache_accesses = cache.hits() + cache.misses();
             self.result.counter_cache_misses = cache.misses();
             self.result.counter_cache_writebacks = cache.writebacks();
             self.result.counter_cache_hit_ratio = cache.hit_ratio();
         }
         if R::ENABLED {
-            rec.aes_backend(self.result.aes_backend.name());
-            rec.gauge(Gauge::ExecTimeNs, self.result.exec_time_ns);
-            rec.gauge(Gauge::EnergyPj, self.result.energy_pj());
-            rec.gauge(Gauge::HitRatio, self.result.counter_cache_hit_ratio);
-            rec.gauge(Gauge::MetadataBits, f64::from(self.result.metadata_bits));
-            rec.gauge(Gauge::LineStoreBytes, self.result.line_store_bytes as f64);
+            record_totals(&self.result, rec);
         }
         if wants_spans {
             // Pad generation times itself inside the engine; the session
@@ -668,6 +604,37 @@ where
         }
         Ok(self.result)
     }
+}
+
+/// Hands a finished run's totals to `rec`, once: every counter, the
+/// fault section before the store section (the CSV summary's row
+/// order), the AES tier and the gauges.
+fn record_totals<R: Recorder>(result: &SimResult, rec: &mut R) {
+    result.record_counters(rec);
+    if let Some(report) = &result.faults {
+        // One entry count per logical line, so a faulted run exports
+        // its fault section even if no cell died.
+        let mut ecp_used = Histogram::new();
+        for &entries in &report.ecp_entries_used {
+            ecp_used.record(u64::from(entries));
+        }
+        let totals = [
+            ("cell_deaths", report.cell_deaths),
+            ("ecp_consumed", report.ecp_entries_consumed),
+            ("lines_retired", report.lines_retired),
+            ("uncorrectable_writes", report.uncorrectable_writes),
+        ];
+        rec.section("fault", &totals, &[("ecp_entries_used", &ecp_used)]);
+    }
+    if let Some(stats) = &result.store {
+        rec.section("store", &store_totals(stats), &[]);
+    }
+    rec.aes_backend(result.aes_backend.name());
+    rec.gauge(Gauge::ExecTimeNs, result.exec_time_ns);
+    rec.gauge(Gauge::EnergyPj, result.energy_pj());
+    rec.gauge(Gauge::HitRatio, result.counter_cache_hit_ratio);
+    rec.gauge(Gauge::MetadataBits, f64::from(result.metadata_bits));
+    rec.gauge(Gauge::LineStoreBytes, result.line_store_bytes as f64);
 }
 
 /// Rejects configurations the controller cannot be built from, naming

@@ -4,12 +4,14 @@
 
 use deuce_schemes::{SchemeConfig, SchemeKind, WordSize};
 use deuce_sim::telemetry::export::write_jsonl;
-use deuce_sim::telemetry::{Counter, Stage, SweepProgress, TelemetryRecorder};
-use deuce_sim::{
-    Checkpoints, CounterCacheConfig, FaultConfig, FileStoreConfig, ParallelSweep, SimConfig,
-    SimResult, Simulator, StoreBackend, WearConfig,
+use deuce_sim::telemetry::{
+    Counter, Recorder, Stage, SweepProgress, TelemetryRecorder, WriteEvent,
 };
-use deuce_trace::{Benchmark, Op, TraceConfig, TraceSource, WriteSource};
+use deuce_sim::{
+    Checkpoints, CounterCacheConfig, FaultConfig, FileStoreConfig, ParallelSweep, SessionStep,
+    SimConfig, SimResult, Simulator, StoreBackend, WearConfig,
+};
+use deuce_trace::{Benchmark, LineAddr, Op, TraceConfig, TraceEvent, TraceSource, WriteSource};
 
 /// Every field that feeds a figure, bit-exact (floats by bit pattern).
 fn fingerprint(r: &SimResult) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64) {
@@ -155,6 +157,58 @@ fn recorded_session_matches_plain_and_charges_every_stage() {
     assert_eq!(rec.stage_hist(Stage::Scheme).count(), plain.writes + first_touches);
     assert_eq!(rec.stage_hist(Stage::Timing).count(), plain.reads + plain.writes);
     assert_eq!(rec.stage_hist(Stage::Wear).count(), plain.writes);
+}
+
+/// Counts the per-step recorder calls, and the counters added.
+#[derive(Default)]
+struct Calls {
+    adds: u64,
+    residency: u64,
+    stage_ns: u64,
+    write_observed: u64,
+}
+
+impl Recorder for Calls {
+    fn add(&mut self, _: Counter, _: u64) {
+        self.adds += 1;
+    }
+
+    fn residency(&mut self, _: u64) {
+        self.residency += 1;
+    }
+
+    fn stage_ns(&mut self, _: Stage, _: u64) {
+        self.stage_ns += 1;
+    }
+
+    fn write_observed(&mut self, _: &WriteEvent) {
+        self.write_observed += 1;
+    }
+}
+
+/// A counted write with the counter cache on reaches the recorder six
+/// times — `residency`, four stage timers, one write event — and no
+/// counter is added until finish, which adds each once.
+#[test]
+fn a_step_adds_no_counter_and_finish_adds_each_once() {
+    let mut session = Simulator::new(config()).session(1).unwrap();
+    let line = LineAddr::new(7);
+    let mut calls = Calls::default();
+    let first = session.step_recorded(&TraceEvent::write(0, 1, line, [1; 64]), &mut calls);
+    assert_eq!(first, SessionStep::FirstTouch);
+    assert_eq!((calls.residency, calls.stage_ns, calls.write_observed), (1, 2, 1));
+
+    let mut calls = Calls::default();
+    let write = session.step_recorded(&TraceEvent::write(0, 2, line, [2; 64]), &mut calls);
+    assert!(matches!(write, SessionStep::Write { .. }));
+    assert_eq!((calls.residency, calls.stage_ns, calls.write_observed), (1, 4, 1));
+
+    session.step_recorded(&TraceEvent::read(0, 3, line), &mut calls);
+    assert_eq!((calls.residency, calls.stage_ns, calls.write_observed), (2, 6, 1));
+    assert_eq!(calls.adds, 0, "a step adds no counter");
+
+    session.finish_recorded(&mut calls).unwrap();
+    assert_eq!(calls.adds, Counter::ALL.len() as u64);
 }
 
 /// The export without its wall-clock records (`profile`, `span`).

@@ -104,36 +104,34 @@ pub fn write_jsonl<W: Write>(
     write_hist(out, &run, "flips_per_write", recorder.flips_hist())?;
     write_hist(out, &run, "slots_per_write", recorder.slots_hist())?;
     write_hist(out, &run, "counter_residency", recorder.residency_hist())?;
-    // Fault events exist only for fault-injecting runs, so fault-free
-    // exports are byte-identical to pre-fault builds.
-    if let Some(faults) = recorder.faults() {
-        for (name, value) in [
-            ("fault_cell_deaths", faults.cell_deaths),
-            ("fault_ecp_consumed", faults.ecp_consumed),
-            ("fault_lines_retired", faults.lines_retired),
-            ("fault_uncorrectable_writes", faults.uncorrectable_writes),
-        ] {
+    // Sections, retirements and the uncorrectable record exist only for
+    // runs with the subsystem, so other exports are byte-identical to
+    // builds without it.
+    for section in recorder.sections() {
+        for &(key, value) in &section.counters {
             writeln!(
                 out,
-                "{{\"type\":\"counter\",\"run\":\"{run}\",\"name\":\"{name}\",\"value\":{value}}}",
+                "{{\"type\":\"counter\",\"run\":\"{run}\",\"name\":\"{}_{key}\",\"value\":{value}}}",
+                section.name,
             )?;
         }
-        write_hist(out, &run, "ecp_entries_used", &faults.ecp_used_hist)?;
-        for &(write, sim_ns) in &faults.retirements {
-            writeln!(
-                out,
-                "{{\"type\":\"retirement\",\"run\":\"{run}\",\"write\":{write},\"sim_ns\":{}}}",
-                json_num(sim_ns),
-            )?;
+        for (key, hist) in &section.histograms {
+            write_hist(out, &run, key, hist)?;
         }
-        if let Some((write, sim_ns)) = faults.first_uncorrectable {
-            writeln!(
-                out,
-                "{{\"type\":\"uncorrectable\",\"run\":\"{run}\",\"write\":{write},\
-                 \"sim_ns\":{}}}",
-                json_num(sim_ns),
-            )?;
-        }
+    }
+    for &(write, sim_ns) in recorder.retirements() {
+        writeln!(
+            out,
+            "{{\"type\":\"retirement\",\"run\":\"{run}\",\"write\":{write},\"sim_ns\":{}}}",
+            json_num(sim_ns),
+        )?;
+    }
+    if let Some((write, sim_ns)) = recorder.first_uncorrectable() {
+        writeln!(
+            out,
+            "{{\"type\":\"uncorrectable\",\"run\":\"{run}\",\"write\":{write},\"sim_ns\":{}}}",
+            json_num(sim_ns),
+        )?;
     }
     // The AES dispatch record exists only for runs that reported a
     // tier, so exports fed by pre-dispatch drivers are byte-identical.
@@ -142,23 +140,6 @@ pub fn write_jsonl<W: Write>(
             out,
             "{{\"type\":\"aes_backend\",\"run\":\"{run}\",\"backend\":\"{backend}\"}}",
         )?;
-    }
-    // Store-paging counters exist only for runs that page the line
-    // store, so arena-backed exports are byte-identical to pre-paging
-    // builds.
-    if let Some(store) = recorder.store() {
-        for (name, value) in [
-            ("store_page_faults", store.page_faults),
-            ("store_page_evictions", store.page_evictions),
-            ("store_pages_flushed", store.pages_flushed),
-            ("store_resident_bytes", store.resident_bytes),
-            ("store_peak_resident_bytes", store.peak_resident_bytes),
-        ] {
-            writeln!(
-                out,
-                "{{\"type\":\"counter\",\"run\":\"{run}\",\"name\":\"{name}\",\"value\":{value}}}",
-            )?;
-        }
     }
     for sample in recorder.samples() {
         writeln!(
@@ -226,8 +207,8 @@ pub fn write_csv_header<W: Write>(out: &mut W) -> io::Result<()> {
     writeln!(out, "run,metric,value")
 }
 
-/// Writes one run's summary rows: every counter, every gauge, and the
-/// histogram means. Deterministic (wall-clock profiling is not
+/// Writes one run's summary rows: every counter, every gauge, the
+/// histogram means, and each section's counters and histogram means. Deterministic (wall-clock profiling is not
 /// summarized here).
 ///
 /// # Errors
@@ -252,23 +233,13 @@ pub fn write_csv<W: Write>(
     ] {
         writeln!(out, "{run},{name},{}", json_num(hist.mean()))?;
     }
-    if let Some(faults) = recorder.faults() {
-        for (name, value) in [
-            ("fault_cell_deaths", faults.cell_deaths),
-            ("fault_ecp_consumed", faults.ecp_consumed),
-            ("fault_lines_retired", faults.lines_retired),
-            ("fault_uncorrectable_writes", faults.uncorrectable_writes),
-        ] {
-            writeln!(out, "{run},{name},{value}")?;
+    for section in recorder.sections() {
+        for &(key, value) in &section.counters {
+            writeln!(out, "{run},{}_{key},{value}", section.name)?;
         }
-        writeln!(out, "{run},ecp_entries_used_mean,{}", json_num(faults.ecp_used_hist.mean()))?;
-    }
-    if let Some(store) = recorder.store() {
-        writeln!(out, "{run},store_page_faults,{}", store.page_faults)?;
-        writeln!(out, "{run},store_page_evictions,{}", store.page_evictions)?;
-        writeln!(out, "{run},store_pages_flushed,{}", store.pages_flushed)?;
-        writeln!(out, "{run},store_resident_bytes,{}", store.resident_bytes)?;
-        writeln!(out, "{run},store_peak_resident_bytes,{}", store.peak_resident_bytes)?;
+        for (key, hist) in &section.histograms {
+            writeln!(out, "{run},{key}_mean,{}", json_num(hist.mean()))?;
+        }
     }
     writeln!(out, "{run},series_samples,{}", recorder.samples().len())
 }
@@ -276,7 +247,7 @@ pub fn write_csv<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Recorder, TelemetryConfig, WriteObservation};
+    use crate::recorder::{Recorder, TelemetryConfig, WriteEvent};
 
     fn sample_recorder() -> TelemetryRecorder {
         let mut r = TelemetryRecorder::new(TelemetryConfig {
@@ -288,15 +259,65 @@ mod tests {
         r.stage_ns(Stage::Scheme, 90);
         r.residency(8);
         for i in 1..=4u64 {
-            r.write_observed(&WriteObservation {
+            r.write_observed(&WriteEvent {
+                write_index: i,
                 sim_ns: 250.0 * i as f64,
                 flips: 60 + i,
                 slots: 2,
                 cache_hits: 3 * i,
                 cache_misses: i,
+                ..WriteEvent::default()
             });
         }
         r
+    }
+
+    /// What a faulted run sends after [`sample_recorder`]'s writes: a
+    /// retirement at write 5, the first uncorrectable write at 6, and
+    /// the fault section at finish.
+    fn add_faults(r: &mut TelemetryRecorder) {
+        let write = WriteEvent { cache_hits: 12, cache_misses: 4, ..WriteEvent::default() };
+        r.write_observed(&WriteEvent {
+            write_index: 5,
+            sim_ns: 1250.0,
+            cell_deaths: 2,
+            ecp_consumed: 1,
+            retired: true,
+            ..write
+        });
+        r.write_observed(&WriteEvent {
+            write_index: 6,
+            sim_ns: 1500.0,
+            cell_deaths: 1,
+            uncorrectable: true,
+            ..write
+        });
+        let mut ecp = Histogram::new();
+        ecp.record(1);
+        r.section(
+            "fault",
+            &[
+                ("cell_deaths", 3),
+                ("ecp_consumed", 1),
+                ("lines_retired", 1),
+                ("uncorrectable_writes", 1),
+            ],
+            &[("ecp_entries_used", &ecp)],
+        );
+    }
+
+    fn add_store(r: &mut TelemetryRecorder) {
+        r.section(
+            "store",
+            &[
+                ("page_faults", 20),
+                ("page_evictions", 11),
+                ("pages_flushed", 13),
+                ("resident_bytes", 9216),
+                ("peak_resident_bytes", 18_432),
+            ],
+            &[],
+        );
     }
 
     #[test]
@@ -331,7 +352,6 @@ mod tests {
 
     #[test]
     fn fault_section_appears_only_for_fault_runs() {
-        use crate::recorder::FaultObservation;
         // Fault-free: no fault events anywhere.
         let mut buf = Vec::new();
         write_jsonl(&mut buf, "plain", &sample_recorder()).unwrap();
@@ -342,31 +362,15 @@ mod tests {
         // Fault-injecting run: counters, hist, retirement and
         // uncorrectable events all flow.
         let mut r = sample_recorder();
-        r.fault_observed(&FaultObservation {
-            sim_ns: 500.0,
-            write_index: 3,
-            cell_deaths: 2,
-            ecp_consumed: 1,
-            retired: true,
-            uncorrectable: false,
-        });
-        r.fault_observed(&FaultObservation {
-            sim_ns: 750.0,
-            write_index: 4,
-            cell_deaths: 1,
-            ecp_consumed: 0,
-            retired: false,
-            uncorrectable: true,
-        });
-        r.ecp_entries_used(1);
+        add_faults(&mut r);
         let mut buf = Vec::new();
         write_jsonl(&mut buf, "faulty", &r).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("\"name\":\"fault_cell_deaths\",\"value\":3"));
         assert!(text.contains("\"name\":\"fault_lines_retired\",\"value\":1"));
         assert!(text.contains("\"name\":\"ecp_entries_used\""));
-        assert!(text.contains("\"type\":\"retirement\",\"run\":\"faulty\",\"write\":3"));
-        assert!(text.contains("\"type\":\"uncorrectable\",\"run\":\"faulty\",\"write\":4"));
+        assert!(text.contains("\"type\":\"retirement\",\"run\":\"faulty\",\"write\":5"));
+        assert!(text.contains("\"type\":\"uncorrectable\",\"run\":\"faulty\",\"write\":6"));
         // And it still parses back.
         let events = crate::parse::parse_jsonl(&text).unwrap();
         assert!(events.iter().any(|e| e.kind() == "retirement"));
@@ -405,7 +409,6 @@ mod tests {
 
     #[test]
     fn store_section_appears_only_for_paged_runs() {
-        use crate::recorder::StoreTelemetry;
         // Arena-backed: no store counters anywhere.
         let mut buf = Vec::new();
         write_jsonl(&mut buf, "plain", &sample_recorder()).unwrap();
@@ -416,13 +419,7 @@ mod tests {
         );
 
         let mut r = sample_recorder();
-        r.store_totals(&StoreTelemetry {
-            page_faults: 20,
-            page_evictions: 11,
-            pages_flushed: 13,
-            resident_bytes: 9216,
-            peak_resident_bytes: 18_432,
-        });
+        add_store(&mut r);
         let mut buf = Vec::new();
         write_jsonl(&mut buf, "paged", &r).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -468,32 +465,9 @@ mod tests {
     /// round-trips through the parser with values intact.
     #[test]
     fn every_event_kind_round_trips_through_the_parser() {
-        use crate::recorder::FaultObservation;
         let mut r = sample_recorder().with_spans();
-        r.fault_observed(&FaultObservation {
-            sim_ns: 500.0,
-            write_index: 3,
-            cell_deaths: 2,
-            ecp_consumed: 1,
-            retired: true,
-            uncorrectable: false,
-        });
-        r.fault_observed(&FaultObservation {
-            sim_ns: 750.0,
-            write_index: 4,
-            cell_deaths: 1,
-            ecp_consumed: 0,
-            retired: false,
-            uncorrectable: true,
-        });
-        r.ecp_entries_used(1);
-        r.store_totals(&crate::recorder::StoreTelemetry {
-            page_faults: 40,
-            page_evictions: 8,
-            pages_flushed: 6,
-            resident_bytes: 4096,
-            peak_resident_bytes: 8192,
-        });
+        add_faults(&mut r);
+        add_store(&mut r);
         r.aes_backend("ttable");
         r.span_begin("run");
         r.stage_ns(Stage::Counter, 90);
@@ -529,10 +503,10 @@ mod tests {
         };
         assert_eq!(counter("writes"), Some(4));
         assert_eq!(counter("fault_cell_deaths"), Some(3));
-        assert_eq!(counter("store_page_faults"), Some(40));
+        assert_eq!(counter("store_page_faults"), Some(20));
         let ue = events.iter().find(|e| e.kind() == "uncorrectable").unwrap();
-        assert_eq!(ue.u64("write"), Some(4));
-        assert_eq!(ue.num("sim_ns"), Some(750.0));
+        assert_eq!(ue.u64("write"), Some(6));
+        assert_eq!(ue.num("sim_ns"), Some(1500.0));
         let span = events
             .iter()
             .find(|e| e.kind() == "span" && e.str("name") == Some("stage:counter"))

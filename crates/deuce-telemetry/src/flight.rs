@@ -7,49 +7,23 @@
 //! the simulator was doing *just before* the failure, instead of
 //! rerunning the whole stream.
 //!
-//! Every field of a [`FlightEvent`] is a simulated quantity (write
-//! index, line address, flip/slot counts, simulated nanoseconds, fault
-//! outcomes) — no wall-clock anywhere — so a dump is a deterministic
-//! function of the run and can be diffed against a golden.
+//! The ring keeps the controller's [`WriteEvent`]s as they arrive.
+//! Every field is a simulated quantity (write index, line address,
+//! flip/slot counts, simulated nanoseconds, fault outcomes) — no
+//! wall-clock anywhere — so a dump is a deterministic function of the
+//! run and can be diffed against a golden.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
 use crate::export::json_num;
+use crate::recorder::WriteEvent;
 
-/// One recorded write event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlightEvent {
-    /// 1-based counted write index (0 for a first touch, which is not
-    /// counted).
-    pub write_index: u64,
-    /// Line address written.
-    pub addr: u64,
-    /// What the scheme did: `"write"` or `"first_touch"`.
-    pub action: &'static str,
-    /// Figure-of-merit bit flips this write caused.
-    pub flips: u64,
-    /// Write slots consumed.
-    pub slots: u32,
-    /// Whether this write started a new epoch (full re-encryption).
-    pub epoch_started: bool,
-    /// Simulated time (ns) after this event.
-    pub sim_ns: f64,
-    /// Cells that died on this write.
-    pub cell_deaths: u32,
-    /// ECP entries consumed repairing them.
-    pub ecp_consumed: u32,
-    /// Whether this write retired the line to a spare.
-    pub retired: bool,
-    /// Whether this write was uncorrectable (device end of life).
-    pub uncorrectable: bool,
-}
-
-/// The ring buffer of the most recent [`FlightEvent`]s.
+/// The ring buffer of the most recent [`WriteEvent`]s.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     capacity: usize,
-    ring: VecDeque<FlightEvent>,
+    ring: VecDeque<WriteEvent>,
     recorded: u64,
 }
 
@@ -63,7 +37,7 @@ impl FlightRecorder {
     }
 
     /// Records one event, evicting the oldest when full.
-    pub fn record(&mut self, event: FlightEvent) {
+    pub fn record(&mut self, event: WriteEvent) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
@@ -90,14 +64,15 @@ impl FlightRecorder {
     }
 
     /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
+    pub fn events(&self) -> impl Iterator<Item = &WriteEvent> {
         self.ring.iter()
     }
 
     /// Dumps the ring as JSONL: a `flight_header` line (capacity /
     /// recorded / dropped accounting) followed by one `flight` line per
-    /// retained event, oldest first. Byte-deterministic for a given
-    /// simulation.
+    /// retained event, oldest first; a first touch shows as
+    /// `"action":"first_touch"` with write 0. Byte-deterministic for a
+    /// given simulation.
     ///
     /// # Errors
     ///
@@ -120,7 +95,7 @@ impl FlightRecorder {
                  \"uncorrectable\":{}}}",
                 e.write_index,
                 e.addr,
-                e.action,
+                if e.first_touch() { "first_touch" } else { "write" },
                 e.flips,
                 e.slots,
                 u8::from(e.epoch_started),
@@ -139,19 +114,15 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn event(i: u64) -> FlightEvent {
-        FlightEvent {
+    fn event(i: u64) -> WriteEvent {
+        WriteEvent {
             write_index: i,
             addr: 0x1000 + i,
-            action: "write",
             flips: 60 + i,
             slots: 2,
             epoch_started: i.is_multiple_of(16),
             sim_ns: 150.0 * i as f64,
-            cell_deaths: 0,
-            ecp_consumed: 0,
-            retired: false,
-            uncorrectable: false,
+            ..WriteEvent::default()
         }
     }
 
@@ -173,6 +144,7 @@ mod tests {
         let mut ue = event(3);
         ue.cell_deaths = 2;
         ue.uncorrectable = true;
+        r.record(WriteEvent { addr: 0x1000, ..WriteEvent::default() });
         r.record(event(1));
         r.record(event(2));
         r.record(ue);
@@ -180,14 +152,17 @@ mod tests {
         r.write_jsonl(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let events = crate::parse::parse_jsonl(&text).unwrap();
-        assert_eq!(events.len(), 4, "header + 3 events");
+        assert_eq!(events.len(), 5, "header + 4 events");
         assert_eq!(events[0].kind(), "flight_header");
         assert_eq!(events[0].u64("capacity"), Some(8));
         assert_eq!(events[0].u64("dropped"), Some(0));
-        assert_eq!(events[3].kind(), "flight");
-        assert_eq!(events[3].u64("uncorrectable"), Some(1));
-        assert_eq!(events[3].u64("addr"), Some(0x1000 + 3));
-        assert_eq!(events[3].num("sim_ns"), Some(450.0));
+        assert_eq!(events[1].str("action"), Some("first_touch"));
+        assert_eq!(events[1].u64("write"), Some(0));
+        assert_eq!(events[2].str("action"), Some("write"));
+        assert_eq!(events[4].kind(), "flight");
+        assert_eq!(events[4].u64("uncorrectable"), Some(1));
+        assert_eq!(events[4].u64("addr"), Some(0x1000 + 3));
+        assert_eq!(events[4].num("sim_ns"), Some(450.0));
     }
 
     #[test]

@@ -25,28 +25,40 @@
 //! - [`SpanTrace`] — aggregated hierarchical wall-clock spans (run →
 //!   pipeline stages → pad generation / ECP repair), exported as Chrome
 //!   trace-event JSON and as `span` records in the JSONL stream.
-//! - [`FlightRecorder`] — a fixed-capacity ring of recent write events,
-//!   dumped as JSONL on run failure for post-mortems.
+//! - [`FlightRecorder`] — a fixed-capacity ring of recent
+//!   [`WriteEvent`]s, dumped as JSONL on run failure for post-mortems.
+//!
+//! A recorder sees a run through two channels: one [`WriteEvent`] per
+//! write as it happens, and the run's totals once at finish — the
+//! [`Counter`]s, the [`Gauge`]s, and one named [`Section`] per optional
+//! subsystem (fault injection, store paging).
 //!
 //! Determinism contract: everything exported derives from simulated
 //! quantities, except `profile` events (per-stage wall time), which are
 //! explicitly nondeterministic and must be skipped when diffing runs.
 //!
 //! ```
-//! use deuce_telemetry::{Counter, Recorder, TelemetryRecorder, WriteObservation};
+//! use deuce_telemetry::{Counter, Recorder, TelemetryRecorder, WriteEvent};
 //!
 //! fn hot_loop<R: Recorder>(rec: &mut R) {
+//!     let mut page_faults = 0;
 //!     for i in 1..=128u64 {
+//!         page_faults += u64::from(i % 32 == 0);
 //!         if R::ENABLED {
-//!             rec.add(Counter::Writes, 1);
-//!             rec.write_observed(&WriteObservation {
-//!                 sim_ns: 150.0 * i as f64,
+//!             // One event per write, as it happens...
+//!             rec.write_observed(&WriteEvent {
+//!                 write_index: i,
 //!                 flips: 60 + (i % 9),
 //!                 slots: 2,
-//!                 cache_hits: i,
-//!                 cache_misses: 0,
+//!                 sim_ns: 150.0 * i as f64,
+//!                 ..WriteEvent::default()
 //!             });
 //!         }
+//!     }
+//!     if R::ENABLED {
+//!         // ...and the run's totals once, at finish.
+//!         rec.add(Counter::Writes, 128);
+//!         rec.section("store", &[("page_faults", page_faults)], &[]);
 //!     }
 //! }
 //!
@@ -55,6 +67,7 @@
 //! hot_loop(&mut deuce_telemetry::NullRecorder); // compiles to the bare loop
 //! assert_eq!(telemetry.counter(Counter::Writes), 128);
 //! assert_eq!(telemetry.samples().len(), 2, "two 64-write windows");
+//! assert_eq!(telemetry.sections()[0].counters, vec![("page_faults", 4)]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,12 +82,12 @@ mod recorder;
 mod series;
 mod span;
 
-pub use flight::{FlightEvent, FlightRecorder};
+pub use flight::FlightRecorder;
 pub use hist::{bucket_bounds, Histogram, BUCKETS};
 pub use progress::SweepProgress;
 pub use recorder::{
-    Counter, FaultObservation, FaultTelemetry, Gauge, NullRecorder, Recorder, Stage,
-    StoreTelemetry, TelemetryConfig, TelemetryRecorder, WriteObservation,
+    Counter, Gauge, NullRecorder, Recorder, Section, Stage, TelemetryConfig, TelemetryRecorder,
+    WriteEvent,
 };
 pub use series::{Sample, SeriesSampler};
 pub use span::{SelfTime, SpanNode, SpanTrace};

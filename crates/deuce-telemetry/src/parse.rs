@@ -247,20 +247,20 @@ mod tests {
     #[test]
     fn export_output_round_trips() {
         use crate::export::write_jsonl;
-        use crate::recorder::{
-            Counter, Recorder, TelemetryConfig, TelemetryRecorder, WriteObservation,
-        };
+        use crate::recorder::{Counter, Recorder, TelemetryConfig, TelemetryRecorder, WriteEvent};
         let mut recorder = TelemetryRecorder::new(TelemetryConfig {
             sample_every: 1,
             energy_pj_per_flip: 13.5,
         });
         recorder.add(Counter::Writes, 7);
-        recorder.write_observed(&WriteObservation {
+        recorder.write_observed(&WriteEvent {
+            write_index: 1,
             sim_ns: 300.0,
             flips: 61,
             slots: 2,
             cache_hits: 1,
             cache_misses: 1,
+            ..WriteEvent::default()
         });
         let mut buf = Vec::new();
         write_jsonl(&mut buf, "läbel \"x\"", &recorder).unwrap();

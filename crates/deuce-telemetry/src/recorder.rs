@@ -11,7 +11,7 @@
 //! wall-time, and a windowed time-series keyed on *simulated* time so
 //! its output is deterministic.
 
-use crate::flight::{FlightEvent, FlightRecorder};
+use crate::flight::FlightRecorder;
 use crate::hist::Histogram;
 use crate::series::{Sample, SeriesSampler};
 use crate::span::SpanTrace;
@@ -160,80 +160,58 @@ impl Stage {
     }
 }
 
-/// One counted write as the time-series sampler sees it: simulated
-/// time plus the write's own cost and the cumulative cache statistics
-/// (windows are computed from deltas).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WriteObservation {
+/// One write as the controller saw it: a counted write, or a line's
+/// first touch (its initial placement, which is not counted). Every
+/// field is a simulated quantity, so a stream of events is a
+/// deterministic function of the run. The default is a first touch of
+/// line 0 at time 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct WriteEvent {
+    /// 1-based counted write index; 0 marks a first touch.
+    pub write_index: u64,
+    /// Line address written.
+    pub addr: u64,
+    /// Figure-of-merit bit flips this write caused.
+    pub flips: u64,
+    /// Write slots consumed.
+    pub slots: u32,
+    /// Whether this write started a new epoch (full re-encryption).
+    pub epoch_started: bool,
     /// Simulated time after the write, in nanoseconds.
     pub sim_ns: f64,
-    /// Bit flips this write contributed to the figure of merit.
-    pub flips: u64,
-    /// Write slots this write occupied.
-    pub slots: u32,
     /// Cumulative counter-cache hits (0 without a counter cache).
     pub cache_hits: u64,
     /// Cumulative counter-cache misses (0 without a counter cache).
     pub cache_misses: u64,
-}
-
-/// One write's fault-injection activity: cell deaths and the repair
-/// actions they triggered, stamped with simulated time and the write's
-/// ordinal so time-to-first-retirement series are reconstructible.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultObservation {
-    /// Simulated time after the write, in nanoseconds.
-    pub sim_ns: f64,
-    /// Ordinal of this counted write within the run (1-based).
-    pub write_index: u64,
     /// Cells that reached their endurance threshold on this write.
     pub cell_deaths: u32,
     /// ECP entries consumed repairing those deaths.
     pub ecp_consumed: u32,
-    /// The write retired its line to a spare.
+    /// Whether this write retired its line to a spare.
     pub retired: bool,
-    /// The write hit an uncorrectable death (no entry, no spare).
+    /// Whether this write hit an uncorrectable death (device end of
+    /// life).
     pub uncorrectable: bool,
 }
 
-/// Fault-injection telemetry, materialised only when a run enables
-/// fault injection so fault-free exports stay byte-identical to
-/// pre-fault builds.
-#[derive(Debug, Clone, Default)]
-pub struct FaultTelemetry {
-    /// Total cell deaths observed.
-    pub cell_deaths: u64,
-    /// Total ECP entries consumed.
-    pub ecp_consumed: u64,
-    /// Total line retirements.
-    pub lines_retired: u64,
-    /// Writes that hit an uncorrectable death.
-    pub uncorrectable_writes: u64,
-    /// Distribution of ECP entries in use per line at end of run.
-    pub ecp_used_hist: Histogram,
-    /// Every retirement as `(write ordinal, simulated ns)`, in order.
-    pub retirements: Vec<(u64, f64)>,
-    /// The first uncorrectable death as `(write ordinal, simulated
-    /// ns)`, if the device reached end of life.
-    pub first_uncorrectable: Option<(u64, f64)>,
+impl WriteEvent {
+    /// Whether this is a line's first touch rather than a counted write.
+    #[must_use]
+    pub fn first_touch(&self) -> bool {
+        self.write_index == 0
+    }
 }
 
-/// Store-paging telemetry, materialised only when a run uses a paged
-/// line-store backend so arena-backed exports stay byte-identical to
-/// pre-paging builds (the same gating discipline as [`FaultTelemetry`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreTelemetry {
-    /// Page-cache misses that materialised a page (fresh or reloaded).
-    pub page_faults: u64,
-    /// Pages evicted from the resident cache.
-    pub page_evictions: u64,
-    /// Dirty pages written back to the page file (evictions plus the
-    /// end-of-run flush).
-    pub pages_flushed: u64,
-    /// Line-store bytes resident in RAM at end of run.
-    pub resident_bytes: u64,
-    /// Highest resident-byte watermark observed during the run.
-    pub peak_resident_bytes: u64,
+/// One subsystem's end-of-run totals, as [`Recorder::section`] sent
+/// them.
+#[derive(Debug, Clone)]
+pub struct Section {
+    /// The section's name; its counters export as `<name>_<key>`.
+    pub name: &'static str,
+    /// Named totals.
+    pub counters: Vec<(&'static str, u64)>,
+    /// Named distributions, exported under their own key.
+    pub histograms: Vec<(&'static str, Histogram)>,
 }
 
 /// An instrumentation sink. All hooks have empty default bodies, so a
@@ -267,22 +245,10 @@ pub trait Recorder {
         let _ = lines;
     }
 
-    /// Feeds one counted write to the histograms and the time-series
-    /// sampler.
-    fn write_observed(&mut self, obs: &WriteObservation) {
-        let _ = obs;
-    }
-
-    /// Feeds one write's fault activity. Only called for writes where
-    /// something fault-related happened.
-    fn fault_observed(&mut self, obs: &FaultObservation) {
-        let _ = obs;
-    }
-
-    /// Feeds one line's end-of-run count of ECP entries in use to the
-    /// per-line distribution.
-    fn ecp_entries_used(&mut self, entries: u64) {
-        let _ = entries;
+    /// Feeds one write event: every counted write and every first
+    /// touch, in stream order.
+    fn write_observed(&mut self, event: &WriteEvent) {
+        let _ = event;
     }
 
     /// Records which AES dispatch tier generated this run's pads. A
@@ -292,9 +258,17 @@ pub trait Recorder {
         let _ = backend;
     }
 
-    /// Sets the run's end-of-run store-paging totals.
-    fn store_totals(&mut self, totals: &StoreTelemetry) {
-        let _ = totals;
+    /// Records one subsystem's end-of-run totals as a named section,
+    /// once per run: fault injection, store paging. Sections exist only
+    /// for runs that have the subsystem, so other runs' exports carry
+    /// none.
+    fn section(
+        &mut self,
+        name: &'static str,
+        counters: &[(&'static str, u64)],
+        histograms: &[(&'static str, &Histogram)],
+    ) {
+        let _ = (name, counters, histograms);
     }
 
     /// Whether this sink collects hierarchical spans. Callers use this
@@ -323,17 +297,6 @@ pub trait Recorder {
         count: u64,
     ) {
         let _ = (parent, name, wall_ns, count);
-    }
-
-    /// Whether this sink keeps a flight-recorder ring. Callers use this
-    /// (under an `ENABLED` guard) to skip event construction.
-    fn wants_flight(&self) -> bool {
-        false
-    }
-
-    /// Feeds one write event to the flight-recorder ring.
-    fn flight_observed(&mut self, event: FlightEvent) {
-        let _ = event;
     }
 }
 
@@ -375,8 +338,9 @@ pub struct TelemetryRecorder {
     residency_hist: Histogram,
     stage_hists: [Histogram; Stage::ALL.len()],
     series: SeriesSampler,
-    faults: Option<FaultTelemetry>,
-    store: Option<StoreTelemetry>,
+    retirements: Vec<(u64, f64)>,
+    first_uncorrectable: Option<(u64, f64)>,
+    sections: Vec<Section>,
     aes_backend: Option<&'static str>,
     spans: Option<SpanTrace>,
     flight: Option<FlightRecorder>,
@@ -401,8 +365,9 @@ impl TelemetryRecorder {
             residency_hist: Histogram::new(),
             stage_hists: std::array::from_fn(|_| Histogram::new()),
             series: SeriesSampler::new(config.sample_every, config.energy_pj_per_flip),
-            faults: None,
-            store: None,
+            retirements: Vec::new(),
+            first_uncorrectable: None,
+            sections: Vec::new(),
             aes_backend: None,
             spans: None,
             flight: None,
@@ -473,19 +438,24 @@ impl TelemetryRecorder {
         self.series.samples()
     }
 
-    /// Fault-injection telemetry, present only once a fault event or a
-    /// line's ECP entry count has arrived: a faulted run reports every
-    /// line's count at finish.
+    /// Every line retirement as `(write index, simulated ns)`, in
+    /// stream order.
     #[must_use]
-    pub fn faults(&self) -> Option<&FaultTelemetry> {
-        self.faults.as_ref()
+    pub fn retirements(&self) -> &[(u64, f64)] {
+        &self.retirements
     }
 
-    /// Store-paging telemetry, present only once store totals have
-    /// arrived (a paged run reports them at finish).
+    /// The first uncorrectable write as `(write index, simulated ns)`,
+    /// if the device reached end of life.
     #[must_use]
-    pub fn store(&self) -> Option<&StoreTelemetry> {
-        self.store.as_ref()
+    pub fn first_uncorrectable(&self) -> Option<(u64, f64)> {
+        self.first_uncorrectable
+    }
+
+    /// The sections received, in arrival order.
+    #[must_use]
+    pub fn sections(&self) -> &[Section] {
+        &self.sections
     }
 
     /// The AES dispatch tier the run reported, if any (the same gating
@@ -531,42 +501,43 @@ impl Recorder for TelemetryRecorder {
         self.residency_hist.record(lines);
     }
 
-    fn write_observed(&mut self, obs: &WriteObservation) {
-        self.flips_hist.record(obs.flips);
-        self.slots_hist.record(u64::from(obs.slots));
-        self.series.observe(obs);
+    fn write_observed(&mut self, event: &WriteEvent) {
+        if let Some(flight) = &mut self.flight {
+            flight.record(*event);
+        }
+        if event.first_touch() {
+            return;
+        }
+        self.flips_hist.record(event.flips);
+        self.slots_hist.record(u64::from(event.slots));
+        self.series.observe(event);
         if let Some(spans) = &mut self.spans {
-            spans.observe_write(obs.sim_ns);
+            spans.observe_write(event.sim_ns);
         }
-    }
-
-    fn fault_observed(&mut self, obs: &FaultObservation) {
-        let faults = self.faults.get_or_insert_with(FaultTelemetry::default);
-        faults.cell_deaths += u64::from(obs.cell_deaths);
-        faults.ecp_consumed += u64::from(obs.ecp_consumed);
-        if obs.retired {
-            faults.lines_retired += 1;
-            faults.retirements.push((obs.write_index, obs.sim_ns));
+        let at = (event.write_index, event.sim_ns);
+        if event.retired {
+            self.retirements.push(at);
         }
-        if obs.uncorrectable {
-            faults.uncorrectable_writes += 1;
-            if faults.first_uncorrectable.is_none() {
-                faults.first_uncorrectable = Some((obs.write_index, obs.sim_ns));
-            }
+        if event.uncorrectable {
+            self.first_uncorrectable.get_or_insert(at);
         }
-    }
-
-    fn ecp_entries_used(&mut self, entries: u64) {
-        let faults = self.faults.get_or_insert_with(FaultTelemetry::default);
-        faults.ecp_used_hist.record(entries);
     }
 
     fn aes_backend(&mut self, backend: &'static str) {
         self.aes_backend = Some(backend);
     }
 
-    fn store_totals(&mut self, totals: &StoreTelemetry) {
-        *self.store.get_or_insert_with(StoreTelemetry::default) = *totals;
+    fn section(
+        &mut self,
+        name: &'static str,
+        counters: &[(&'static str, u64)],
+        histograms: &[(&'static str, &Histogram)],
+    ) {
+        self.sections.push(Section {
+            name,
+            counters: counters.to_vec(),
+            histograms: histograms.iter().map(|&(key, hist)| (key, hist.clone())).collect(),
+        });
     }
 
     fn wants_spans(&self) -> bool {
@@ -596,21 +567,15 @@ impl Recorder for TelemetryRecorder {
             spans.attach(parent, name, wall_ns, count);
         }
     }
-
-    fn wants_flight(&self) -> bool {
-        self.flight.is_some()
-    }
-
-    fn flight_observed(&mut self, event: FlightEvent) {
-        if let Some(flight) = &mut self.flight {
-            flight.record(event);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn write(write_index: u64, sim_ns: f64, flips: u64) -> WriteEvent {
+        WriteEvent { write_index, sim_ns, flips, slots: 2, ..WriteEvent::default() }
+    }
 
     #[test]
     fn null_recorder_is_disabled_and_inert() {
@@ -618,13 +583,7 @@ mod tests {
         let mut r = NullRecorder;
         r.add(Counter::Writes, 3);
         r.stage_ns(Stage::Scheme, 17);
-        r.write_observed(&WriteObservation {
-            sim_ns: 1.0,
-            flips: 2,
-            slots: 1,
-            cache_hits: 0,
-            cache_misses: 0,
-        });
+        r.write_observed(&write(1, 1.0, 2));
         assert_eq!(r, NullRecorder);
     }
 
@@ -641,12 +600,11 @@ mod tests {
         r.stage_ns(Stage::Counter, 100);
         r.residency(3);
         for (i, flips) in [10u64, 30].into_iter().enumerate() {
-            r.write_observed(&WriteObservation {
-                sim_ns: 100.0 * (i + 1) as f64,
-                flips,
-                slots: 2,
-                cache_hits: i as u64,
+            let i = i as u64 + 1;
+            r.write_observed(&WriteEvent {
+                cache_hits: i - 1,
                 cache_misses: 1,
+                ..write(i, 100.0 * i as f64, flips)
             });
         }
         assert_eq!(r.counter(Counter::Writes), 2);
@@ -662,15 +620,17 @@ mod tests {
     }
 
     #[test]
-    fn fault_telemetry_absent_until_reported() {
+    fn sections_absent_until_sent() {
         let mut r = TelemetryRecorder::default();
-        assert!(r.faults().is_none(), "fault-free runs carry no fault section");
-        // A faulted run reports every line's ECP entries in use at
-        // finish, so its section appears even if no cell died.
-        r.ecp_entries_used(0);
-        let faults = r.faults().expect("reported");
-        assert_eq!(faults.cell_deaths, 0);
-        assert!(faults.retirements.is_empty());
+        assert!(r.sections().is_empty(), "arena-backed, fault-free runs carry no section");
+        r.section("store", &[("page_faults", 0)], &[]);
+        let mut ecp = Histogram::new();
+        ecp.record(2);
+        r.section("fault", &[("cell_deaths", 4)], &[("ecp_entries_used", &ecp)]);
+        assert_eq!(r.sections().len(), 2, "all-zero totals still count");
+        assert_eq!(r.sections()[0].counters, vec![("page_faults", 0)]);
+        assert_eq!(r.sections()[1].name, "fault");
+        assert_eq!(r.sections()[1].histograms[0].1.sum(), 2);
     }
 
     #[test]
@@ -682,60 +642,17 @@ mod tests {
     }
 
     #[test]
-    fn store_telemetry_absent_until_reported() {
-        let mut r = TelemetryRecorder::default();
-        assert!(r.store().is_none(), "arena-backed runs carry no store section");
-        r.store_totals(&StoreTelemetry::default());
-        assert_eq!(r.store(), Some(&StoreTelemetry::default()), "all-zero totals still count");
-        let totals = StoreTelemetry {
-            page_faults: 12,
-            page_evictions: 7,
-            pages_flushed: 9,
-            resident_bytes: 4096,
-            peak_resident_bytes: 8192,
-        };
-        r.store_totals(&totals);
-        assert_eq!(r.store(), Some(&totals));
-    }
-
-    #[test]
-    fn fault_events_accumulate() {
-        let mut r = TelemetryRecorder::default();
-        r.fault_observed(&FaultObservation {
-            sim_ns: 100.0,
-            write_index: 10,
-            cell_deaths: 2,
-            ecp_consumed: 2,
-            retired: false,
-            uncorrectable: false,
-        });
-        r.fault_observed(&FaultObservation {
-            sim_ns: 250.0,
-            write_index: 30,
-            cell_deaths: 1,
-            ecp_consumed: 0,
-            retired: true,
-            uncorrectable: false,
-        });
-        r.fault_observed(&FaultObservation {
-            sim_ns: 400.0,
-            write_index: 55,
-            cell_deaths: 1,
-            ecp_consumed: 0,
-            retired: false,
-            uncorrectable: true,
-        });
-        r.ecp_entries_used(2);
-        r.ecp_entries_used(0);
-        let faults = r.faults().expect("events imply a fault section");
-        assert_eq!(faults.cell_deaths, 4);
-        assert_eq!(faults.ecp_consumed, 2);
-        assert_eq!(faults.lines_retired, 1);
-        assert_eq!(faults.uncorrectable_writes, 1);
-        assert_eq!(faults.retirements, vec![(30, 250.0)]);
-        assert_eq!(faults.first_uncorrectable, Some((55, 400.0)));
-        assert_eq!(faults.ecp_used_hist.count(), 2);
-        assert_eq!(faults.ecp_used_hist.sum(), 2);
+    fn write_events_record_retirements_and_the_first_uncorrectable_write() {
+        let mut r = TelemetryRecorder::default().with_flight_recorder(8);
+        r.write_observed(&WriteEvent { addr: 7, ..WriteEvent::default() });
+        r.write_observed(&WriteEvent { cell_deaths: 2, ecp_consumed: 2, ..write(10, 100.0, 1) });
+        r.write_observed(&WriteEvent { retired: true, ..write(30, 250.0, 1) });
+        r.write_observed(&WriteEvent { uncorrectable: true, ..write(55, 400.0, 1) });
+        r.write_observed(&WriteEvent { uncorrectable: true, ..write(56, 410.0, 1) });
+        assert_eq!(r.retirements(), &[(30, 250.0)]);
+        assert_eq!(r.first_uncorrectable(), Some((55, 400.0)));
+        assert_eq!(r.flips_hist().count(), 4, "a first touch is not a counted write");
+        assert_eq!(r.flight().unwrap().recorded(), 5, "the ring keeps first touches too");
     }
 
     #[test]

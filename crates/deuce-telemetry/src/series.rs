@@ -6,7 +6,7 @@
 //! simulated quantities, so the series is a deterministic function of
 //! the run — wall-clock time never appears here.
 
-use crate::recorder::WriteObservation;
+use crate::recorder::WriteEvent;
 
 /// One closed window of the time-series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,7 +26,7 @@ pub struct Sample {
     pub power_mw: f64,
 }
 
-/// Accumulates per-write observations into fixed-size windows.
+/// Accumulates counted writes into fixed-size windows.
 #[derive(Debug, Clone)]
 pub struct SeriesSampler {
     every: u64,
@@ -59,7 +59,7 @@ impl SeriesSampler {
     }
 
     /// Feeds one counted write; closes the window when it fills.
-    pub fn observe(&mut self, obs: &WriteObservation) {
+    pub fn observe(&mut self, obs: &WriteEvent) {
         self.writes += 1;
         self.window_flips += obs.flips;
         self.window_slots += u64::from(obs.slots);
@@ -101,8 +101,15 @@ impl SeriesSampler {
 mod tests {
     use super::*;
 
-    fn obs(sim_ns: f64, flips: u64, hits: u64, misses: u64) -> WriteObservation {
-        WriteObservation { sim_ns, flips, slots: 2, cache_hits: hits, cache_misses: misses }
+    fn obs(sim_ns: f64, flips: u64, hits: u64, misses: u64) -> WriteEvent {
+        WriteEvent {
+            sim_ns,
+            flips,
+            slots: 2,
+            cache_hits: hits,
+            cache_misses: misses,
+            ..WriteEvent::default()
+        }
     }
 
     #[test]

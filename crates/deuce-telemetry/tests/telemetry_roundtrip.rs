@@ -2,8 +2,7 @@
 //! that parses back to the same numbers, deterministically.
 
 use deuce_telemetry::{
-    export, parse, Counter, Gauge, Recorder, Stage, TelemetryConfig, TelemetryRecorder,
-    WriteObservation,
+    export, parse, Counter, Gauge, Recorder, Stage, TelemetryConfig, TelemetryRecorder, WriteEvent,
 };
 
 fn synthetic_run(sample_every: u64) -> TelemetryRecorder {
@@ -26,12 +25,14 @@ fn synthetic_run(sample_every: u64) -> TelemetryRecorder {
         rec.stage_ns(Stage::Scheme, 40 + i % 17);
         let flips = 40 + (i * 7) % 90;
         rec.add(Counter::DataFlips, flips);
-        rec.write_observed(&WriteObservation {
+        rec.write_observed(&WriteEvent {
+            write_index: i,
             sim_ns: 150.0 * i as f64,
             flips,
             slots: 1 + (i % 4) as u32,
             cache_hits: hits,
             cache_misses: misses,
+            ..WriteEvent::default()
         });
     }
     rec.gauge(Gauge::ExecTimeNs, 45_000.0);

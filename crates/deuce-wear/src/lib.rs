@@ -18,7 +18,6 @@
 //! - [`HorizontalWearLeveler`] — rotation = `Start' % BitsInLine`
 //!   (§5.3), plus the hashed per-line variant of footnote 2 that resists
 //!   adversarial write patterns.
-//! - [`PerLineRotation`] — the storage-per-line baseline HWL replaces.
 //! - [`LifetimePolicy`] / [`relative_lifetime`] — turning
 //!   [`deuce_nvm::WearSummary`]-style cell wear into the normalized
 //!   lifetimes of Fig. 14.
@@ -29,13 +28,11 @@
 mod attack_detector;
 mod hwl;
 mod lifetime;
-mod per_line;
 mod security_refresh;
 mod start_gap;
 
 pub use attack_detector::{AttackDetector, WriteVerdict};
 pub use hwl::{HorizontalWearLeveler, HwlMode};
 pub use lifetime::{relative_lifetime, LifetimePolicy};
-pub use per_line::PerLineRotation;
 pub use security_refresh::{FrameSwap, SecurityRefresh};
 pub use start_gap::{GapMove, StartGap};

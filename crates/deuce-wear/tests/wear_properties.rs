@@ -2,7 +2,7 @@
 //! [`deuce_rng`] streams.
 
 use deuce_rng::{DeuceRng, Rng};
-use deuce_wear::{HorizontalWearLeveler, HwlMode, PerLineRotation, StartGap};
+use deuce_wear::{HorizontalWearLeveler, HwlMode, StartGap};
 use std::collections::HashSet;
 
 /// Start-Gap's remapping stays a bijection into the frame space at
@@ -82,23 +82,6 @@ fn algebraic_rotation_tracks_sweeps() {
                 let _ = sg.record_write();
             }
         }
-    }
-}
-
-/// Per-line rotation: counts writes independently and wraps.
-#[test]
-fn per_line_rotation_wraps() {
-    let mut rng = DeuceRng::seed_from_u64(0x3EA6_0004);
-    for _ in 0..128 {
-        let ring = rng.gen_range(2u32..32);
-        let interval = rng.gen_range(1u32..5);
-        let writes = rng.gen_range(1u32..200);
-        let mut plr = PerLineRotation::new(2, ring, interval);
-        for _ in 0..writes {
-            let _ = plr.record_write(0);
-        }
-        assert_eq!(plr.rotation(0), (writes / interval) % ring);
-        assert_eq!(plr.rotation(1), 0);
     }
 }
 

@@ -77,6 +77,8 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 awk '/^== profiling/{exit} {print}' "$SMOKE_DIR/smoke.report" \
     > "$SMOKE_DIR/smoke.report.stable"
 diff -u results/telemetry/golden_smoke_report.txt "$SMOKE_DIR/smoke.report.stable"
+# The CSV summary next to the JSONL holds no wall-clock or host value.
+diff -u results/telemetry/golden_smoke_summary.csv "$SMOKE_DIR/smoke.csv"
 
 echo "==> fault-injection smoke test (deterministic report vs golden)"
 "$DEUCE" run --trace "$SMOKE_DIR/smoke.trace" --scheme encdcw \
@@ -86,6 +88,7 @@ echo "==> fault-injection smoke test (deterministic report vs golden)"
 awk '/^== profiling/{exit} {print}' "$SMOKE_DIR/faults.report" \
     > "$SMOKE_DIR/faults.report.stable"
 diff -u results/telemetry/golden_faults_report.txt "$SMOKE_DIR/faults.report.stable"
+diff -u results/telemetry/golden_faults_summary.csv "$SMOKE_DIR/faults.csv"
 
 echo "==> sharded-sweep smoke test (shard + merge == unsharded, byte-identical)"
 "$DEUCE" sweep --trace "$SMOKE_DIR/smoke.trace" > "$SMOKE_DIR/sweep.unsharded"
@@ -137,6 +140,13 @@ grep -v '^store_\|^line_store_bytes' "$SMOKE_DIR/paged.tiny" \
     | diff -u <(grep -v '^line_store_bytes' "$SMOKE_DIR/paged.arena") -
 evictions="$(awk -F'\t' '$1 == "store_page_evictions" {print $2}' "$SMOKE_DIR/paged.tiny")"
 [ -n "$evictions" ] && [ "$evictions" -gt 0 ]
+# The same 1-page run with telemetry, over a fresh page file (a warm one
+# legitimately changes the paging counters): its CSV summary, store_*
+# rows included, is pinned.
+"$DEUCE" run --trace "$SMOKE_DIR/paged.trace" --scheme deuce \
+    --store-file "$SMOKE_DIR/telemetry.pages" --resident-pages 1 \
+    --telemetry "$SMOKE_DIR/paged.jsonl" --sample-every 256 > /dev/null
+diff -u results/telemetry/golden_paged_summary.csv "$SMOKE_DIR/paged.csv"
 
 echo "==> observability smoke test (span trace, watch --once, flight dump vs golden)"
 # Span tracing: the exported file is Chrome trace-event JSON
